@@ -321,7 +321,7 @@ def run_worker_sweep(args, graph) -> dict:
                         worker_args=worker_args,
                         spawn_timeout=300.0) as router:
                 for session in sessions:
-                    status, body = router.handle_load({
+                    status, body, _ = router.handle_load({
                         "name": session, "path": str(graph_path),
                         "fraction": args.fraction, "seed": args.seed,
                         "iterations": args.iterations,

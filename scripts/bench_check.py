@@ -20,7 +20,10 @@ the **scale-free** metrics, the ones that must hold at any graph size:
   ``speedup_fraction * min(baseline, speedup_cap)``.  The cap keeps the
   floor honest for huge baseline speedups (a 500x cached replay need only
   stay above ``0.5 * 4 = 2x``), while small baselines (localized vs warm
-  at 1.1x) get a proportional floor.
+  at 1.1x) get a proportional floor.  A ``speedup_N_workers`` ratio is
+  reported as *not measurable* and not gated when the fresh run's
+  ``workers_sweep.host_cpus`` is below ``N``: a pool cannot outrun the
+  CPUs it shares.
 
 Raw timings (``*_seconds``, ``*_ms``, ``*_per_second``) are compared only
 with ``--check-timings``, which is only meaningful when the fresh run used
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -46,11 +50,16 @@ TRUE_FLAGS = {"reflected", "staleness_reset"}
 FALSE_FLAGS = {"records_mismatch"}
 ZERO_COUNTERS = {"parallel_serial_mismatches"}
 
+WORKER_SPEEDUP = re.compile(r"speedup_(\d+)_workers")
+
 
 class Check:
-    """One comparison outcome: a dotted path, a verdict, and the numbers."""
+    """One comparison outcome: a dotted path, a verdict, and the numbers.
 
-    def __init__(self, path: str, ok: bool, detail: str):
+    ``ok`` is None for a metric the fresh run's host could not measure.
+    """
+
+    def __init__(self, path: str, ok: bool | None, detail: str):
         self.path = path
         self.ok = ok
         self.detail = detail
@@ -143,6 +152,14 @@ def check_scalar(full_path, key, value, base_value, args) -> list[Check]:
     if "speedup" in key and isinstance(value, (int, float)):
         if not isinstance(base_value, (int, float)):
             return []
+        workers = WORKER_SPEEDUP.fullmatch(key)
+        if workers and args.host_cpus is not None \
+                and args.host_cpus < int(workers.group(1)):
+            return [Check(
+                full_path, None,
+                f"not measurable: {value:.2f}x on {args.host_cpus} CPU(s) "
+                f"for {workers.group(1)} workers, floor skipped",
+            )]
         floor = args.speedup_fraction * min(base_value, args.speedup_cap)
         return [Check(
             full_path, value >= floor,
@@ -201,14 +218,19 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
     fresh, baseline = documents
+    sweep = fresh.get("workers_sweep") if isinstance(fresh, dict) else None
+    args.host_cpus = sweep.get("host_cpus") if isinstance(sweep, dict) else None
 
     checks = compare(fresh, baseline, args)
-    failures = [check for check in checks if not check.ok]
+    unmeasured = [check for check in checks if check.ok is None]
+    failures = [check for check in checks if check.ok is False]
     for check in checks:
-        marker = "ok  " if check.ok else "FAIL"
+        marker = {True: "ok  ", False: "FAIL", None: "n/a "}[check.ok]
         print(f"{marker} {check.path}: {check.detail}")
+    checks = [check for check in checks if check.ok is not None]
     print(f"bench_check: {len(checks) - len(failures)}/{len(checks)} "
-          f"checks passed against {args.baseline}")
+          f"checks passed against {args.baseline}"
+          + (f" ({len(unmeasured)} not measurable)" if unmeasured else ""))
     if failures:
         print(f"bench_check: {len(failures)} regression(s):", file=sys.stderr)
         for check in failures:

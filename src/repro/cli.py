@@ -887,7 +887,7 @@ def _serve_router(args: argparse.Namespace) -> int:
                 router.close()
                 raise CLIError(f"graph file not found: {args.graph}")
             payload["path"] = args.graph
-        status, body = router.handle_load(payload)
+        status, body, _ = router.handle_load(payload)
         if status != 201:
             router.close()
             raise CLIError(f"preload failed ({status}): "

@@ -45,7 +45,7 @@ import tempfile
 import threading
 import time
 import uuid
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 from repro import obs
@@ -54,6 +54,7 @@ from repro.obs.scrape import (
     label_snapshot,
     parse_prometheus,
 )
+from repro.serve.http import JsonHandler
 from repro.serve.service import ServeError
 from repro.utils.placement import place
 
@@ -284,8 +285,9 @@ class Router:
                     f"(exit code {handle.process.returncode})", status=502,
                 )
             try:
-                status, _ = self._raw_request(handle, "GET", "/healthz", None,
-                                              timeout=2.0, fresh=True)
+                status, _, _ = self._raw_request(
+                    handle, "GET", "/healthz", None, timeout=2.0, fresh=True
+                )
                 if status == 200:
                     return
                 last_error = f"healthz returned {status}"
@@ -349,7 +351,7 @@ class Router:
                 body = dict(payload)
                 body["recover"] = True
                 body["replace"] = True
-                status, response = self._raw_request(
+                status, _, _ = self._raw_request(
                     handle, "POST", "/graphs",
                     json.dumps(body).encode("utf-8"), fresh=True,
                 )
@@ -392,7 +394,8 @@ class Router:
     def _raw_request(
         self, handle: WorkerHandle, method: str, path: str,
         body: bytes | None, timeout: float | None = None, fresh: bool = False,
-    ) -> tuple[int, bytes]:
+    ) -> tuple[int, bytes, str | None]:
+        """``(status, body, X-Repro-Trace)`` of one request to ``handle``."""
         conn = self._connection(handle, fresh)
         if timeout is not None:
             conn.timeout = timeout
@@ -403,7 +406,7 @@ class Router:
             conn.request(method, path, body=body, headers=headers)
             response = conn.getresponse()
             payload = response.read()
-            return response.status, payload
+            return response.status, payload, response.getheader("X-Repro-Trace")
         except (OSError, http.client.HTTPException):
             # Poison the cached connection so the next attempt dials fresh.
             conn.close()
@@ -413,7 +416,7 @@ class Router:
 
     def forward(
         self, method: str, path: str, name: str, body: bytes | None,
-    ) -> tuple[int, bytes]:
+    ) -> tuple[int, bytes, str | None]:
         """Proxy one ``/graphs/*`` request to the owner of ``name``.
 
         A connection failure means the worker died mid-request: trigger
@@ -438,27 +441,27 @@ class Router:
                     status=502,
                 ) from exc
 
-    def handle_load(self, payload: dict) -> tuple[int, bytes]:
+    def handle_load(self, payload: dict) -> tuple[int, bytes, str | None]:
         """Place and proxy a load; record the recipe for future recovery."""
         name = payload.get("name")
         if not isinstance(name, str) or not name:
             raise ServeError("load needs a non-empty 'name'")
         handle = self.worker_for(name)
-        status, response = self.forward(
+        reply = self.forward(
             "POST", "/graphs", name, json.dumps(payload).encode("utf-8")
         )
-        if status == 201:
+        if reply[0] == 201:
             recipe = dict(payload)
             recipe.pop("recover", None)
             handle.loads[name] = recipe
-        return status, response
+        return reply
 
-    def handle_unload(self, name: str) -> tuple[int, bytes]:
+    def handle_unload(self, name: str) -> tuple[int, bytes, str | None]:
         handle = self.worker_for(name)
-        status, response = self.forward("DELETE", f"/graphs/{name}", name, None)
-        if status == 200:
+        reply = self.forward("DELETE", f"/graphs/{name}", name, None)
+        if reply[0] == 200:
             handle.loads.pop(name, None)
-        return status, response
+        return reply
 
     def stamp_delta_id(self, body: bytes) -> bytes:
         """Ensure a proxied delta carries an idempotency id.
@@ -498,7 +501,7 @@ class Router:
                 state["healthz"] = None
             else:
                 try:
-                    status, body = self._raw_request(
+                    status, body, _ = self._raw_request(
                         handle, "GET", "/healthz", None, timeout=2.0
                     )
                     state["healthz"] = json.loads(body.decode("utf-8"))
@@ -538,7 +541,7 @@ class Router:
             if not handle.alive:
                 continue
             try:
-                _, body = self._raw_request(
+                _, body, _ = self._raw_request(
                     handle, "GET", "/metrics", None, timeout=2.0
                 )
                 snapshot = parse_prometheus(body.decode("utf-8"))
@@ -565,7 +568,7 @@ class Router:
             state = {"index": handle.index, "alive": handle.alive}
             if handle.alive:
                 try:
-                    _, body = self._raw_request(
+                    _, body, _ = self._raw_request(
                         handle, "GET", "/quality", None, timeout=5.0
                     )
                     payload = json.loads(body.decode("utf-8"))
@@ -601,7 +604,7 @@ class Router:
             state = handle.describe()
             if handle.alive:
                 try:
-                    _, body = self._raw_request(
+                    _, body, _ = self._raw_request(
                         handle, "GET", "/stats", None, timeout=5.0
                     )
                     state["stats"] = json.loads(body.decode("utf-8"))
@@ -641,59 +644,23 @@ class RouterHTTPServer(ThreadingHTTPServer):
         self.router.close()
 
 
-class RouterHandler(BaseHTTPRequestHandler):
-    """Same JSON surface as a worker, plus ``/fleet``."""
+class RouterHandler(JsonHandler):
+    """Same JSON surface as a worker, plus ``/fleet``.
+
+    A proxied response relays the worker's ``X-Repro-Trace`` header, so a
+    client behind the router can still grep its request out of the
+    worker's trace file.
+    """
 
     server: RouterHTTPServer
-    protocol_version = "HTTP/1.1"
-    verbose = False
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if self.verbose:
-            super().log_message(format, *args)
-
-    # ------------------------------------------------------------------ I/O
-    def _send_body(self, body: bytes, content_type: str, status: int) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, payload: dict, status: int = 200) -> None:
-        self._send_body(
-            json.dumps(payload).encode("utf-8"), "application/json", status
-        )
-
-    def _send_error_json(self, message: str, status: int) -> None:
-        self.close_connection = True
-        self._send_json({"error": message}, status=status)
-
-    def _read_body(self) -> bytes:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError as exc:
-            raise ServeError(f"invalid Content-Length header: {exc}") from exc
-        if length < 0:
-            raise ServeError("invalid Content-Length header")
-        return self.rfile.read(length) if length else b""
-
-    # -------------------------------------------------------------- routing
     def _route(self, method: str) -> None:
-        try:
-            handled = self._dispatch(method)
-        except ServeError as exc:
-            self._send_error_json(str(exc), exc.status)
-            return
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            return
-        except Exception as exc:  # pragma: no cover - defensive catch-all
-            self._send_error_json(f"internal error: {exc}", 500)
-            return
-        if not handled:
-            self._send_error_json(f"no route for {method} {self.path}", 404)
+        self._trace_id = None  # set by _relay from the worker's reply
+        super()._route(method)
+
+    def _relay(self, reply: tuple[int, bytes, str | None]) -> None:
+        status, body, self._trace_id = reply
+        self._send_body(body, "application/json", status)
 
     def _dispatch(self, method: str) -> bool:
         parts = [part for part in self.path.split("?")[0].split("/") if part]
@@ -719,52 +686,27 @@ class RouterHandler(BaseHTTPRequestHandler):
                 )
                 return True
             if len(parts) >= 2 and parts[0] == "graphs":
-                status, body = router.forward(
-                    "GET", self.path, parts[1], None
-                )
-                self._send_body(body, "application/json", status)
+                self._relay(router.forward("GET", self.path, parts[1], None))
                 return True
             return False
         if method == "DELETE":
             if len(parts) == 2 and parts[0] == "graphs":
-                status, body = router.handle_unload(parts[1])
-                self._send_body(body, "application/json", status)
+                self._relay(router.handle_unload(parts[1]))
                 return True
             return False
         if method != "POST":
             return False
         if parts == ["graphs"]:
-            raw = self._read_body()
-            try:
-                payload = json.loads(raw.decode("utf-8")) if raw else {}
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ServeError(
-                    f"request body is not valid JSON: {exc}"
-                ) from exc
-            if not isinstance(payload, dict):
-                raise ServeError("request body must be a JSON object")
-            status, body = router.handle_load(payload)
-            self._send_body(body, "application/json", status)
+            self._relay(router.handle_load(self._read_json()))
             return True
         if len(parts) == 3 and parts[0] == "graphs":
             name, verb = parts[1], parts[2]
             body = self._read_body()
             if verb == "delta":
                 body = router.stamp_delta_id(body)
-            status, response = router.forward("POST", self.path, name, body)
-            self._send_body(response, "application/json", status)
+            self._relay(router.forward("POST", self.path, name, body))
             return True
         return False
-
-    # ----------------------------------------------------------- verb hooks
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._route("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._route("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._route("DELETE")
 
 
 def make_router_server(

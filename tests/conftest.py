@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
+import json
+import statistics
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -96,3 +101,56 @@ def dense_small_adjacency() -> sp.csr_matrix:
     dense = np.triu(dense, k=1)
     dense = dense + dense.T
     return sp.csr_matrix(dense)
+
+
+class _RecordingWriter:
+    """A handler's socket writer that keeps a copy of every write."""
+
+    def __init__(self, raw, writes: list[bytes]) -> None:
+        self._raw = raw
+        self._writes = writes
+
+    def write(self, data) -> int:
+        self._writes.append(bytes(data))
+        return self._raw.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
+
+
+@pytest.fixture()
+def keepalive_probe(monkeypatch):
+    """Send ``n`` sequential requests on one keep-alive connection.
+
+    ``probe(handler_class, port, method, path, payload=None, n=20)`` returns
+    the median round trip in seconds, every ``wfile.write`` the handlers of
+    ``handler_class`` made meanwhile, and each response body.
+    """
+
+    def probe(handler_class, port, method, path, payload=None, n=20):
+        writes: list[bytes] = []
+        setup = handler_class.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            handler.wfile = _RecordingWriter(handler.wfile, writes)
+
+        monkeypatch.setattr(handler_class, "setup", recording_setup)
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        seconds, replies = [], []
+        try:
+            for _ in range(n):
+                start = time.perf_counter()
+                conn.request(method, path, body=body,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                replies.append(response.read())
+                seconds.append(time.perf_counter() - start)
+                assert response.status == 200, replies[-1]
+        finally:
+            conn.close()
+        return statistics.median(seconds), writes, replies
+
+    return probe
+

@@ -135,6 +135,41 @@ class TestGate:
         assert run(tmp_path, bad, good) == 1
         assert "parallel_serial_mismatches" in capsys.readouterr().err
 
+    @staticmethod
+    def sweep_doc(host_cpus: int, speedup_2: float, speedup_4: float) -> dict:
+        return {
+            "delta_mid_load": {"reflected": True},
+            "workers_sweep": {"host_cpus": host_cpus, "pool_sizes": [1, 2, 4]},
+            "speedup_2_workers": speedup_2,
+            "speedup_4_workers": speedup_4,
+        }
+
+    def test_worker_speedups_beyond_host_cpus_are_not_measurable(
+        self, tmp_path, capsys
+    ):
+        # Baseline 3x at 4 workers => floor 1.5x, but a 2-CPU host cannot
+        # run four workers in parallel: reported, not gated.
+        fresh = self.sweep_doc(host_cpus=2, speedup_2=1.8, speedup_4=0.9)
+        baseline = self.sweep_doc(host_cpus=8, speedup_2=1.9, speedup_4=3.0)
+        assert run(tmp_path, fresh, baseline) == 0
+        out = capsys.readouterr().out
+        assert "n/a  speedup_4_workers: not measurable" in out
+        assert "ok   speedup_2_workers" in out
+        assert "2/2 checks passed" in out and "(1 not measurable)" in out
+
+    def test_worker_speedups_within_host_cpus_stay_gated(self, tmp_path, capsys):
+        fresh = self.sweep_doc(host_cpus=4, speedup_2=1.8, speedup_4=0.9)
+        baseline = self.sweep_doc(host_cpus=8, speedup_2=1.9, speedup_4=3.0)
+        assert run(tmp_path, fresh, baseline) == 1
+        assert "speedup_4_workers: 0.90x >= 1.50x" in capsys.readouterr().err
+
+    def test_only_unmeasurable_metrics_means_nothing_checked(
+        self, tmp_path, capsys
+    ):
+        doc = {"workers_sweep": {"host_cpus": 1}, "speedup_2_workers": 1.0}
+        assert run(tmp_path, doc, doc) == 1
+        assert "nothing was checked" in capsys.readouterr().err
+
     def test_no_gated_metrics_is_a_failure(self, tmp_path, capsys):
         assert run(tmp_path, {"graph": {}}, {"graph": {}}) == 1
         assert "nothing was checked" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -14,6 +15,7 @@ from repro.core.compatibility import skew_compatibility
 from repro.graph.generator import generate_graph
 from repro.graph.io import save_graph_npz
 from repro.serve import InferenceService, MicroBatcher, make_server
+from repro.serve.http import MAX_BODY_BYTES, ServeHandler
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +171,29 @@ class TestEndpoints:
         assert "g" in stats["graphs"]
 
 
+class TestKeepAlive:
+    """Responses leave as one write on a NODELAY socket: no delayed-ACK stall."""
+
+    def test_sequential_requests_on_one_connection_do_not_stall(
+        self, server, keepalive_probe
+    ):
+        port = server.server_address[1]
+        for method, path, payload in (
+            ("GET", "/healthz", None),
+            ("POST", "/graphs/g/query", {"nodes": [0, 7, 42], "top_k": 2}),
+        ):
+            median, writes, replies = keepalive_probe(
+                ServeHandler, port, method, path, payload
+            )
+            # Headers and body in two sends waited ~44 ms for the client's
+            # delayed ACK on every request.
+            assert median < 0.020, f"{path}: median {median * 1e3:.1f} ms"
+            assert len(writes) == len(replies) == 20
+            for write, reply in zip(writes, replies):
+                assert write.startswith(b"HTTP/1.1 200 ")
+                assert write.endswith(b"\r\n\r\n" + reply)
+
+
 class TestSloHealth:
     """SLO recorder wiring: /healthz degradation and /alerts."""
 
@@ -257,6 +282,20 @@ class TestErrorMapping:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+    def test_oversized_body_is_413_without_reading_it(self, server):
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=10
+        )
+        try:
+            conn.putrequest("POST", "/graphs/g/delta")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 413
+            assert "too large" in json.loads(response.read())["error"]
+        finally:
+            conn.close()
 
     def test_unknown_payload_fields_are_400(self, server):
         status, payload = call(server, "POST", "/graphs/g/query",

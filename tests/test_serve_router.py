@@ -19,6 +19,7 @@ one two-worker fleet is module-scoped and every test leaves it healthy.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -34,7 +35,8 @@ from repro.core.compatibility import skew_compatibility
 from repro.graph.generator import generate_graph
 from repro.graph.io import save_graph_npz
 from repro.serve import ServeError
-from repro.serve.router import Router, make_router_server
+from repro.serve.http import MAX_BODY_BYTES
+from repro.serve.router import Router, RouterHandler, make_router_server
 from repro.utils.placement import place
 
 pytestmark = pytest.mark.skipif(
@@ -176,6 +178,74 @@ class TestProxiedApi:
         )
         assert status == 412
         assert "min_version" in body["error"]
+
+
+# ------------------------------------------------------- one-send replies
+class TestResponsePath:
+    def test_keepalive_queries_through_router_do_not_stall(
+        self, fleet, graph_path, keepalive_probe
+    ):
+        _, base = fleet
+        load_session(base, graph_path, "keepalive")
+        median, writes, replies = keepalive_probe(
+            RouterHandler, int(base.rsplit(":", 1)[1]), "POST",
+            "/graphs/keepalive/query", {"nodes": [0, 1, 2], "top_k": 1},
+        )
+        # Router and worker each stalled ~44 ms per request on a delayed
+        # ACK while headers and body went out in two sends.
+        assert median < 0.020, f"median {median * 1e3:.1f} ms"
+        assert len(writes) == len(replies) == 20
+        for write, reply in zip(writes, replies):
+            assert write.startswith(b"HTTP/1.1 200 ")
+            assert write.endswith(b"\r\n\r\n" + reply)
+
+    def test_oversized_body_is_413_without_reading_it(self, fleet):
+        _, base = fleet
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", int(base.rsplit(":", 1)[1]), timeout=10
+        )
+        try:
+            conn.putrequest("POST", "/graphs/anything/delta")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 413
+            assert "too large" in json.loads(response.read())["error"]
+        finally:
+            conn.close()
+
+    def test_proxied_reply_relays_the_workers_trace_id(
+        self, graph_path, tmp_path, monkeypatch
+    ):
+        trace_file = tmp_path / "trace.jsonl"
+        monkeypatch.setenv("REPRO_TRACE", str(trace_file))  # workers inherit it
+        router = Router(
+            1, queue_dir=tmp_path / "q", worker_args=["--no-batching"],
+            spawn_timeout=120.0, supervise_interval=3600.0,
+        )
+        router.start()
+        server = make_router_server(router, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            base = f"http://127.0.0.1:{server.server_address[1]}"
+            load_session(base, graph_path, "traced")
+            req = urllib.request.Request(
+                base + "/graphs/traced/query", method="POST",
+                data=json.dumps({"nodes": [0]}).encode("utf-8"),
+            )
+            with urllib.request.urlopen(req, timeout=30.0) as response:
+                trace = response.headers["X-Repro-Trace"]
+        finally:
+            server.close()
+            thread.join(timeout=10.0)
+        spans = [json.loads(line) for line in trace_file.read_text().splitlines()]
+        requests = [
+            span for span in spans
+            if span["name"] == "http.request" and span["trace"] == trace
+        ]
+        assert trace and len(requests) == 1
+        assert requests[0]["attrs"]["path"] == "/graphs/traced/query"
 
 
 # ------------------------------------------------------------- recovery
