@@ -528,8 +528,14 @@ def _command_estimate(args: argparse.Namespace) -> int:
         graph.require_labels(), fraction=args.fraction, rng=args.seed
     )
     result = estimator.fit(graph, seed_labels)
+    details = result.details
     print(f"method: {result.method}")
     print(f"estimation time: {result.elapsed_seconds:.3f}s")
+    if "n_evaluations" in details:
+        print(f"estimation split: statistics {details['summarization_seconds']:.3f}s, "
+              f"optimizer {details['optimization_seconds']:.3f}s "
+              f"({details['n_restarts']} restarts, "
+              f"{details['n_evaluations']} energy evaluations)")
     print("estimated compatibility matrix:")
     for row in np.round(result.compatibility, 4):
         print("  " + "  ".join(f"{value:7.4f}" for value in row))

@@ -10,9 +10,13 @@ The parametrization follows the paper's Eq. 6: the free parameters are the
 entries ``H[i, j]`` with ``i >= j`` restricted to the leading
 ``(k-1) x (k-1)`` block (row-major over the lower triangle of that block);
 the last row and column are recovered from the stochasticity constraints.
+Eq. 6 is affine, so :func:`parameter_map` stores it once per ``k`` as
+``vec(H) = offset + basis @ (h - 1/k)``.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from repro.utils.validation import check_positive, check_square
 __all__ = [
     "free_parameter_count",
     "free_parameter_indices",
+    "parameter_map",
     "vector_to_matrix",
     "matrix_to_vector",
     "uniform_vector",
@@ -60,6 +65,35 @@ def uniform_vector(n_classes: int) -> np.ndarray:
     return np.full(free_parameter_count(n_classes), 1.0 / n_classes)
 
 
+@lru_cache(maxsize=None)
+def parameter_map(n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eq. 6 as the affine map ``vec(H) = offset + basis @ (h - 1/k)``, built once per ``k``.
+
+    Column ``p`` of the ``k^2 x k*`` ``basis`` is the flattened structure
+    matrix ``∂H/∂h_p`` of Prop. 4.7: +1 at the parameter's position and its
+    mirror, -1 on the last-row/column entries that absorb the stochasticity
+    slack, and +1 per mirror image at the bottom-right corner.  ``offset``
+    is the uniform ``1/k`` matrix, the image of the uniform parameter
+    vector; centering there keeps the corner from cancelling ``2 - k``
+    against a block sum of about ``k - 2``.  Both arrays are read-only.
+    """
+    check_positive(n_classes, "n_classes")
+    last = n_classes - 1
+    indices = free_parameter_indices(n_classes)
+    basis = np.zeros((n_classes, n_classes, len(indices)))
+    for parameter, (row, col) in enumerate(indices):
+        for a, b in {(row, col), (col, row)}:
+            basis[a, b, parameter] += 1.0
+            basis[a, last, parameter] -= 1.0
+            basis[last, b, parameter] -= 1.0
+            basis[last, last, parameter] += 1.0
+    offset = np.full(n_classes * n_classes, 1.0 / n_classes)
+    basis = basis.reshape(n_classes * n_classes, -1)
+    offset.setflags(write=False)
+    basis.setflags(write=False)
+    return offset, basis
+
+
 def vector_to_matrix(parameters: np.ndarray, n_classes: int) -> np.ndarray:
     """Reconstruct the full ``k x k`` matrix ``H`` from its free parameters.
 
@@ -68,31 +102,20 @@ def vector_to_matrix(parameters: np.ndarray, n_classes: int) -> np.ndarray:
     corner is ``2 - k + sum of the leading block``.
     """
     parameters = np.asarray(parameters, dtype=np.float64).ravel()
-    expected = free_parameter_count(n_classes)
-    if parameters.shape[0] != expected:
+    offset, basis = parameter_map(n_classes)
+    if parameters.shape[0] != basis.shape[1]:
         raise ValueError(
-            f"expected {expected} free parameters for k={n_classes}, "
+            f"expected {basis.shape[1]} free parameters for k={n_classes}, "
             f"got {parameters.shape[0]}"
         )
-    matrix = np.zeros((n_classes, n_classes), dtype=np.float64)
-    for value, (row, col) in zip(parameters, free_parameter_indices(n_classes)):
-        matrix[row, col] = value
-        matrix[col, row] = value
-    last = n_classes - 1
-    leading = matrix[:last, :last]
-    matrix[:last, last] = 1.0 - leading.sum(axis=1)
-    matrix[last, :last] = 1.0 - leading.sum(axis=0)
-    matrix[last, last] = 2.0 - n_classes + leading.sum()
-    return matrix
+    centered = parameters - 1.0 / n_classes
+    return (offset + basis.dot(centered)).reshape(n_classes, n_classes)
 
 
 def matrix_to_vector(matrix: np.ndarray) -> np.ndarray:
     """Extract the free-parameter vector ``h`` from a full matrix ``H``."""
     matrix = check_square(matrix, "compatibility")
-    n_classes = matrix.shape[0]
-    return np.array(
-        [matrix[row, col] for row, col in free_parameter_indices(n_classes)]
-    )
+    return matrix[np.tril_indices(matrix.shape[0] - 1)]
 
 
 def validate_compatibility(

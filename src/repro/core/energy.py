@@ -11,25 +11,28 @@ The DCE gradient with respect to the *full* matrix is Proposition 4.7's
 
     ``G = 2 sum_l w_l ( l H^(2l-1) - sum_{r=0}^{l-1} H^r P̂^(l) H^(l-r-1) )``
 
-and the gradient with respect to a free parameter is the entry-wise dot
-product of ``G`` with that parameter's structure matrix ``S`` — the matrix
-``∂H/∂h_p`` that records how the dependent last row/column move when a free
-entry moves.  All of this operates on ``k x k`` matrices only, which is why
-the optimization step is independent of the graph size.
+which :func:`dce_adjoint` evaluates in reverse mode over the powers of one
+forward pass, and the gradient with respect to a free parameter is the
+entry-wise dot product of ``G`` with that parameter's structure matrix ``S``
+— the matrix ``∂H/∂h_p`` that records how the dependent last row/column move
+when a free entry moves.  All of this operates on ``k x k`` matrices only,
+which is why the optimization step is independent of the graph size.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.core.compatibility import free_parameter_indices, vector_to_matrix
+from repro.core.compatibility import parameter_map, vector_to_matrix
+from repro.utils.matrix import to_dense
 from repro.utils.validation import check_positive, check_square
 
 __all__ = [
     "dce_weights",
     "matrix_powers",
+    "dce_forward",
     "dce_energy",
+    "dce_adjoint",
     "dce_matrix_gradient",
     "structure_matrix",
     "free_parameter_gradient",
@@ -63,121 +66,81 @@ def matrix_powers(matrix: np.ndarray, max_power: int) -> list[np.ndarray]:
     check_positive(max_power, "max_power")
     powers = [matrix]
     for _ in range(1, max_power):
-        powers.append(powers[-1] @ matrix)
+        # ndarray.dot: half the call overhead of ``@`` on k x k operands.
+        powers.append(powers[-1].dot(matrix))
     return powers
+
+
+def dce_forward(
+    matrix: np.ndarray, statistics: list[np.ndarray], weights: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray, float]:
+    """One DCE forward pass: powers ``H^l``, stacked residuals ``H^l - P̂^(l)``, energy."""
+    if len(statistics) != len(weights):
+        raise ValueError(
+            f"got {len(statistics)} statistics matrices but {len(weights)} weights"
+        )
+    powers = matrix_powers(matrix, len(statistics))
+    residuals = np.subtract(powers, statistics)
+    squares = (residuals * residuals).reshape(len(residuals), -1).sum(axis=1)
+    return powers, residuals, float(np.dot(weights, squares))
 
 
 def dce_energy(
     matrix: np.ndarray, statistics: list[np.ndarray], weights: np.ndarray
 ) -> float:
     """Distance-smoothed energy ``sum_l w_l ||H^l - P̂^(l)||^2`` (Eq. 13/14)."""
-    matrix = check_square(matrix, "compatibility")
-    if len(statistics) != len(weights):
-        raise ValueError(
-            f"got {len(statistics)} statistics matrices but {len(weights)} weights"
-        )
-    powers = matrix_powers(matrix, len(statistics))
-    total = 0.0
-    for weight, power, observed in zip(weights, powers, statistics):
-        difference = power - observed
-        total += float(weight) * float(np.sum(difference * difference))
-    return total
+    return dce_forward(matrix, statistics, weights)[2]
+
+
+def dce_adjoint(
+    matrix: np.ndarray, residuals: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Full-matrix DCE gradient by reverse mode over a forward pass's residuals.
+
+    Through the chain ``P_l = P_(l-1) H`` the adjoint of ``P_l`` is
+    ``A_l = 2 w_l R_l + A_(l+1) H^T``, and the same sweep accumulates
+    ``G = sum_l (H^T)^(l-1) A_l`` Horner-style, ``g_l = A_l + H^T g_(l+1)``,
+    in ``2(l_max - 1)`` products of ``k x k`` matrices, for any ``H``.
+    """
+    transpose = matrix.T
+    adjoint = gradient = 2.0 * float(weights[-1]) * residuals[-1]
+    for index in range(len(residuals) - 2, -1, -1):
+        adjoint = 2.0 * float(weights[index]) * residuals[index] + adjoint.dot(transpose)
+        gradient = adjoint + transpose.dot(gradient)
+    return gradient
 
 
 def dce_matrix_gradient(
     matrix: np.ndarray, statistics: list[np.ndarray], weights: np.ndarray
 ) -> np.ndarray:
-    """Gradient of the DCE energy with respect to the full matrix (Prop. 4.7).
-
-    Uses the general (transpose-aware) form so it stays correct even if the
-    iterate drifts slightly off the symmetric manifold numerically:
-    ``d||H^l - Z||^2 / dH = 2 sum_r (H^T)^r (H^l - Z) (H^T)^(l-1-r)``.
-    """
-    matrix = check_square(matrix, "compatibility")
-    n_terms = len(statistics)
-    if n_terms != len(weights):
-        raise ValueError("statistics and weights must have equal length")
-    powers = matrix_powers(matrix, n_terms)
-    transpose_powers = matrix_powers(matrix.T, n_terms) if n_terms > 1 else [matrix.T]
-    identity = np.eye(matrix.shape[0])
-
-    def transpose_power(exponent: int) -> np.ndarray:
-        if exponent == 0:
-            return identity
-        return transpose_powers[exponent - 1]
-
-    gradient = np.zeros_like(matrix)
-    for length_index, (weight, observed) in enumerate(zip(weights, statistics)):
-        length = length_index + 1
-        residual = powers[length_index] - observed
-        term = np.zeros_like(matrix)
-        for r in range(length):
-            term += transpose_power(r) @ residual @ transpose_power(length - 1 - r)
-        gradient += 2.0 * float(weight) * term
-    return gradient
+    """Gradient of the DCE energy with respect to the full matrix (Prop. 4.7)."""
+    powers, residuals, _ = dce_forward(matrix, statistics, weights)
+    return dce_adjoint(powers[0], residuals, weights)
 
 
 # ----------------------------------------------------------- constrained gradient
 def structure_matrix(n_classes: int, row: int, col: int) -> np.ndarray:
     """``∂H/∂H[row, col]`` for a free parameter of the Eq. 6 parametrization.
 
-    ``row >= col`` and both lie in the leading ``(k-1) x (k-1)`` block.  The
-    returned matrix has +1 at the parameter position (and its mirror), -1 on
-    the dependent entries of the last row/column and +2 (or +1 for diagonal
-    parameters) at the bottom-right corner (Prop. 4.7).
+    ``row >= col`` and both lie in the leading ``(k-1) x (k-1)`` block.  This
+    is the parameter's column of :func:`parameter_map`'s ``basis``.
     """
     if not (0 <= col <= row < n_classes - 1):
         raise ValueError(
             f"({row}, {col}) is not a free-parameter position for k={n_classes}"
         )
-    last = n_classes - 1
-    structure = np.zeros((n_classes, n_classes), dtype=np.float64)
-    if row == col:
-        structure[row, col] = 1.0
-        structure[row, last] -= 1.0
-        structure[last, col] -= 1.0
-        structure[last, last] += 1.0
-    else:
-        structure[row, col] = 1.0
-        structure[col, row] = 1.0
-        structure[row, last] -= 1.0
-        structure[last, row] -= 1.0
-        structure[col, last] -= 1.0
-        structure[last, col] -= 1.0
-        structure[last, last] += 2.0
-    return structure
+    column = parameter_map(n_classes)[1][:, row * (row + 1) // 2 + col]
+    return column.reshape(n_classes, n_classes).copy()
 
 
 def free_parameter_gradient(matrix_gradient: np.ndarray, n_classes: int) -> np.ndarray:
-    """Chain the full-matrix gradient through the Eq. 6 parametrization.
+    """Chain the full-matrix gradient through Eq. 6: ``basis^T @ vec(G)``.
 
-    For each free parameter ``p`` at position ``(row, col)`` the derivative
-    is ``<S_p, G> = sum_ab S_p[a, b] * G[a, b]``; this closed form avoids
-    materializing the structure matrices.
+    Entry ``p`` is ``<S_p, G>``, the entry-wise product of ``G`` with free
+    parameter ``p``'s structure matrix.
     """
     matrix_gradient = check_square(matrix_gradient, "matrix_gradient")
-    last = n_classes - 1
-    gradient = np.empty(len(free_parameter_indices(n_classes)))
-    for index, (row, col) in enumerate(free_parameter_indices(n_classes)):
-        if row == col:
-            value = (
-                matrix_gradient[row, col]
-                - matrix_gradient[row, last]
-                - matrix_gradient[last, col]
-                + matrix_gradient[last, last]
-            )
-        else:
-            value = (
-                matrix_gradient[row, col]
-                + matrix_gradient[col, row]
-                - matrix_gradient[row, last]
-                - matrix_gradient[last, row]
-                - matrix_gradient[col, last]
-                - matrix_gradient[last, col]
-                + 2.0 * matrix_gradient[last, last]
-            )
-        gradient[index] = value
-    return gradient
+    return parameter_map(n_classes)[1].T.dot(matrix_gradient.ravel())
 
 
 def dce_free_gradient(
@@ -230,9 +193,7 @@ class LCETerms:
 
 def lce_terms(adjacency, labels_matrix) -> LCETerms:
     """Build the :class:`LCETerms` summary from the graph and seed labels."""
-    dense_labels = (
-        labels_matrix.toarray() if sp.issparse(labels_matrix) else np.asarray(labels_matrix)
-    ).astype(np.float64)
+    dense_labels = to_dense(labels_matrix)
     propagated = np.asarray(adjacency @ dense_labels)
     gram = propagated.T @ propagated
     cross = propagated.T @ dense_labels

@@ -20,15 +20,47 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
+from repro import obs
 from repro.core.compatibility import restart_initial_points, uniform_vector, vector_to_matrix
-from repro.core.energy import dce_energy, dce_free_gradient, dce_weights
+from repro.core.energy import dce_adjoint, dce_forward, dce_weights, free_parameter_gradient
 from repro.core.estimators.base import BaseEstimator
 from repro.core.optimizer import best_outcome, minimize_free_parameters
 from repro.core.statistics import NORMALIZATION_VARIANTS, observed_statistics
 from repro.graph.graph import Graph
 from repro.utils.validation import check_positive
 
-__all__ = ["DCE", "DCEr"]
+__all__ = ["DCE", "DCEr", "DCEObjective"]
+
+
+class DCEObjective:
+    """DCE's energy and free-parameter gradient over one shared forward pass.
+
+    SLSQP asks for the gradient at the point whose energy it has just
+    evaluated, so the last forward pass ``(powers, residuals, energy)`` is
+    kept, keyed on the point, and that gradient call runs only the adjoint
+    pass.  ``n_evaluations`` counts the energy calls.
+    """
+
+    def __init__(self, statistics: list[np.ndarray], weights: np.ndarray, n_classes: int):
+        self.statistics = np.asarray(statistics, dtype=np.float64)  # stacked: one subtraction
+        self.weights, self.n_classes = weights, n_classes
+        self.n_evaluations, self._cached = 0, (None, None)
+
+    def _forward_pass(self, parameters: np.ndarray):
+        key = np.asarray(parameters, dtype=np.float64).tobytes()
+        if key != self._cached[0]:
+            matrix = vector_to_matrix(parameters, self.n_classes)
+            self._cached = (key, dce_forward(matrix, self.statistics, self.weights))
+        return self._cached[1]
+
+    def energy(self, parameters: np.ndarray) -> float:
+        self.n_evaluations += 1
+        return self._forward_pass(parameters)[2]
+
+    def gradient(self, parameters: np.ndarray) -> np.ndarray:
+        powers, residuals, _ = self._forward_pass(parameters)
+        gradient = dce_adjoint(powers[0], residuals, self.weights)
+        return free_parameter_gradient(gradient, self.n_classes)
 
 
 class DCE(BaseEstimator):
@@ -102,30 +134,24 @@ class DCE(BaseEstimator):
     ) -> tuple[np.ndarray, float, dict]:
         """Step (2): minimize the distance-smoothed energy over ``h``."""
         weights = dce_weights(self.max_length, self.scaling)
-
-        def objective(parameters: np.ndarray) -> float:
-            return dce_energy(vector_to_matrix(parameters, n_classes), statistics, weights)
-
-        def gradient(parameters: np.ndarray) -> np.ndarray:
-            return dce_free_gradient(parameters, n_classes, statistics, weights)
-
-        outcomes = []
-        for start in self._initial_points(n_classes):
-            outcomes.append(
-                minimize_free_parameters(
-                    objective,
-                    n_classes,
-                    gradient=gradient,
-                    initial=start,
-                    method="SLSQP",
-                    bounds=self.bounds,
-                    max_iterations=self.max_iterations,
-                )
+        objective = DCEObjective(statistics, weights, n_classes)
+        outcomes = [
+            minimize_free_parameters(
+                objective.energy,
+                n_classes,
+                gradient=objective.gradient,
+                initial=start,
+                method="SLSQP",
+                bounds=self.bounds,
+                max_iterations=self.max_iterations,
             )
+            for start in self._initial_points(n_classes)
+        ]
         winner = best_outcome(outcomes)
         details = {
             "restart_energies": [outcome.energy for outcome in outcomes],
             "n_restarts": len(outcomes),
+            "n_evaluations": objective.n_evaluations,
             "converged": winner.converged,
             "weights": weights,
         }
@@ -138,16 +164,18 @@ class DCE(BaseEstimator):
         explicit_beliefs: sp.csr_matrix,
     ) -> tuple[np.ndarray, float | None, dict]:
         summarize_start = time.perf_counter()
-        statistics = self._summarize(graph, explicit_beliefs)
-        summarize_seconds = time.perf_counter() - summarize_start
+        with obs.span("estimator.statistics"):
+            statistics = self._summarize(graph, explicit_beliefs)
         optimize_start = time.perf_counter()
-        compatibility, energy, details = self._optimize(statistics, graph.n_classes)
-        optimize_seconds = time.perf_counter() - optimize_start
+        with obs.span("estimator.optimize") as span:
+            compatibility, energy, details = self._optimize(statistics, graph.n_classes)
+            span.annotate(n_restarts=details["n_restarts"], n_evaluations=details["n_evaluations"])
+        optimize_end = time.perf_counter()
         details.update(
             {
                 "observed_statistics": statistics,
-                "summarization_seconds": summarize_seconds,
-                "optimization_seconds": optimize_seconds,
+                "summarization_seconds": optimize_start - summarize_start,
+                "optimization_seconds": optimize_end - optimize_start,
                 "max_length": self.max_length,
                 "scaling": self.scaling,
                 "non_backtracking": self.non_backtracking,

@@ -13,15 +13,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.compatibility import uniform_vector, vector_to_matrix
-from repro.core.energy import (
-    free_parameter_gradient,
-    lce_energy,
-    lce_matrix_gradient,
-    lce_terms,
-)
+from repro.core.energy import lce_energy, lce_matrix_gradient, lce_terms
 from repro.core.estimators.base import BaseEstimator
-from repro.core.optimizer import minimize_free_parameters
+from repro.core.optimizer import minimize_matrix_energy
 from repro.graph.graph import Graph
 
 __all__ = ["LCE"]
@@ -55,22 +49,11 @@ class LCE(BaseEstimator):
         seed_labels: np.ndarray,
         explicit_beliefs: sp.csr_matrix,
     ) -> tuple[np.ndarray, float | None, dict]:
-        n_classes = graph.n_classes
         terms = lce_terms(graph.adjacency, explicit_beliefs)
-
-        def objective(parameters: np.ndarray) -> float:
-            return lce_energy(vector_to_matrix(parameters, n_classes), terms)
-
-        def gradient(parameters: np.ndarray) -> np.ndarray:
-            matrix = vector_to_matrix(parameters, n_classes)
-            return free_parameter_gradient(lce_matrix_gradient(matrix, terms), n_classes)
-
-        outcome = minimize_free_parameters(
-            objective,
-            n_classes,
-            gradient=gradient,
-            initial=uniform_vector(n_classes),
-            method="SLSQP",
+        outcome = minimize_matrix_energy(
+            lambda matrix: lce_energy(matrix, terms),
+            lambda matrix: lce_matrix_gradient(matrix, terms),
+            graph.n_classes,
             bounds=self.bounds,
             max_iterations=self.max_iterations,
         )

@@ -19,10 +19,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.compatibility import uniform_vector, vector_to_matrix
-from repro.core.energy import free_parameter_gradient, mce_energy, mce_matrix_gradient
+from repro.core.energy import mce_energy, mce_matrix_gradient
 from repro.core.estimators.base import BaseEstimator
-from repro.core.optimizer import minimize_free_parameters
+from repro.core.optimizer import minimize_matrix_energy
 from repro.core.statistics import (
     NORMALIZATION_VARIANTS,
     neighbor_statistics,
@@ -64,7 +63,6 @@ class MCE(BaseEstimator):
         seed_labels: np.ndarray,
         explicit_beliefs: sp.csr_matrix,
     ) -> tuple[np.ndarray, float | None, dict]:
-        n_classes = graph.n_classes
         counts = neighbor_statistics(graph.adjacency, explicit_beliefs)
         observed = normalize_statistics(counts, variant=self.variant)
         details = {"observed_statistics": observed, "counts": counts, "variant": self.variant}
@@ -73,21 +71,10 @@ class MCE(BaseEstimator):
             compatibility = nearest_doubly_stochastic(observed)
             return compatibility, mce_energy(compatibility, observed), details
 
-        def objective(parameters: np.ndarray) -> float:
-            return mce_energy(vector_to_matrix(parameters, n_classes), observed)
-
-        def gradient(parameters: np.ndarray) -> np.ndarray:
-            matrix = vector_to_matrix(parameters, n_classes)
-            return free_parameter_gradient(
-                mce_matrix_gradient(matrix, observed), n_classes
-            )
-
-        outcome = minimize_free_parameters(
-            objective,
-            n_classes,
-            gradient=gradient,
-            initial=uniform_vector(n_classes),
-            method="SLSQP",
+        outcome = minimize_matrix_energy(
+            lambda matrix: mce_energy(matrix, observed),
+            lambda matrix: mce_matrix_gradient(matrix, observed),
+            graph.n_classes,
         )
         details["converged"] = outcome.converged
         return outcome.matrix, outcome.energy, details

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.utils.matrix import degree_vector, to_csr
+from repro.utils.matrix import degree_vector, to_csr, to_dense
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -82,9 +82,7 @@ def factorized_walk_counts(adjacency, labels_matrix, max_length: int) -> list[np
     """
     check_positive(max_length, "max_length")
     adjacency = to_csr(adjacency)
-    current = np.asarray(
-        adjacency @ (labels_matrix.toarray() if sp.issparse(labels_matrix) else labels_matrix)
-    )
+    current = np.asarray(adjacency @ to_dense(labels_matrix))
     counts = [current]
     for _ in range(1, max_length):
         current = np.asarray(adjacency @ current)
@@ -106,9 +104,7 @@ def factorized_nb_counts(adjacency, labels_matrix, max_length: int) -> list[np.n
     """
     check_positive(max_length, "max_length")
     adjacency = to_csr(adjacency)
-    dense_labels = (
-        labels_matrix.toarray() if sp.issparse(labels_matrix) else np.asarray(labels_matrix)
-    ).astype(np.float64)
+    dense_labels = to_dense(labels_matrix)
     degrees = degree_vector(adjacency)
 
     first = np.asarray(adjacency @ dense_labels)

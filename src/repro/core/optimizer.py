@@ -23,8 +23,14 @@ from repro.core.compatibility import (
     uniform_vector,
     vector_to_matrix,
 )
+from repro.core.energy import free_parameter_gradient
 
-__all__ = ["OptimizationOutcome", "minimize_free_parameters", "best_outcome"]
+__all__ = [
+    "OptimizationOutcome",
+    "minimize_free_parameters",
+    "minimize_matrix_energy",
+    "best_outcome",
+]
 
 
 @dataclass
@@ -114,6 +120,27 @@ def minimize_free_parameters(
         n_iterations=int(getattr(result, "nit", 0) or 0),
         converged=bool(result.success),
         initial_parameters=initial,
+    )
+
+
+def minimize_matrix_energy(
+    energy: Callable[[np.ndarray], float],
+    matrix_gradient: Callable[[np.ndarray], np.ndarray],
+    n_classes: int,
+    **options,
+) -> OptimizationOutcome:
+    """:func:`minimize_free_parameters` for an energy and gradient of the full ``H``.
+
+    Both read ``H`` through Eq. 6, and the free-parameter gradient is the
+    chain rule :func:`~repro.core.energy.free_parameter_gradient`.
+    """
+    return minimize_free_parameters(
+        lambda parameters: energy(vector_to_matrix(parameters, n_classes)),
+        n_classes,
+        gradient=lambda parameters: free_parameter_gradient(
+            matrix_gradient(vector_to_matrix(parameters, n_classes)), n_classes
+        ),
+        **options,
     )
 
 

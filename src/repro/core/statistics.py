@@ -18,7 +18,6 @@ size is independent of the graph.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.nonbacktracking import factorized_nb_counts, factorized_walk_counts
 from repro.graph.graph import Graph, one_hot_labels
@@ -28,6 +27,7 @@ from repro.utils.matrix import (
     scale_normalize,
     symmetric_normalize,
     to_csr,
+    to_dense,
 )
 from repro.utils.validation import check_positive
 
@@ -44,12 +44,6 @@ NORMALIZATION_VARIANTS = (1, 2, 3)
 """Valid values for the ``variant`` argument (paper Eq. 9, 10, 11)."""
 
 
-def _as_dense_labels(labels_matrix) -> np.ndarray:
-    if sp.issparse(labels_matrix):
-        return np.asarray(labels_matrix.todense(), dtype=np.float64)
-    return np.asarray(labels_matrix, dtype=np.float64)
-
-
 def neighbor_statistics(adjacency, labels_matrix) -> np.ndarray:
     """Observed neighbor label counts ``M = X^T W X`` (a ``k x k`` matrix).
 
@@ -58,7 +52,7 @@ def neighbor_statistics(adjacency, labels_matrix) -> np.ndarray:
     Section 4.3.
     """
     adjacency = to_csr(adjacency)
-    dense_labels = _as_dense_labels(labels_matrix)
+    dense_labels = to_dense(labels_matrix)
     propagated = np.asarray(adjacency @ dense_labels)
     return dense_labels.T @ propagated
 
@@ -78,8 +72,7 @@ def path_statistics(
     makes the normalized statistics a consistent estimator of ``H^l``.
     """
     check_positive(max_length, "max_length")
-    adjacency = to_csr(adjacency)
-    dense_labels = _as_dense_labels(labels_matrix)
+    dense_labels = to_dense(labels_matrix)
     if non_backtracking:
         counts = factorized_nb_counts(adjacency, dense_labels, max_length)
     else:

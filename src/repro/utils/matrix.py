@@ -21,6 +21,7 @@ import scipy.sparse as sp
 
 __all__ = [
     "to_csr",
+    "to_dense",
     "row_normalize",
     "symmetric_normalize",
     "scale_normalize",
@@ -55,6 +56,11 @@ def to_csr(matrix, dtype=np.float64) -> sp.csr_matrix:
         return csr
     dense = np.asarray(matrix, dtype=dtype)
     return sp.csr_matrix(dense)
+
+
+def to_dense(matrix) -> np.ndarray:
+    """Return ``matrix`` (dense or any scipy sparse format) as a dense float64 array."""
+    return np.asarray(matrix.toarray() if sp.issparse(matrix) else matrix, dtype=np.float64)
 
 
 def safe_reciprocal(values: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,23 @@ class TestSummaryEstimateExperiment:
             ]
         ) == 0
         assert "method: DCEr" in capsys.readouterr().out
+
+    def test_estimate_prints_statistics_optimizer_split(self, graph_file, capsys):
+        assert main(
+            ["estimate", str(graph_file), "--method", "DCEr", "--fraction", "0.05",
+             "--restarts", "4"]
+        ) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("estimation split: ")]
+        assert len(lines) == 1
+        assert re.fullmatch(
+            r"estimation split: statistics \d+\.\d{3}s, optimizer \d+\.\d{3}s "
+            r"\(4 restarts, [1-9]\d* energy evaluations\)",
+            lines[0],
+        ), lines[0]
+        # Estimators without a statistics/optimizer split print no such line.
+        assert main(["estimate", str(graph_file), "--method", "MCE", "--fraction", "0.2"]) == 0
+        assert "estimation split" not in capsys.readouterr().out
 
     def test_experiment_writes_json(self, graph_file, tmp_path, capsys):
         json_path = tmp_path / "result.json"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,29 @@ class TestVectorMatrixRoundTrip:
     def test_wrong_parameter_count(self):
         with pytest.raises(ValueError, match="free parameters"):
             vector_to_matrix(np.array([0.1, 0.2]), 3)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_parameter_map_matches_eq6(self, k):
+        # The cached affine map must reproduce Eq. 6 written out entry by
+        # entry in exact arithmetic: free entries mirrored into the leading
+        # block, the last row/column absorbing the slack, the corner
+        # 2 - k + block sum.
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            h = uniform_vector(k) + 0.9 / k**2 * rng.uniform(-1.0, 1.0, free_parameter_count(k))
+            exact = [[Fraction(0)] * k for _ in range(k)]
+            for value, (row, col) in zip(h, free_parameter_indices(k)):
+                exact[row][col] = exact[col][row] = Fraction(float(value))
+            block = [row[:-1] for row in exact[:-1]]
+            for index in range(k - 1):
+                exact[index][-1] = exact[-1][index] = 1 - sum(block[index])
+            exact[-1][-1] = 2 - k + sum(map(sum, block))
+            expected = np.array([[float(value) for value in row] for row in exact])
+            matrix = vector_to_matrix(h, k)
+            np.testing.assert_array_equal(matrix, matrix.T)
+            np.testing.assert_allclose(matrix.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(matrix, expected, rtol=0, atol=1e-15)
 
     def test_row_sums_always_one_even_for_unconstrained_h(self):
         # The parametrization enforces stochasticity for any h, even one that

@@ -128,7 +128,7 @@ class TestStructureMatrix:
 
 
 class TestDceGradient:
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
     @pytest.mark.parametrize("max_length", [1, 2, 3, 5])
     def test_analytic_matches_numeric(self, k, max_length):
         rng = np.random.default_rng(k * 10 + max_length)
@@ -142,6 +142,54 @@ class TestDceGradient:
         analytic = dce_free_gradient(point, k, statistics, weights)
         numeric = numeric_gradient(objective, point)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-6)
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_matrix_gradient_matches_prop47_double_sum(self, k):
+        # The adjoint pass must equal the transpose-aware double sum
+        # 2 sum_l w_l sum_r (H^T)^r (H^l - P^(l)) (H^T)^(l-1-r), also for an
+        # H off the symmetric manifold.
+        rng = np.random.default_rng(k)
+        matrix = random_compatibility(k, seed=k) + 0.01 * rng.standard_normal((k, k))
+        statistics = [random_compatibility(k, seed=k + i + 1) for i in range(5)]
+        weights = dce_weights(5, 10.0)
+        powers = [np.linalg.matrix_power(matrix, power) for power in range(6)]
+        expected = sum(
+            2.0 * weights[length - 1] * powers[r].T
+            @ (powers[length] - statistics[length - 1])
+            @ powers[length - 1 - r].T
+            for length in range(1, 6)
+            for r in range(length)
+        )
+        np.testing.assert_allclose(
+            dce_matrix_gradient(matrix, statistics, weights), expected, rtol=1e-12, atol=1e-12
+        )
+
+    def test_gradient_after_energy_reuses_the_forward_pass(self, monkeypatch):
+        # SLSQP asks for the gradient at the point whose energy it has just
+        # evaluated; DCE's objective must not compute the powers again there.
+        from repro.core import energy
+        from repro.core.estimators.dce import DCEObjective
+
+        calls = []
+        original = energy.matrix_powers
+        monkeypatch.setattr(
+            energy, "matrix_powers", lambda *args: calls.append(args) or original(*args)
+        )
+        k, max_length = 8, 5
+        statistics = [random_compatibility(k, seed=i + 1) for i in range(max_length)]
+        weights = dce_weights(max_length, 10.0)
+        objective = DCEObjective(statistics, weights, k)
+        point = uniform_vector(k) + 0.01
+        value = objective.energy(point)
+        gradient = objective.gradient(point.copy())
+        assert len(calls) == 1
+        objective.gradient(point + 1e-3)  # a new point pays for its own pass
+        assert len(calls) == 2
+        assert objective.n_evaluations == 1
+        assert value == dce_energy(vector_to_matrix(point, k), statistics, weights)
+        np.testing.assert_array_equal(
+            gradient, dce_free_gradient(point, k, statistics, weights)
+        )
 
     def test_gradient_zero_at_global_optimum(self):
         matrix = skew_compatibility(3, h=3.0)

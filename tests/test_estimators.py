@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.compatibility import skew_compatibility
 from repro.core.estimators import (
     DCE,
@@ -204,6 +205,29 @@ class TestDCEr:
         details = DCEr(seed=0, n_restarts=5).fit(graph, seed_labels_dense).details
         assert details["n_restarts"] == 5
         assert len(details["restart_energies"]) == 5
+
+    def test_fit_spans_split_statistics_and_optimizer(self, graph, seed_labels_dense):
+        records = []
+        previous = obs.configure_tracing(records.append)
+        try:
+            traced = DCEr(seed=0, n_restarts=3).fit(graph, seed_labels_dense)
+        finally:
+            obs.configure_tracing(previous)
+        spans = {record["name"]: record for record in records}
+        for name in ("estimator.statistics", "estimator.optimize"):
+            assert spans[name]["parent"] == spans["estimator.fit"]["span"]
+        evaluations = traced.details["n_evaluations"]
+        assert evaluations >= 3
+        assert spans["estimator.optimize"]["attrs"] == {
+            "n_restarts": 3, "n_evaluations": evaluations,
+        }
+        previous = obs.set_enabled(False)
+        try:
+            untraced = DCEr(seed=0, n_restarts=3).fit(graph, seed_labels_dense)
+        finally:
+            obs.set_enabled(previous)
+        assert np.array_equal(traced.compatibility, untraced.compatibility)
+        assert untraced.details["n_evaluations"] == evaluations
 
     def test_winner_has_lowest_energy(self, graph, seed_labels_dense):
         result = DCEr(seed=0, n_restarts=5).fit(graph, seed_labels_dense)
