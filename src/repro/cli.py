@@ -302,9 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-batching", action="store_true",
                        help="answer every request individually (debugging / "
                             "baseline measurements)")
-    serve.add_argument("--cache-entries", type=int, default=1024,
-                       dest="cache_entries",
-                       help="per-graph query-result cache capacity")
     serve.add_argument("--lenient", action="store_true",
                        help="tolerate duplicate edge adds / absent removals "
                             "in served deltas")
@@ -842,7 +839,6 @@ def _serve_router(args: argparse.Namespace) -> int:
     from repro.serve.router import Router, make_router_server
 
     worker_args = [
-        "--cache-entries", str(args.cache_entries),
         "--max-batch", str(args.max_batch),
         "--max-latency", str(args.max_latency),
     ]
@@ -942,7 +938,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         print(f"head-sampling traces at p={args.trace_sample:g} "
               f"(slow spans always kept)")
     service = InferenceService(
-        cache_entries=args.cache_entries,
         strict_deltas=not args.lenient,
         max_sessions=args.max_sessions,
         queue_dir=args.queue_dir,

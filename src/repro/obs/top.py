@@ -6,7 +6,7 @@ endpoint, the federated snapshots feed a
 :class:`~repro.obs.timeseries.TimeSeriesRecorder` ring, and
 :meth:`TopClient.summary` reduces that history to the numbers an
 operator watches — fleet qps, windowed p50/p99, error ratio, queue
-depth, cache hit ratio — plus the same per-instance totals, so
+depth — plus the same per-instance totals, so
 "federated == sum of parts" is checkable from the output itself
 (CI does exactly that via ``repro top --once --json``).
 
@@ -38,8 +38,6 @@ QUERIES = "repro_serve_queries_total"
 HTTP_REQUESTS = "repro_http_requests_total"
 HTTP_SECONDS = "repro_http_request_seconds"
 QUEUE_DEPTH = "repro_batcher_queue_depth"
-CACHE_HITS = "repro_serve_cache_hits_total"
-CACHE_MISSES = "repro_serve_cache_misses_total"
 # Quality families (emitted by repro.obs.quality through the sessions).
 PREQUENTIAL = "repro_quality_prequential_total"
 QUALITY_FLIPS = "repro_quality_flips_total"
@@ -176,9 +174,6 @@ class TopClient:
         }
         latest = recorder.latest()
         federated = latest[1] if latest is not None else {"families": {}}
-        cache_hits = counter_total(federated, CACHE_HITS)
-        cache_misses = counter_total(federated, CACHE_MISSES)
-        cache_lookups = (cache_hits or 0.0) + (cache_misses or 0.0)
         fleet = {
             "queries_total": counter_total(federated, QUERIES),
             "http_requests_total": counter_total(federated, HTTP_REQUESTS),
@@ -188,7 +183,6 @@ class TopClient:
             "p50_seconds": recorder.quantile(HTTP_SECONDS, 0.50, window),
             "p99_seconds": recorder.quantile(HTTP_SECONDS, 0.99, window),
             "queue_depth": gauge_value(federated, QUEUE_DEPTH),
-            "cache_hit_ratio": _ratio(cache_hits, cache_lookups),
         }
         # Fleet quality: prequential counters sum across instances (the
         # accuracy is therefore example-weighted); the drift gauge takes
@@ -241,8 +235,7 @@ def render(client: TopClient, width: int = 30) -> str:
         f"   errors {_fmt(fleet['error_rate'], '/s', 2)}",
         f"  latency    p50 {_fmt(_ms(fleet['p50_seconds']), 'ms')}"
         f"   p99 {_fmt(_ms(fleet['p99_seconds']), 'ms')}",
-        f"  queue      {_fmt(fleet['queue_depth'], '', 0)}"
-        f"   cache hit {_fmt(_pct(fleet['cache_hit_ratio']), '%')}",
+        f"  queue      {_fmt(fleet['queue_depth'], '', 0)}",
         f"  quality    acc {_fmt(_pct(quality['accuracy']), '%')}"
         f" ({_fmt(quality['scored'], '', 0)} scored)"
         f"   drift {_fmt(quality['drift_max'], '', 3)}"

@@ -96,13 +96,6 @@ class LinBPPropagator(Propagator):
         Include the echo-cancellation correction term (ablation only).
     scaling:
         Explicit epsilon; overrides the automatic choice when provided.
-    mixed_precision_warm:
-        When resuming from a warm start with float64 iterates, run the bulk
-        of the remaining sweeps in float32 (half the memory traffic) and
-        only polish the final stretch in float64.  The polish converges to
-        the same float64 fixed point within ``tolerance``, so results agree
-        with a pure-float64 resume to the solver tolerance; disable for
-        bit-level reproducibility of warm runs.
     """
 
     name = "linbp"
@@ -119,7 +112,6 @@ class LinBPPropagator(Propagator):
         center: bool = True,
         echo_cancellation: bool = False,
         scaling: float | None = None,
-        mixed_precision_warm: bool = True,
     ) -> None:
         super().__init__(max_iterations=max_iterations, tolerance=tolerance, dtype=dtype)
         check_positive(safety, "safety")
@@ -127,7 +119,6 @@ class LinBPPropagator(Propagator):
         self.center = bool(center)
         self.echo_cancellation = bool(echo_cancellation)
         self.scaling = scaling
-        self.mixed_precision_warm = bool(mixed_precision_warm)
         # Epsilon depends on rho(W) unless pinned explicitly, in which case
         # the streaming session need not track the spectral radius at all.
         self.uses_spectral_scaling = scaling is None
@@ -195,22 +186,8 @@ class LinBPPropagator(Propagator):
                 initial += term
                 terms = 0
                 peak = float(np.abs(term).max())
-                adjacency = spec.adjacency
-                coupling = spec.coupling
-                # Once the terms are small their absolute float32 rounding
-                # (~6e-8 relative per term) is orders of magnitude under the
-                # cutoff, so the long geometric tail runs at half the memory
-                # traffic; the switch threshold keeps the accumulated single
-                # precision error below ~1e-3 of the truncation cutoff.
-                single_threshold = max(1e3 * cutoff, 1e-5)
-                single = False
                 while peak > cutoff and terms < self.MAX_DRIFT_CORRECTION_TERMS:
-                    if not single and peak < single_threshold:
-                        adjacency = adjacency.astype(np.float32)
-                        coupling = coupling.astype(np.float32)
-                        term = term.astype(np.float32)
-                        single = True
-                    term = np.asarray(adjacency @ term) @ coupling
+                    term = np.asarray(spec.adjacency @ term) @ spec.coupling
                     initial += term
                     terms += 1
                     peak = float(np.abs(term).max())
@@ -253,88 +230,18 @@ class LinBPPropagator(Propagator):
                 out += priors
                 return out
 
-        initial = priors
-        if warm_start is not None:
-            # The iterate lives in the (possibly centered) belief space, so a
-            # previous result's beliefs resume the fixed point directly.  A
-            # first-order correction for the drifted convergence scaling —
-            # F(eps_new) ~ F + (eps_new/eps_old - 1)(F - X) — removes most of
-            # the global residual that an epsilon refresh would otherwise
-            # inject everywhere (the echo variant's epsilon enters
-            # quadratically, so it resumes uncorrected).
-            initial = np.asarray(warm_start.beliefs, dtype=self.dtype)
-            previous_scaling = warm_start.details.get("scaling")
-            if previous_scaling and not echo:
-                drift = float(scaling) / float(previous_scaling) - 1.0
-                if drift != 0.0:
-                    initial = initial + drift * (initial - priors)
-
-        coarse_iterations = 0
-        coarse_residuals: list[float] = []
-        budget = self.max_iterations
-        if (
-            warm_start is not None
-            and self.mixed_precision_warm
-            and not echo
-            and self.dtype == np.float64
-            and budget > 2
-        ):
-            # Mixed-precision resume: burn down the residual in float32
-            # (half the memory traffic of the dominant W @ F product), then
-            # polish to the float64 fixed point.  One float64 probe sweep
-            # measures how far the warm start actually is — a
-            # nearly-converged resume skips the float32 phase, whose cast
-            # noise would only re-dirty the iterate.  The float32 budget is
-            # capped regardless, so a pathological stall costs bounded cheap
-            # sweeps, never the run.
-            switch_tolerance = max(2e-6, 50.0 * self.tolerance)
-            probe, probe_iterations, probe_converged, probe_residuals = (
-                fixed_point_iterate(step, initial, 1, self.tolerance)
-            )
-            coarse_iterations += probe_iterations
-            coarse_residuals += probe_residuals
-            budget -= probe_iterations
-            initial = probe
-            if not probe_converged and probe_residuals[-1] > switch_tolerance:
-                adjacency32 = operators.cast_adjacency(np.float32)
-                modulation32 = modulation.astype(np.float32)
-                priors32 = priors.astype(np.float32)
-
-                if kernels.use_fused_dense():
-                    ones32 = np.ones(operators.n_nodes, dtype=np.float32)
-                    coarse_step = kernels.make_fused_step(
-                        adjacency32, ones32, ones32, modulation32, priors32
-                    )
-                else:
-                    def coarse_step(
-                        current: np.ndarray, out: np.ndarray
-                    ) -> np.ndarray:
-                        propagated = np.asarray(adjacency32 @ current)
-                        np.matmul(propagated, modulation32, out=out)
-                        out += priors32
-                        return out
-
-                coarse, fast_iterations, _, fast_residuals = fixed_point_iterate(
-                    coarse_step,
-                    initial.astype(np.float32),
-                    min(budget, 80),
-                    switch_tolerance,
-                )
-                coarse_iterations += fast_iterations
-                coarse_residuals += fast_residuals
-                budget = max(0, budget - fast_iterations)
-                initial = coarse.astype(np.float64)
-
+        # The iterate lives in the (possibly centered) belief space, so a
+        # previous result's beliefs resume the fixed point directly; the
+        # contraction converges to the same unique fixed point whatever the
+        # previous scaling was.
+        initial = (
+            priors if warm_start is None
+            else np.asarray(warm_start.beliefs, dtype=self.dtype)
+        )
         beliefs, n_iterations, converged, residuals = fixed_point_iterate(
-            step, initial, budget, self.tolerance
+            step, initial, self.max_iterations, self.tolerance
         )
-        return (
-            beliefs,
-            coarse_iterations + n_iterations,
-            converged,
-            coarse_residuals + residuals,
-            {"scaling": float(scaling)},
-        )
+        return beliefs, n_iterations, converged, residuals, {"scaling": float(scaling)}
 
 
 @register_propagator()

@@ -10,8 +10,6 @@ experiments to *serving*:
 * :mod:`repro.serve.batcher` — :class:`MicroBatcher`, the bounded queue
   that coalesces concurrent queries into one vectorized lookup and
   concurrent deltas into one incremental propagation (max-latency flush);
-* :mod:`repro.serve.cache` — :class:`QueryCache`, the per-session top-k /
-  argmax result cache invalidated by delta application;
 * :mod:`repro.serve.http` — the stdlib ``ThreadingHTTPServer`` JSON API
   behind ``repro serve``;
 * :mod:`repro.serve.loader` — graph loading from ``.npz`` bundles or
@@ -40,7 +38,6 @@ The CLI equivalent is ``repro serve graph.npz --port 8151``.
 """
 
 from repro.serve.batcher import MicroBatcher
-from repro.serve.cache import QueryCache
 from repro.serve.http import InferenceHTTPServer, make_server
 from repro.serve.loader import (
     GraphSourceError,
@@ -65,7 +62,6 @@ __all__ = [
     "InferenceHTTPServer",
     "InferenceService",
     "MicroBatcher",
-    "QueryCache",
     "QueryResult",
     "QueueCorruptionError",
     "Router",

@@ -13,8 +13,7 @@ graph — and exposes the three serving verbs:
   not per delta — the coalescing the micro-batcher exploits);
 * **query** — read belief rows for arbitrary node sets straight off the
   session's current :class:`~repro.propagation.engine.PropagationResult`,
-  with staleness metadata and an optional per-node top-k ranking, memoized
-  in a :class:`~repro.serve.cache.QueryCache` until the next delta.
+  with staleness metadata and an optional per-node top-k ranking.
 
 Consistency model: every operation on one served graph runs under that
 session's reentrant lock, so queries see either the belief matrix from
@@ -53,11 +52,11 @@ from repro import obs
 from repro.eval.seeding import stratified_seed_labels
 from repro.graph.graph import Graph
 from repro.propagation.engine import ESTIMATORS, PROPAGATORS, propagator_names
-from repro.serve.cache import QueryCache
 from repro.serve.loader import GraphSourceError, load_serving_graph
 from repro.serve.queue import DeltaQueue
 from repro.stream.delta import GraphDelta
 from repro.stream.session import StreamingSession
+from repro.utils.validation import check_integer, check_integers
 
 __all__ = [
     "DeltaBatchResult",
@@ -96,7 +95,8 @@ class QueryResult:
     one (reset to zero by every delta-triggered propagation — the counter
     the benchmark watches), ``snapshot_age_seconds`` its wall-clock age,
     and ``pending_deltas`` deltas applied to the graph but not yet
-    propagated (always 0 on the public paths, which propagate eagerly).
+    propagated (non-zero only between a deferred-ack delta and the
+    refresh that covers it).
     """
 
     name: str
@@ -107,7 +107,6 @@ class QueryResult:
     graph_version: int
     belief_version: int
     staleness: dict
-    cached: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -119,7 +118,6 @@ class QueryResult:
             "graph_version": self.graph_version,
             "belief_version": self.belief_version,
             "staleness": self.staleness,
-            "cached": self.cached,
         }
 
 
@@ -198,19 +196,18 @@ class DeltaBatchResult:
 
 # -------------------------------------------------------------- served graph
 class _ServedGraph:
-    """One named session plus its cache, version counters and tallies.
+    """One named session plus its version counters and tallies.
 
-    The *consistency tokens* (``graph_version``, ``belief_version``) stay
-    plain integers — the query cache and read-your-writes semantics depend
-    on them and they must keep counting even under ``REPRO_OBS=off``.  The
-    *telemetry* tallies (query/delta/solve counts, staleness gauges) live
-    on the metrics registry, labeled by graph name; the old attribute
-    names are read-back properties, so the JSON shapes of ``info()`` /
-    ``staleness()`` are unchanged.
+    The *consistency tokens* (``graph_version``, ``belief_version``) and
+    the staleness counters stay plain integers — read-your-writes semantics
+    and the staleness metadata depend on them, so they must keep counting
+    even under ``REPRO_OBS=off``.  The *telemetry* tallies (query and
+    delta counts) live on the metrics registry, labeled by graph name;
+    solve counts are the session's own per-mode registry series.
     """
 
     def __init__(self, name: str, session: StreamingSession, source: dict,
-                 cache_entries: int, registry=None) -> None:
+                 registry=None) -> None:
         self.name = name
         self.session = session
         self.source = source
@@ -221,6 +218,7 @@ class _ServedGraph:
         # graph_version the current belief matrix covers; < graph_version
         # while deferred-ack deltas await their propagation.
         self.propagated_version = 0
+        self.queries_since_refresh = 0  # reset by every belief refresh
         self.last_solve_monotonic = time.monotonic()
         # LRU bookkeeping (written by the service under its registry lock):
         # last_used is a monotonic use counter, load_state everything needed
@@ -240,24 +238,6 @@ class _ServedGraph:
             "repro_serve_deltas_total", "Deltas accepted per served graph.",
             **labels,
         )
-        self._c_solves = {
-            mode: self.registry.counter(
-                "repro_serve_solves_total",
-                "Belief refreshes per served graph, by solve mode.",
-                mode=mode, **labels,
-            )
-            for mode in ("full", "incremental", "localized")
-        }
-        self._g_queries_since = self.registry.gauge(
-            "repro_serve_queries_since_refresh",
-            "Queries answered from the current belief snapshot.",
-            **labels,
-        )
-        self._g_pending = self.registry.gauge(
-            "repro_serve_pending_deltas",
-            "Deltas applied to the graph but not yet propagated.",
-            **labels,
-        )
         self._h_query = self.registry.histogram(
             "repro_serve_query_seconds",
             "Wall time of one (possibly batched) query_many call.",
@@ -267,20 +247,6 @@ class _ServedGraph:
             "repro_serve_delta_seconds",
             "Wall time of one coalesced delta batch (apply + propagate).",
             **labels,
-        )
-        self.cache = (
-            QueryCache(
-                cache_entries,
-                hit_counter=self.registry.counter(
-                    "repro_serve_cache_hits_total",
-                    "Query-cache hits per served graph.", **labels,
-                ),
-                miss_counter=self.registry.counter(
-                    "repro_serve_cache_misses_total",
-                    "Query-cache misses per served graph.", **labels,
-                ),
-            )
-            if cache_entries > 0 else None
         )
 
     # -- registry-backed read-back properties (legacy attribute names) ------
@@ -294,61 +260,37 @@ class _ServedGraph:
 
     @property
     def n_incremental(self) -> int:
-        return int(self._c_solves["incremental"].value)
+        return self.session.mode_counts["incremental"]
 
     @property
     def n_localized(self) -> int:
-        return int(self._c_solves["localized"].value)
+        return self.session.mode_counts["localized"]
 
     @property
     def n_full(self) -> int:
-        return int(self._c_solves["full"].value)
+        return self.session.mode_counts["full"]
 
     @property
     def n_solves(self) -> int:
-        return sum(int(c.value) for c in self._c_solves.values())
-
-    @property
-    def queries_since_refresh(self) -> int:
-        return int(self._g_queries_since.value)
-
-    @property
-    def _pending_deltas(self) -> int:
-        return int(self._g_pending.value)
+        return sum(self.session.mode_counts.values())
 
     # Callers hold session.lock for everything below.
     def record_queries(self, n_answered: int, seconds: float) -> None:
         self._c_queries.inc(n_answered)
-        self._g_queries_since.inc(n_answered)
+        self.queries_since_refresh += n_answered
         self._h_query.observe(seconds)
 
-    def record_delta_accepted(self) -> None:
-        self._c_deltas.inc()
-        self._g_pending.inc()
-
-    def record_solve(self, mode: str) -> None:
+    def record_solve(self) -> None:
         self.belief_version += 1
         self.propagated_version = self.graph_version
-        counter = self._c_solves.get(mode)
-        if counter is None:
-            counter = self.registry.counter(
-                "repro_serve_solves_total",
-                "Belief refreshes per served graph, by solve mode.",
-                mode=mode, graph=self.name,
-            )
-            self._c_solves[mode] = counter
-        counter.inc()
         self.last_solve_monotonic = time.monotonic()
-        self._g_queries_since.set(0)
-
-    def clear_pending(self) -> None:
-        self._g_pending.set(0)
+        self.queries_since_refresh = 0
 
     def staleness(self) -> dict:
         return {
             "queries_since_refresh": self.queries_since_refresh,
             "snapshot_age_seconds": time.monotonic() - self.last_solve_monotonic,
-            "pending_deltas": self._pending_deltas,
+            "pending_deltas": self.graph_version - self.propagated_version,
         }
 
     def info(self) -> dict:
@@ -373,9 +315,6 @@ class _ServedGraph:
             "n_localized": self.n_localized,
             "n_full": self.n_full,
             "decisions": self.session.decision_stats(),
-            "cache": (
-                {"disabled": True} if self.cache is None else self.cache.stats()
-            ),
             "staleness": self.staleness(),
         }
 
@@ -386,8 +325,6 @@ class InferenceService:
 
     Parameters
     ----------
-    cache_entries:
-        Per-graph :class:`QueryCache` capacity (``0`` disables caching).
     strict_deltas:
         Delta application strictness forwarded to every session (lenient
         mode tolerates duplicate adds / absent removals in noisy feeds).
@@ -413,13 +350,11 @@ class InferenceService:
 
     def __init__(
         self,
-        cache_entries: int = 1024,
         strict_deltas: bool = True,
         registry=None,
         max_sessions: int | None = None,
         queue_dir=None,
     ) -> None:
-        self.cache_entries = int(cache_entries)
         self.strict_deltas = bool(strict_deltas)
         self.registry = registry if registry is not None else obs.metrics()
         self.started_at = time.time()
@@ -614,11 +549,11 @@ class InferenceService:
             registry=self.registry,
             metric_labels={"graph": name},
         )
-        served = _ServedGraph(name, session, source, self.cache_entries, self.registry)
+        served = _ServedGraph(name, session, source, self.registry)
         served.load_state = load_state
         with session.lock, obs.span("serve.load", graph=name, recover=recover):
-            step = session.propagate()
-            served.record_solve(step.mode)
+            session.propagate()
+            served.record_solve()
             if self.queue is not None:
                 if recover:
                     self._replay_queue(served)
@@ -658,8 +593,7 @@ class InferenceService:
         # rehydrate() already propagated; stamp the solve so the belief
         # version advances and propagated_version covers the replay.
         if step is not None:
-            served.record_solve(step.mode)
-            served.clear_pending()
+            served.record_solve()
         self.registry.counter(
             "repro_serve_replayed_deltas_total",
             "Redo-log deltas re-applied during session recovery.",
@@ -802,13 +736,12 @@ class InferenceService:
                     metric_labels={"graph": name},
                 )
                 served = _ServedGraph(
-                    name, session, dict(stub["source"]),
-                    self.cache_entries, self.registry,
+                    name, session, dict(stub["source"]), self.registry
                 )
                 served.load_state = state
                 with session.lock:
-                    step = session.propagate()
-                    served.record_solve(step.mode)
+                    session.propagate()
+                    served.record_solve()
                     if self.queue is not None:
                         self._replay_queue(served)
             with self._registry_lock:
@@ -879,12 +812,16 @@ class InferenceService:
 
     # -------------------------------------------------------------- queries
     @staticmethod
-    def _check_nodes(nodes, n_nodes: int) -> np.ndarray:
+    def _validated(check, value, name: str):
+        """``check(value, name)`` with its ``ValueError`` as a 400."""
         try:
-            nodes = np.asarray(nodes, dtype=np.int64).ravel()
-        except (TypeError, ValueError, OverflowError) as exc:
-            # OverflowError: a node id too large for int64.
-            raise ServeError(f"query nodes must be integers: {exc}") from exc
+            return check(value, name)
+        except ValueError as exc:
+            raise ServeError(str(exc)) from exc
+
+    @classmethod
+    def _check_nodes(cls, nodes, n_nodes: int) -> np.ndarray:
+        nodes = cls._validated(check_integers, nodes, "query nodes").ravel()
         if nodes.size == 0:
             raise ServeError("query needs at least one node")
         if nodes.min() < 0 or nodes.max() >= n_nodes:
@@ -910,7 +847,7 @@ class InferenceService:
         """Answer many queries under one lock with one vectorized lookup.
 
         ``requests`` is a list of ``(nodes, top_k)`` pairs or
-        ``(nodes, top_k, min_version)`` triples.  All cache misses are
+        ``(nodes, top_k, min_version)`` triples.  All valid requests are
         gathered from the belief matrix in a single fancy-index and (when
         any request wants a ranking) a single arg-sort — the vectorization
         the micro-batcher banks on.  Returns one :class:`QueryResult`
@@ -933,9 +870,8 @@ class InferenceService:
             # Lazy refresh: deferred-ack deltas are propagated at the first
             # read that could observe them (one solve covers all of them).
             if served.propagated_version < served.graph_version:
-                step = served.session.propagate()
-                served.record_solve(step.mode)
-                served.clear_pending()
+                served.session.propagate()
+                served.record_solve()
             result = served.session.last_result
             if result is None:  # pragma: no cover - load always anchors
                 raise ServeError(f"graph {name!r} has no beliefs yet", status=503)
@@ -946,18 +882,15 @@ class InferenceService:
             version = served.belief_version
 
             outputs: list[QueryResult | Exception | None] = [None] * len(requests)
-            misses: list[tuple[int, np.ndarray, int | None]] = []
+            valid: list[tuple[int, np.ndarray, int | None]] = []
             for position, request in enumerate(requests):
                 nodes, top_k = request[0], request[1]
                 min_version = request[2] if len(request) > 2 else None
                 try:
                     if min_version is not None:
-                        try:
-                            min_version = int(min_version)
-                        except (TypeError, ValueError) as exc:
-                            raise ServeError(
-                                f"min_version must be an integer: {exc}"
-                            ) from exc
+                        min_version = self._validated(
+                            check_integer, min_version, "min_version"
+                        )
                         if min_version > served.graph_version:
                             raise ServeError(
                                 f"read-your-writes fence: min_version "
@@ -970,12 +903,7 @@ class InferenceService:
                             )
                     node_array = self._check_nodes(nodes, n_nodes)
                     if top_k is not None:
-                        try:
-                            top_k = int(top_k)
-                        except (TypeError, ValueError) as exc:
-                            raise ServeError(
-                                f"top_k must be an integer: {exc}"
-                            ) from exc
+                        top_k = self._validated(check_integer, top_k, "top_k")
                         if not 1 <= top_k <= n_classes:
                             raise ServeError(
                                 f"top_k must be in 1..{n_classes}, got {top_k}"
@@ -983,30 +911,20 @@ class InferenceService:
                 except ServeError as exc:
                     outputs[position] = exc
                     continue
-                key = (node_array.tobytes(), top_k)
-                cached = (
-                    None if served.cache is None
-                    else served.cache.get(key, version)
-                )
-                if cached is not None:
-                    hit = QueryResult(**cached, cached=True)
-                    hit.staleness = served.staleness()
-                    outputs[position] = hit
-                else:
-                    misses.append((position, node_array, top_k))
+                valid.append((position, node_array, top_k))
 
-            if misses:
-                gathered_nodes = np.concatenate([nodes for _, nodes, _ in misses])
+            if valid:
+                gathered_nodes = np.concatenate([nodes for _, nodes, _ in valid])
                 gathered_beliefs = beliefs[gathered_nodes]
                 gathered_labels = labels[gathered_nodes]
-                wants_ranking = any(top_k is not None for _, _, top_k in misses)
+                wants_ranking = any(top_k is not None for _, _, top_k in valid)
                 order = (
                     np.argsort(-gathered_beliefs, axis=1, kind="stable")
                     if wants_ranking
                     else None
                 )
                 offset = 0
-                for position, node_array, top_k in misses:
+                for position, node_array, top_k in valid:
                     span = slice(offset, offset + node_array.shape[0])
                     offset += node_array.shape[0]
                     top = None
@@ -1020,21 +938,16 @@ class InferenceService:
                              for cls, score in zip(row_ranks, row_scores)]
                             for row_ranks, row_scores in zip(ranks, scores)
                         ]
-                    payload = {
-                        "name": name,
-                        "nodes": node_array,
-                        "beliefs": gathered_beliefs[span].copy(),
-                        "labels": gathered_labels[span].copy(),
-                        "top": top,
-                        "graph_version": served.graph_version,
-                        "belief_version": version,
-                        "staleness": served.staleness(),
-                    }
-                    if served.cache is not None:
-                        served.cache.put(
-                            (node_array.tobytes(), top_k), version, dict(payload)
-                        )
-                    outputs[position] = QueryResult(**payload)
+                    outputs[position] = QueryResult(
+                        name=name,
+                        nodes=node_array,
+                        beliefs=gathered_beliefs[span].copy(),
+                        labels=gathered_labels[span].copy(),
+                        top=top,
+                        graph_version=served.graph_version,
+                        belief_version=version,
+                        staleness=served.staleness(),
+                    )
 
             n_answered = sum(
                 1 for out in outputs if isinstance(out, QueryResult)
@@ -1124,7 +1037,7 @@ class InferenceService:
                 errors.append(None)
                 tokens.append(served.graph_version)
                 n_applied += 1
-                served.record_delta_accepted()
+                served._c_deltas.inc()
             mode = reason = None
             propagate_seconds = 0.0
             propagated = False
@@ -1132,8 +1045,7 @@ class InferenceService:
                 step = served.session.propagate()
                 mode, reason = step.mode, step.decision.reason
                 propagate_seconds = step.propagate_seconds
-                served.record_solve(step.mode)
-                served.clear_pending()
+                served.record_solve()
                 propagated = True
             elif n_applied:
                 reason = "deferred"

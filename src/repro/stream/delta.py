@@ -26,6 +26,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from repro.utils.validation import check_integer, check_integers
+
 __all__ = [
     "GraphDelta",
     "DeltaApplication",
@@ -35,11 +37,11 @@ __all__ = [
 ]
 
 
-def _edge_array(edges) -> np.ndarray:
-    """Normalize any edge input into an ``(p, 2)`` int64 array."""
+def _edge_array(edges, name: str) -> np.ndarray:
+    """Normalize any integer edge input into an ``(p, 2)`` int64 array."""
     if edges is None:
         return np.empty((0, 2), dtype=np.int64)
-    edges = np.asarray(edges, dtype=np.int64)
+    edges = check_integers(edges, name)
     if edges.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
@@ -78,9 +80,9 @@ class GraphDelta:
     reveal_labels: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
     def __post_init__(self) -> None:
-        self.add_edges = _edge_array(self.add_edges)
-        self.remove_edges = _edge_array(self.remove_edges)
-        self.add_nodes = int(self.add_nodes)
+        self.add_edges = _edge_array(self.add_edges, "add_edges")
+        self.remove_edges = _edge_array(self.remove_edges, "remove_edges")
+        self.add_nodes = check_integer(self.add_nodes, "add_nodes")
         if self.add_nodes < 0:
             raise ValueError(f"add_nodes must be >= 0, got {self.add_nodes}")
         if self.add_weights is not None:
@@ -91,14 +93,14 @@ class GraphDelta:
                     f"{self.add_edges.shape[0]} added edges"
                 )
         if self.node_labels is not None:
-            self.node_labels = np.asarray(self.node_labels, dtype=np.int64).ravel()
+            self.node_labels = check_integers(self.node_labels, "node_labels").ravel()
             if self.node_labels.shape[0] != self.add_nodes:
                 raise ValueError(
                     f"{self.node_labels.shape[0]} node labels for "
                     f"{self.add_nodes} added nodes"
                 )
-        self.reveal_nodes = np.asarray(self.reveal_nodes, dtype=np.int64).ravel()
-        self.reveal_labels = np.asarray(self.reveal_labels, dtype=np.int64).ravel()
+        self.reveal_nodes = check_integers(self.reveal_nodes, "reveal nodes").ravel()
+        self.reveal_labels = check_integers(self.reveal_labels, "reveal labels").ravel()
         if self.reveal_nodes.shape[0] != self.reveal_labels.shape[0]:
             raise ValueError(
                 f"{self.reveal_nodes.shape[0]} reveal nodes for "

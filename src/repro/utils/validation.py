@@ -7,6 +7,8 @@ linear algebra never fails with an opaque shape error deep inside scipy.
 
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -17,6 +19,8 @@ __all__ = [
     "check_square",
     "check_positive",
     "check_fraction",
+    "check_integer",
+    "check_integers",
 ]
 
 
@@ -99,3 +103,38 @@ def check_positive(value, name: str = "value", strict: bool = True):
     if not strict and not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     return value
+
+
+def _contains_bool(values) -> bool:
+    if isinstance(values, (bool, np.bool_)):
+        return True
+    if isinstance(values, (list, tuple)):
+        return any(_contains_bool(value) for value in values)
+    return False
+
+
+def check_integers(values, name: str = "values") -> np.ndarray:
+    """Return ``values`` (a scalar or nested sequence) as an ``int64`` array.
+
+    Only integer input is accepted: floats — even integral ones like
+    ``1.0`` — strings and booleans raise ``ValueError`` instead of being
+    truncated or coerced, so an id such as ``1.7`` can never silently
+    address node 1.  Empty input is fine and yields an empty array.
+    """
+    array = np.asarray(values)
+    if array.size == 0:
+        return array.astype(np.int64)
+    if array.dtype.kind not in "iu" or _contains_bool(values):
+        raise ValueError(f"{name} must be integers, got {reprlib.repr(values)}")
+    converted = array.astype(np.int64)
+    if array.dtype.kind == "u" and (converted < 0).any():
+        raise ValueError(f"{name} must fit in a signed 64-bit integer")
+    return converted
+
+
+def check_integer(value, name: str = "value") -> int:
+    """Return a single integer, under the rules of :func:`check_integers`."""
+    array = check_integers(value, name)
+    if array.ndim:
+        raise ValueError(f"{name} must be a single integer, got {reprlib.repr(value)}")
+    return int(array)

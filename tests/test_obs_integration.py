@@ -74,7 +74,6 @@ class TestMetricsEndpoint:
         assert len(families) >= 12
         for name in (
             "repro_serve_queries_total",
-            "repro_serve_cache_hits_total",
             "repro_engine_solves_total",
             "repro_engine_solve_seconds",
             "repro_batcher_flushes_total",

@@ -139,15 +139,6 @@ class TestTopClient:
         assert f"127.0.0.1:{workers[0].port}" in text
         assert "qps" in text and "queue" in text
 
-    def test_cache_hit_ratio(self, workers):
-        clock = FakeClock()
-        seed_worker(workers[0], queries=1)
-        workers[0].registry.counter(obs_top.CACHE_HITS, "", graph="g").inc(3)
-        workers[0].registry.counter(obs_top.CACHE_MISSES, "", graph="g").inc(1)
-        client = obs_top.TopClient([f":{workers[0].port}"], clock=clock)
-        client.poll()
-        assert client.summary()["fleet"]["cache_hit_ratio"] == pytest.approx(0.75)
-
 
 def seed_quality(stub: MetricsStub, correct: int, wrong: int, drift: float) -> None:
     stub.registry.counter(

@@ -477,27 +477,49 @@ class TestWarmStart:
         again = LegacyPropagator().propagate(graph, partial, warm_start=result)
         np.testing.assert_array_equal(again.beliefs, result.beliefs)
 
-    def test_mixed_precision_resume_matches_pure_float64(self, problem):
+    @pytest.mark.parametrize(
+        "localized", [None, True, "hint"],
+        ids=["dense", "localized", "localized-hint"],
+    )
+    def test_warm_start_across_a_scaling_rung_matches_cold(
+        self, problem, localized
+    ):
+        """Resuming from a result solved one ladder rung away in epsilon.
+
+        A growing radius eventually crosses a rung of the scaling ladder,
+        so the warm result's ``details["scaling"]`` differs from the
+        current epsilon.  The dense resume simply iterates to the new fixed
+        point; the localized resume absorbs the drift with its Neumann
+        series, after which a local hint must still be trustworthy.
+        """
+        from repro.graph.operators import operators_for
+        from repro.propagation.convergence import quantize_radius
+        from repro.propagation.push import LocalizedHint
+
         graph, partial = problem
         compatibility = skew_compatibility(3, h=3.0)
-        mixed = get_propagator("linbp", max_iterations=300, tolerance=1e-9)
-        pure = get_propagator(
-            "linbp", max_iterations=300, tolerance=1e-9,
-            mixed_precision_warm=False,
+        engine = get_propagator("linbp", max_iterations=500, tolerance=1e-9)
+        cold = engine.propagate(graph, partial, compatibility=compatibility)
+        radius = quantize_radius(operators_for(graph).spectral_radius())
+        next_rung = quantize_radius(np.nextafter(radius, np.inf))
+        assert next_rung > radius
+        previous_scaling = cold.details["scaling"] * radius / next_rung
+        previous = get_propagator(
+            "linbp", max_iterations=500, tolerance=1e-9,
+            scaling=previous_scaling,
+        ).propagate(graph, partial, compatibility=compatibility)
+        assert previous.details["scaling"] == previous_scaling
+        assert np.abs(previous.beliefs - cold.beliefs).max() > 1e-6
+
+        if localized == "hint":
+            localized = LocalizedHint(rows=np.arange(5))
+        warm = engine.propagate(
+            graph, partial, compatibility=compatibility,
+            warm_start=previous, localized=localized,
         )
-        cold = pure.propagate(graph, partial, compatibility=compatibility)
-        # Perturb the start so both paths actually iterate.
-        start = cold.beliefs + 1e-3
-        warm_mixed = mixed.propagate(
-            graph, partial, compatibility=compatibility, warm_start=start
-        )
-        warm_pure = pure.propagate(
-            graph, partial, compatibility=compatibility, warm_start=start
-        )
-        np.testing.assert_allclose(
-            warm_mixed.beliefs, warm_pure.beliefs, atol=1e-7
-        )
-        assert warm_mixed.converged and warm_pure.converged
+        assert warm.converged
+        assert warm.details["scaling"] == cold.details["scaling"]
+        np.testing.assert_allclose(warm.beliefs, cold.beliefs, atol=1e-6)
 
 
 class TestLanczosSpectralState:

@@ -273,6 +273,35 @@ class TestErrorMapping:
         assert status == 400
         assert "0..299" in payload["error"]
 
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_non_integer_ids_are_400_and_never_logged(
+        self, http_graph, tmp_path, batched
+    ):
+        service = InferenceService(queue_dir=tmp_path / "queues")
+        service.load_graph("g", graph=http_graph.copy(), fraction=0.1, seed=3)
+        batcher = MicroBatcher(service) if batched else None
+        server = make_server(service, port=0, batcher=batcher)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            for body in ({"nodes": [1.7]}, {"nodes": ["5"]},
+                         {"nodes": [True]}, {"nodes": [0], "top_k": 2.9},
+                         {"nodes": [0], "min_version": "0"}):
+                status, payload = call(server, "POST", "/graphs/g/query", body)
+                assert status == 400, body
+                assert "integer" in payload["error"]
+            for body in ({"add_edges": [[0.9, 5]]},
+                         {"remove_edges": [[0, True]]},
+                         {"reveal": [[7, 1.0]]}):
+                status, payload = call(server, "POST", "/graphs/g/delta", body)
+                assert status == 400, body
+                assert "integers" in payload["error"]
+            assert service.queue.replay("g") == []
+            assert service.info("g")["graph_version"] == 0
+        finally:
+            server.close()
+            thread.join(timeout=5)
+
     def test_malformed_json_is_400(self, server):
         port = server.server_address[1]
         request = urllib.request.Request(

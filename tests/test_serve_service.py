@@ -1,10 +1,11 @@
-"""Unit tests for the inference service: loading, queries, deltas, caching."""
+"""Unit tests for the inference service: loading, queries, deltas, staleness."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.compatibility import skew_compatibility
 from repro.graph.generator import generate_graph
 from repro.graph.io import save_graph_npz
@@ -162,6 +163,23 @@ class TestQueries:
         assert isinstance(results[2], ServeError)
         np.testing.assert_array_equal(results[3].nodes, [3])
 
+    @pytest.mark.parametrize("nodes, top_k, min_version", [
+        ([1.7], None, None),
+        (["5"], None, None),
+        ([True], None, None),
+        ([0], 2.9, None),
+        ([0], True, None),
+        ([0], "2", None),
+        ([0], [2], None),
+        ([0], None, 0.5),
+    ])
+    def test_non_integer_ids_are_rejected(self, service, nodes, top_k,
+                                          min_version):
+        with pytest.raises(ServeError) as excinfo:
+            service.query("g", nodes, top_k, min_version)
+        assert excinfo.value.status == 400
+        assert "integer" in str(excinfo.value)
+
     def test_query_many_matches_individual_queries(self, service):
         requests = [([5, 6], 2), ([100, 3, 7], None), ([0], 1)]
         batched = service.query_many("g", requests)
@@ -173,29 +191,9 @@ class TestQueries:
 
 
 class TestCacheAndStaleness:
-    def test_repeat_query_is_served_from_cache(self, service):
-        first = service.query("g", [1, 2, 3], top_k=1)
-        second = service.query("g", [1, 2, 3], top_k=1)
-        assert not first.cached
-        assert second.cached
-        np.testing.assert_array_equal(first.beliefs, second.beliefs)
-        assert second.top == first.top
-        stats = service.info("g")["cache"]
-        assert stats["hits"] == 1
-
-    def test_cache_entries_zero_disables_caching(self, serve_graph):
-        service = InferenceService(cache_entries=0)
-        service.load_graph("g", graph=serve_graph.copy(), fraction=0.1)
-        first = service.query("g", [1, 2], top_k=1)
-        second = service.query("g", [1, 2], top_k=1)
-        assert not first.cached and not second.cached
-        assert service.info("g")["cache"] == {"disabled": True}
-        np.testing.assert_array_equal(first.beliefs, second.beliefs)
-
     def test_delta_invalidates_cache_and_resets_staleness(self, service):
         before = service.query("g", [1, 2, 3])
         again = service.query("g", [1, 2, 3])
-        assert again.cached
         assert again.staleness["queries_since_refresh"] >= 1
 
         outcome = service.apply_delta("g", GraphDelta(add_edges=[[1, 599]]))
@@ -203,13 +201,31 @@ class TestCacheAndStaleness:
         assert outcome.mode in ("incremental", "full")
 
         after = service.query("g", [1, 2, 3])
-        assert not after.cached  # cache dropped by the version bump
         assert after.belief_version == before.belief_version + 1
         assert after.graph_version == before.graph_version + 1
         assert after.staleness["queries_since_refresh"] == 0
         # Node 1 gained an edge: its belief row must have moved.
         assert np.abs(np.asarray(after.beliefs)
                       - np.asarray(before.beliefs)).max() > 0
+
+    def test_staleness_counts_with_obs_disabled(self, service):
+        previous = obs.set_enabled(False)
+        try:
+            service.query("g", [1])
+            second = service.query("g", [1])
+            assert second.staleness["queries_since_refresh"] == 1
+            adjacency = service._served("g").session.graph.adjacency
+            target = int(np.flatnonzero(adjacency[1].toarray()[0] == 0)[-1])
+            outcome = service.apply_delta(
+                "g", GraphDelta(add_edges=[[1, target]]), propagate=False
+            )
+            assert not outcome.propagated
+            assert service.info("g")["staleness"]["pending_deltas"] == 1
+            after = service.query("g", [1])  # lazy refresh covers the delta
+            assert after.staleness["queries_since_refresh"] == 0
+            assert after.staleness["pending_deltas"] == 0
+        finally:
+            obs.set_enabled(previous)
 
     def test_delta_beliefs_match_fresh_full_solve(self, service):
         # Serving answers after a delta equal a cold solve on the same
@@ -272,6 +288,26 @@ class TestDeltas:
             service.apply_delta(
                 "g", GraphDelta(remove_edges=[[10, 590]])
             )
+
+    @pytest.mark.parametrize("record", [
+        {"add_edges": [[0.9, 5]]},
+        {"remove_edges": [[0, 1.0]]},
+        {"reveal": [[3, 1.5]]},
+        {"reveal": [["3", 1]]},
+        {"add_nodes": 1, "node_labels": [0.5]},
+        {"add_nodes": 1.5},
+        {"add_nodes": [1]},
+    ])
+    def test_non_integer_delta_ids_are_rejected_before_the_log(
+        self, serve_graph, tmp_path, record
+    ):
+        service = InferenceService(queue_dir=tmp_path / "queues")
+        service.load_graph("g", graph=serve_graph.copy(), fraction=0.1)
+        with pytest.raises(ServeError, match="integer") as excinfo:
+            service.apply_delta("g", record)
+        assert excinfo.value.status == 400
+        assert service.queue.replay("g") == []
+        assert service.info("g")["graph_version"] == 0
 
     def test_all_rejected_means_no_propagation(self, service):
         version = service.info("g")["belief_version"]

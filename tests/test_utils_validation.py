@@ -10,6 +10,8 @@ from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import (
     check_adjacency,
     check_fraction,
+    check_integer,
+    check_integers,
     check_labels,
     check_positive,
     check_probability,
@@ -107,6 +109,36 @@ class TestScalarChecks:
         with pytest.raises(ValueError):
             check_positive(0)
         assert check_positive(0, strict=False) == 0
+
+
+class TestCheckIntegers:
+    def test_accepts_integer_input(self):
+        assert check_integers([[0, 1], [2, 3]], "edges").dtype == np.int64
+        assert int(check_integers(np.uint8(7), "k")) == 7
+        assert check_integers(np.array([1, 2], dtype=np.int32), "n").tolist() == [1, 2]
+
+    def test_empty_input_is_an_empty_integer_array(self):
+        assert check_integers([], "nodes").dtype == np.int64
+        assert check_integers(np.empty((0, 2)), "edges").shape == (0, 2)
+
+    @pytest.mark.parametrize("values", [
+        [1.7], [1.0], 2.9, "5", ["5"], True, [True], [1, True], [[0.9, 5]],
+        None, [2**70], np.array([0.0, 1.0]),
+    ])
+    def test_rejects_anything_but_integers(self, values):
+        with pytest.raises(ValueError, match="nodes must be integers"):
+            check_integers(values, "nodes")
+
+    def test_single_integer(self):
+        assert check_integer(np.int32(3), "top_k") == 3
+        with pytest.raises(ValueError, match="single integer"):
+            check_integer([2], "top_k")
+        with pytest.raises(ValueError, match="must be integers"):
+            check_integer(2.0, "top_k")
+
+    def test_rejects_unsigned_values_beyond_int64(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            check_integers([2**63], "nodes")
 
 
 class TestRng:
