@@ -4,6 +4,7 @@ These functions turn a (partially) labeled graph into the compact matrices
 the estimators optimize against:
 
 * ``M = X^T W X`` — observed neighbor label counts (MCE, Section 4.3),
+  computed from scratch or kept exact across graph deltas,
 * ``M^(l) = X^T W^(l) X`` and its non-backtracking variant
   ``M_NB^(l) = X^T W_NB^(l) X`` — distance-``l`` label counts (DCE,
   Section 4.4/4.5), computed through the factorized summation of
@@ -33,6 +34,7 @@ from repro.utils.validation import check_positive
 
 __all__ = [
     "neighbor_statistics",
+    "update_neighbor_statistics",
     "path_statistics",
     "normalize_statistics",
     "observed_statistics",
@@ -55,6 +57,63 @@ def neighbor_statistics(adjacency, labels_matrix) -> np.ndarray:
     dense_labels = to_dense(labels_matrix)
     propagated = np.asarray(adjacency @ dense_labels)
     return dense_labels.T @ propagated
+
+
+def update_neighbor_statistics(
+    counts: np.ndarray,
+    change,
+    adjacency,
+    old_labels: np.ndarray,
+    new_labels: np.ndarray,
+) -> None:
+    """Advance ``M = X^T W X`` in place across one graph delta.
+
+    ``change`` is the applied edge change ``ΔW`` (sparse; duplicates sum),
+    ``adjacency`` is ``W' = W + ΔW``, and the integer label vectors
+    (``-1`` = unlabeled) cover all of ``W'``, with nodes the delta appended
+    padded as ``-1`` in ``old_labels``.  With ``Δ = X' - X``::
+
+        M' - M = X^T ΔW X + Δ^T W' X' + (Δ^T W' X)^T
+
+    The last two terms read the ``W'`` rows of the relabeled nodes
+    (``W'`` is symmetric), and everything lands in one ``np.bincount``.
+    """
+    k = counts.shape[0]
+    change = change.tocoo()
+    rows, cols = change.row, change.col
+    old_rows, old_cols = old_labels[rows], old_labels[cols]
+    both = (old_rows >= 0) & (old_cols >= 0)
+    keys = [old_rows[both] * k + old_cols[both]]
+    amounts = [change.data[both]]
+
+    changed = np.flatnonzero(old_labels != new_labels)
+    if changed.shape[0]:
+        adjacency = to_csr(adjacency)
+        starts = adjacency.indptr[changed]
+        lengths = adjacency.indptr[changed + 1] - starts
+        offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        positions = offsets + np.arange(offsets.shape[0])
+        neighbors = adjacency.indices[positions]
+        weights = adjacency.data[positions]
+        # Δ row of a changed node r: +e(new[r]) - e(old[r]), each present
+        # only when that label is a class (not -1).
+        node_old = np.repeat(old_labels[changed], lengths)
+        node_new = np.repeat(new_labels[changed], lengths)
+        neighbor_old = old_labels[neighbors]
+        neighbor_new = new_labels[neighbors]
+        for row_labels, col_labels, sign in (
+            (node_new, neighbor_new, 1.0),    # Δ^T W' X'
+            (node_old, neighbor_new, -1.0),
+            (neighbor_old, node_new, 1.0),    # (Δ^T W' X)^T
+            (neighbor_old, node_old, -1.0),
+        ):
+            mask = (row_labels >= 0) & (col_labels >= 0)
+            keys.append(row_labels[mask] * k + col_labels[mask])
+            amounts.append(sign * weights[mask])
+
+    counts += np.bincount(
+        np.concatenate(keys), weights=np.concatenate(amounts), minlength=k * k
+    ).reshape(k, k)
 
 
 def path_statistics(

@@ -67,7 +67,6 @@ from repro.obs.report import (
 from repro.obs.quality import (
     ACCURACY_BUCKETS,
     QualityMonitor,
-    empirical_compatibility,
     normalized_drift,
 )
 from repro.obs.scrape import (
@@ -141,7 +140,6 @@ __all__ = [
     "SloSpecError",
     "QualityMonitor",
     "ACCURACY_BUCKETS",
-    "empirical_compatibility",
     "normalized_drift",
     "configure_sampling",
     "sampling",

@@ -17,11 +17,13 @@ back into propagation numerics:
   argmax-flip counts.  Localized solves report churn over the trusted
   frontier (off-frontier rows are provably unchanged), dense solves
   over all nodes, so the two agree on the touched set.
-* **Compatibility drift**: incremental neighbor-label pair statistics
-  over the *observed* (seed-labeled) subgraph, maintained under deltas,
-  row-normalized into an empirical compatibility estimate and compared
-  to the session's frozen H as a normalized Frobenius distance.  This
-  gauge is the input a future incremental-DCEr policy thresholds on.
+* **Compatibility drift**: the session's neighbor label counts
+  ``M = X^T W X`` over the *observed* (seed-labeled) subgraph (weighted,
+  kept exact by the session under every delta, obs on or off), read
+  here, row-normalized (Eq. 9) into an empirical compatibility estimate
+  and compared to the session's frozen H as a normalized Frobenius
+  distance.  This gauge is the input a future incremental-DCEr policy
+  thresholds on.
 
 Everything records through the shared :class:`MetricsRegistry`, so it
 inherits the ``REPRO_OBS=off`` no-op switch, snapshot shipping, and the
@@ -42,7 +44,6 @@ __all__ = [
     "CHURN_FLIP_BUCKETS",
     "N_CALIBRATION_BUCKETS",
     "QualityMonitor",
-    "empirical_compatibility",
     "normalized_drift",
 ]
 
@@ -87,29 +88,20 @@ def _argmax_rows(matrix: np.ndarray) -> np.ndarray:
     return np.argmax(matrix, axis=1)
 
 
-def empirical_compatibility(pair_counts: np.ndarray) -> np.ndarray:
-    """Row-normalize a label-pair count matrix into an H estimate.
+def normalized_drift(counts: np.ndarray, compatibility: np.ndarray) -> float:
+    """Normalized Frobenius distance between Ĥ(counts) and H.
 
-    Rows with no observations fall back to uniform so the distance to a
-    (row-normalized) frozen H stays defined for every class.
+    Ĥ is the paper's Eq. 9 row normalization of the neighbor label counts
+    ``M``, with rows that hold no observations set to uniform so the
+    distance stays defined for every class.  H is row-normalized over
+    magnitudes first, so the gauge compares the *shapes* of the
+    neighbor-label distributions and is insensitive to H's overall scale
+    convention (LinBP's centered residual form, raw DCE estimates, and
+    stochastic matrices all compare cleanly).
     """
-    counts = np.asarray(pair_counts, dtype=np.float64)
-    k = counts.shape[0]
-    estimate = np.full((k, k), 1.0 / k)
-    row_sums = counts.sum(axis=1)
-    observed = row_sums > 0
-    estimate[observed] = counts[observed] / row_sums[observed, None]
-    return estimate
+    # Imported here: repro.core imports repro.obs for its spans.
+    from repro.core.statistics import normalize_statistics
 
-
-def normalized_drift(pair_counts: np.ndarray, compatibility: np.ndarray) -> float:
-    """Normalized Frobenius distance between Ĥ(pair_counts) and H.
-
-    Both matrices are row-normalized first, so the gauge compares the
-    *shapes* of the neighbor-label distributions and is insensitive to
-    H's overall scale convention (LinBP's centered residual form, raw
-    DCE estimates, and stochastic matrices all compare cleanly).
-    """
     reference = np.asarray(compatibility, dtype=np.float64)
     # Row-normalize over magnitudes so sign conventions (centered H)
     # survive; an all-zero row falls back to uniform like the estimate.
@@ -118,7 +110,8 @@ def normalized_drift(pair_counts: np.ndarray, compatibility: np.ndarray) -> floa
     normalized = np.full((k, k), 1.0 / k)
     observed = scale > 0
     normalized[observed] = reference[observed] / scale[observed, None]
-    estimate = empirical_compatibility(pair_counts)
+    estimate = normalize_statistics(counts, variant=1)
+    estimate[estimate.sum(axis=1) == 0] = 1.0 / k
     denom = float(np.linalg.norm(normalized))
     if denom == 0.0:
         return 0.0
@@ -159,10 +152,8 @@ class QualityMonitor:
         self.churn_steps = 0
         self.flips_total = 0
         self.last_churn: dict | None = None
-        # Drift state: symmetric neighbor-label pair counts over the
-        # observed subgraph (each undirected edge contributes to both
-        # orientations), plus the latest gauge value.
-        self.pair_counts = np.zeros((self.n_classes, self.n_classes), dtype=np.float64)
+        # Drift state: the labeled-labeled edge weight behind the latest
+        # gauge value (the counts themselves belong to the session).
         self.pairs_observed = 0.0
         self.last_drift: float | None = None
 
@@ -287,12 +278,12 @@ class QualityMonitor:
         self._wrong_counter.inc(n_scored - n_correct)
         self._topk_counter.inc(n_topk)
         self._accuracy_histogram.observe(accuracy)
-        pairs, pair_counts = np.unique(
+        cells, cell_counts = np.unique(
             truth * self.n_classes + predicted, return_counts=True
         )
-        for pair, count in zip(pairs, pair_counts):
+        for cell, count in zip(cells, cell_counts):
             self._confusion_counter(
-                int(pair) // self.n_classes, int(pair) % self.n_classes
+                int(cell) // self.n_classes, int(cell) % self.n_classes
             ).inc(int(count))
         for value, was_correct in zip(confidence, correct_mask):
             self._confidence_histogram.observe(float(value))
@@ -410,124 +401,19 @@ class QualityMonitor:
         return instruments
 
     # ---------------------------------------------------------------- drift
-    def _add_pair(self, a: int, b: int, amount: float = 1.0) -> None:
-        self.pair_counts[a, b] += amount
-        self.pair_counts[b, a] += amount
-        self.pairs_observed = max(0.0, self.pairs_observed + amount)
-        if self.pair_counts[a, b] < 0:
-            self.pair_counts[a, b] = 0.0
-        if self.pair_counts[b, a] < 0:
-            self.pair_counts[b, a] = 0.0
+    def refresh_drift(
+        self, counts: np.ndarray, compatibility: np.ndarray | None
+    ) -> float | None:
+        """Read the session's ``M = X^T W X`` into the drift gauge.
 
-    def _edge_label_pairs(
-        self, edges: np.ndarray, seed_labels: np.ndarray, sign: float
-    ) -> None:
-        if edges.shape[0] == 0:
-            return
-        n_known = seed_labels.shape[0]
-        u, v = edges[:, 0], edges[:, 1]
-        valid = (u >= 0) & (u < n_known) & (v >= 0) & (v < n_known)
-        if not valid.any():
-            return
-        lu = seed_labels[u[valid]]
-        lv = seed_labels[v[valid]]
-        both = (lu >= 0) & (lv >= 0)
-        a, b = lu[both], lv[both]
-        if a.shape[0] == 0:
-            return
-        np.add.at(self.pair_counts, (a, b), sign)
-        np.add.at(self.pair_counts, (b, a), sign)
-        np.clip(self.pair_counts, 0.0, None, out=self.pair_counts)
-        self.pairs_observed = max(0.0, self.pairs_observed + sign * a.shape[0])
-
-    def observe_edges(self, delta, seed_labels: np.ndarray) -> None:
-        """Fold a delta's structural edge changes into the pair counts.
-
-        Runs against pre-reveal labels: an edge touching a node revealed
-        in the same delta is picked up once by :meth:`observe_reveal_pairs`
-        instead, so each observed edge is counted exactly once.
+        ``counts`` is owned and kept exact by the session; this only
+        reads it.  Returns the gauge value, or None without an H.
         """
-        self._edge_label_pairs(delta.add_edges, seed_labels, 1.0)
-        self._edge_label_pairs(delta.remove_edges, seed_labels, -1.0)
-
-    def observe_reveal_pairs(
-        self,
-        adjacency,
-        reveal_nodes: np.ndarray,
-        old_labels: np.ndarray,
-        seed_labels: np.ndarray,
-    ) -> None:
-        """Fold label reveals into the pair counts (post-absorb).
-
-        ``old_labels`` holds the pre-reveal seed label of each revealed
-        node (-1 when it was hidden).  For every node whose label
-        actually changed, its edges to labeled neighbors are re-counted:
-        old-label pairs removed, new-label pairs added.  An edge between
-        two nodes changed in the same delta is owned by the smaller id
-        so it is adjusted exactly once.
-        """
-        nodes = np.asarray(reveal_nodes, dtype=np.int64)
-        if nodes.shape[0] == 0:
-            return
-        old = np.asarray(old_labels, dtype=np.int64)
-        changed_mask = seed_labels[nodes] != old
-        if not changed_mask.any():
-            return
-        old_by_node = {int(n): int(o) for n, o in zip(nodes, old)}
-        changed = set(int(n) for n in nodes[changed_mask])
-        indptr, indices = adjacency.indptr, adjacency.indices
-        n_nodes = seed_labels.shape[0]
-        for node in sorted(changed):
-            if node >= indptr.shape[0] - 1:
-                continue
-            node_old = old_by_node[node]
-            node_new = int(seed_labels[node])
-            for neighbor in indices[indptr[node]: indptr[node + 1]]:
-                neighbor = int(neighbor)
-                if neighbor in changed and neighbor < node:
-                    continue  # owned by the smaller endpoint
-                if neighbor >= n_nodes:
-                    continue
-                neighbor_new = int(seed_labels[neighbor])
-                neighbor_old = old_by_node.get(neighbor, neighbor_new)
-                if node_old >= 0 and neighbor_old >= 0:
-                    self._add_pair(node_old, neighbor_old, -1.0)
-                if node_new >= 0 and neighbor_new >= 0:
-                    self._add_pair(node_new, neighbor_new, 1.0)
-
-    def seed_pairs(self, adjacency, seed_labels: np.ndarray) -> None:
-        """Initialize pair counts from an anchor graph's observed edges.
-
-        Counts each stored (directed) CSR entry between two labeled
-        nodes once — on a symmetric adjacency that yields both
-        orientations, matching the symmetric incremental updates.
-        """
-        indptr, indices = adjacency.indptr, adjacency.indices
-        n_nodes = min(seed_labels.shape[0], indptr.shape[0] - 1)
-        if n_nodes <= 0 or not (seed_labels >= 0).any():
-            return
-        u = np.repeat(
-            np.arange(n_nodes, dtype=np.int64), np.diff(indptr[: n_nodes + 1])
-        )
-        v = indices[: indptr[n_nodes]].astype(np.int64, copy=False)
-        # Each undirected edge appears twice in a symmetric CSR; take the
-        # (u <= v) orientation as the owner.
-        mask = (u <= v) & (v < seed_labels.shape[0])
-        lu = seed_labels[u[mask]]
-        lv = seed_labels[v[mask]]
-        both = (lu >= 0) & (lv >= 0)
-        a, b = lu[both], lv[both]
-        if a.shape[0] == 0:
-            return
-        np.add.at(self.pair_counts, (a, b), 1.0)
-        np.add.at(self.pair_counts, (b, a), 1.0)
-        self.pairs_observed += float(a.shape[0])
-
-    def refresh_drift(self, compatibility: np.ndarray | None) -> float | None:
-        """Recompute and publish the drift gauge; returns the value."""
+        # M holds both orientations of every labeled-labeled edge.
+        self.pairs_observed = float(counts.sum()) / 2.0
         if compatibility is None:
             return None
-        value = normalized_drift(self.pair_counts, compatibility)
+        value = normalized_drift(counts, compatibility)
         self.last_drift = value
         self._drift_gauge.set(value)
         return value

@@ -196,6 +196,10 @@ class DeltaApplication:
     n_added_edges / n_removed_edges:
         Structural changes actually performed (lenient mode may drop
         removals of absent edges).
+    edge_change:
+        ``ΔW`` as performed, in COO form: both orientations of each added
+        edge at its weight and of each removed edge at minus its current
+        weight; dropped lenient removals are absent.
     """
 
     adjacency: sp.csr_matrix
@@ -203,6 +207,7 @@ class DeltaApplication:
     touched_nodes: np.ndarray
     n_added_edges: int
     n_removed_edges: int
+    edge_change: sp.coo_matrix
 
 
 def _check_endpoints(edges: np.ndarray, n_nodes: int, kind: str) -> None:
@@ -320,23 +325,18 @@ def apply_delta(
         cols += [remove_edges[:, 1], remove_edges[:, 0]]
         data += [-remove_weights, -remove_weights]
 
-    delta_degrees = np.zeros(n_after, dtype=np.float64)
+    change = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_after, n_after),
+    )
+    delta_degrees = np.bincount(change.row, weights=change.data, minlength=n_after)
     if add_edges.shape[0] or n_removed:
-        change = sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_after, n_after),
-        )
-        new_adjacency = (adjacency + change).tocsr()
+        new_adjacency = (adjacency + change.tocsr()).tocsr()
         if n_removed:
             # Exact cancellation leaves explicit zeros only where edges were
             # removed; pure insertions skip the extra O(nnz) pass.
             new_adjacency.eliminate_zeros()
         new_adjacency.sort_indices()
-        np.add.at(delta_degrees, add_edges[:, 0], add_weights)
-        np.add.at(delta_degrees, add_edges[:, 1], add_weights)
-        if n_removed:
-            np.add.at(delta_degrees, remove_edges[:, 0], -remove_weights)
-            np.add.at(delta_degrees, remove_edges[:, 1], -remove_weights)
     else:
         new_adjacency = adjacency
 
@@ -351,6 +351,7 @@ def apply_delta(
         touched_nodes=touched,
         n_added_edges=int(add_edges.shape[0]),
         n_removed_edges=int(n_removed),
+        edge_change=change,
     )
 
 

@@ -13,6 +13,9 @@ a batch pipeline would rebuild from scratch after every change:
   products, versus a fresh ARPACK solve at machine precision) whenever the
   selected propagator's convergence scaling depends on ``rho(W)``,
 * the compatibility matrix and the visible seed labels,
+* the paper's neighbor label counts ``M = X^T W X`` over the seed-labeled
+  subgraph, advanced exactly by every delta
+  (:func:`~repro.core.statistics.update_neighbor_statistics`),
 * the last :class:`~repro.propagation.engine.PropagationResult`, from which
   the next solve warm-starts through
   :class:`~repro.stream.incremental.IncrementalPropagator`.
@@ -33,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.graph.graph import Graph
+from repro.core.statistics import neighbor_statistics, update_neighbor_statistics
+from repro.graph.graph import Graph, one_hot_labels
 from repro.propagation import kernels
 from repro.propagation.convergence import (
     SpectralState,
@@ -252,7 +256,6 @@ class StreamingSession:
         labels = {"session": f"s{next(_SESSION_IDS)}"}
         if metric_labels:
             labels.update(metric_labels)
-        self._metric_labels = labels
         self._mode_counters = {
             mode: self.registry.counter(
                 "repro_stream_solves_total",
@@ -266,17 +269,22 @@ class StreamingSession:
             "Stored nonzeros visited by streaming solves.",
             **labels,
         )
+        # M = X^T W X over the seed-labeled subgraph (the paper's l=1
+        # statistic) is exact session state like the adjacency it
+        # summarizes: seeded here, advanced by every applied delta
+        # whether or not obs is on.
+        self.counts = neighbor_statistics(
+            graph.adjacency, one_hot_labels(self.seed_labels, graph.n_classes)
+        )
         # Quality telemetry (prequential accuracy, churn, drift) is pure
         # observation: its hooks run only while obs is enabled and never
-        # write anything propagation reads.  The anchor graph's observed
-        # label pairs seed the drift estimate so the gauge starts from
-        # the same evidence DCE saw, not from an empty table.
+        # write anything propagation reads.  The drift gauge reads the
+        # counts above, so it starts from the same evidence DCE saw.
         self.quality = obs.QualityMonitor(
             graph.n_classes, registry=self.registry, labels=labels,
         )
-        if obs.enabled() and self.compatibility is not None:
-            self.quality.seed_pairs(self.graph.adjacency, self.seed_labels)
-            self.quality.refresh_drift(self.compatibility)
+        if obs.enabled():
+            self.quality.refresh_drift(self.counts, self.compatibility)
 
     # ------------------------------------------------------------- properties
     @property
@@ -337,15 +345,7 @@ class StreamingSession:
                 )
         application = apply_delta(self.graph.adjacency, delta, strict=self.strict)
 
-        # Quality telemetry reads state, never writes anything propagation
-        # consumes.  Structural edge changes are folded into the drift pair
-        # counts against *pre-reveal* labels; edges touching a node revealed
-        # in this same delta are picked up once by the post-absorb reveal
-        # scan below.
-        quality = self.quality if obs.enabled() else None
-        if quality is not None:
-            quality.observe_edges(delta, self.seed_labels)
-
+        labels_before = self.seed_labels
         if delta.add_nodes:
             new_labels = (
                 delta.node_labels
@@ -354,12 +354,13 @@ class StreamingSession:
             )
             if self.graph.labels is not None:
                 self.graph.labels = np.concatenate([self.graph.labels, new_labels])
-            self.seed_labels = np.concatenate([
-                self.seed_labels, np.full(delta.add_nodes, -1, dtype=np.int64),
+            labels_before = np.concatenate([
+                labels_before, np.full(delta.add_nodes, -1, dtype=np.int64),
             ])
+            self.seed_labels = labels_before
 
+        quality = self.quality if obs.enabled() else None
         if delta.reveal_nodes.shape[0]:
-            reveal_old_labels = None
             if quality is not None:
                 # Prequential scoring: test-then-train.  The *current*
                 # beliefs are scored against the incoming labels strictly
@@ -371,7 +372,7 @@ class StreamingSession:
                     beliefs, delta.reveal_nodes, delta.reveal_labels,
                     self.seed_labels,
                 )
-                reveal_old_labels = self.seed_labels[delta.reveal_nodes].copy()
+            self.seed_labels = labels_before.copy()
             self.seed_labels[delta.reveal_nodes] = delta.reveal_labels
 
         # Swap in the mutated adjacency and evolve the operator cache:
@@ -391,17 +392,12 @@ class StreamingSession:
                     )
                 )
 
-        if quality is not None and delta.reveal_nodes.shape[0]:
-            # Post-absorb drift update: the newly revealed labels bring
-            # their edges to already-labeled neighbors into the pair
-            # statistics (and re-reveals that changed a label re-count
-            # their edges under the new label).
-            quality.observe_reveal_pairs(
-                self.graph.adjacency, delta.reveal_nodes,
-                reveal_old_labels, self.seed_labels,
-            )
-        if quality is not None and self.compatibility is not None:
-            quality.refresh_drift(self.compatibility)
+        update_neighbor_statistics(
+            self.counts, application.edge_change, self.graph.adjacency,
+            labels_before, self.seed_labels,
+        )
+        if quality is not None:
+            quality.refresh_drift(self.counts, self.compatibility)
 
         self._pending.absorb(delta, application.touched_nodes)
         self._edges_since_anchor += delta.n_changed_edges
@@ -572,14 +568,7 @@ class StreamingSession:
             touched_nnz = int(result.details.get("touched_nnz", 0))
         else:
             touched_nnz = int(result.n_iterations) * int(self.graph.adjacency.nnz)
-        mode_counter = self._mode_counters.get(decision.mode)
-        if mode_counter is None:  # defensive: unknown future mode
-            mode_counter = self.registry.counter(
-                "repro_stream_solves_total", "Streaming solves by decision mode.",
-                mode=decision.mode, **self._metric_labels,
-            )
-            self._mode_counters[decision.mode] = mode_counter
-        mode_counter.inc()
+        self._mode_counters[decision.mode].inc()
         self._touched_counter.inc(touched_nnz)
 
         step = StreamStep(

@@ -7,8 +7,10 @@ The load-bearing invariants:
 * prequential scoring is strictly test-then-train and only counts real
   predictions (already-labeled re-reveals and same-delta node births
   are excluded);
-* the incremental drift pair counts always equal a from-scratch recount
-  of the current graph, whatever mix of deltas got there;
+* the session's neighbor label counts M = X^T W X, which the drift
+  gauge reads, always equal a from-scratch ``neighbor_statistics``
+  recount of the current graph, whatever mix of strict or lenient
+  deltas got there and whether obs was on or off;
 * localized churn over the trusted frontier agrees with a dense
   comparison (off-frontier rows are provably unchanged).
 """
@@ -17,16 +19,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.core.compatibility import skew_compatibility
-from repro.core.statistics import gold_standard_compatibility
+from repro.core.statistics import gold_standard_compatibility, neighbor_statistics
 from repro.eval.seeding import stratified_seed_labels
 from repro.graph.generator import generate_graph
+from repro.graph.graph import Graph, one_hot_labels
 from repro.obs.quality import (
     N_CALIBRATION_BUCKETS,
     QualityMonitor,
-    empirical_compatibility,
     normalized_drift,
 )
 from repro.propagation.engine import get_propagator
@@ -58,33 +61,27 @@ def make_session(graph, **kwargs):
     return StreamingSession(graph.copy(), propagator, strict=False, **kwargs)
 
 
-def recount_pairs(adjacency, seed_labels, n_classes) -> np.ndarray:
-    """From-scratch symmetric label-pair count over the current graph."""
-    counts = np.zeros((n_classes, n_classes), dtype=np.float64)
-    coo = adjacency.tocoo()
-    for u, v in zip(coo.row, coo.col):
-        if u > v or v >= seed_labels.shape[0]:
-            continue  # one orientation per undirected edge
-        a, b = int(seed_labels[u]), int(seed_labels[v])
-        if a < 0 or b < 0:
-            continue
-        counts[a, b] += 1.0
-        counts[b, a] += 1.0
-    return counts
+def recount(session) -> np.ndarray:
+    """M = X^T W X of the session's current graph and seeds, from scratch."""
+    return neighbor_statistics(
+        session.graph.adjacency,
+        one_hot_labels(session.seed_labels, session.graph.n_classes),
+    )
 
 
 # ---------------------------------------------------------------- matrices
 class TestCompatibilityEstimate:
     def test_row_normalizes_counts(self):
         counts = np.array([[6.0, 2.0], [1.0, 3.0]])
-        estimate = empirical_compatibility(counts)
-        assert np.allclose(estimate, [[0.75, 0.25], [0.25, 0.75]])
+        estimate = np.array([[0.75, 0.25], [0.25, 0.75]])
+        assert normalized_drift(counts, estimate) == pytest.approx(0.0, abs=1e-15)
+        assert normalized_drift(counts, np.eye(2)) > 0.1
 
     def test_unobserved_rows_fall_back_to_uniform(self):
         counts = np.array([[4.0, 0.0], [0.0, 0.0]])
-        estimate = empirical_compatibility(counts)
-        assert np.allclose(estimate[0], [1.0, 0.0])
-        assert np.allclose(estimate[1], [0.5, 0.5])
+        estimate = np.array([[1.0, 0.0], [0.5, 0.5]])
+        assert normalized_drift(counts, estimate) == pytest.approx(0.0, abs=1e-15)
+        assert normalized_drift(counts, np.eye(2)) > 0.1
 
     def test_drift_zero_when_counts_match_shape(self):
         compatibility = np.array([[0.8, 0.2], [0.2, 0.8]])
@@ -251,13 +248,15 @@ class TestChurn:
 
 # ------------------------------------------------------------------ drift
 class TestDriftBookkeeping:
-    def test_seed_pairs_counts_each_undirected_edge_once(self, registry, path_graph):
-        monitor = QualityMonitor(2, registry=registry)
-        labels = path_graph.labels  # 0 1 0 1 0 along a path
-        monitor.seed_pairs(path_graph.adjacency, labels)
-        expected = recount_pairs(path_graph.adjacency, labels, 2)
-        assert np.array_equal(monitor.pair_counts, expected)
-        assert monitor.pairs_observed == 4.0
+    def test_anchor_counts_hold_both_orientations(self, registry, path_graph):
+        session = make_session(
+            path_graph,
+            compatibility=np.array([[0.1, 0.9], [0.9, 0.1]]),
+            seed_labels=path_graph.labels,  # 0 1 0 1 0 along a path
+        )
+        assert np.array_equal(session.counts, recount(session))
+        assert np.array_equal(session.counts, [[0.0, 4.0], [4.0, 0.0]])
+        assert session.quality.pairs_observed == 4.0
 
     def test_edges_and_reveals_track_a_recount(self, registry, quality_graph):
         session = make_session(quality_graph)
@@ -275,12 +274,8 @@ class TestDriftBookkeeping:
                 reveal_labels=truth[reveal],
             )
             session.step(delta)
-            expected = recount_pairs(
-                session.graph.adjacency, session.seed_labels,
-                session.graph.n_classes,
-            )
-            assert np.array_equal(session.quality.pair_counts, expected), (
-                f"pair counts diverged from recount at step {step}"
+            assert np.array_equal(session.counts, recount(session)), (
+                f"counts diverged from recount at step {step}"
             )
 
     def test_re_reveal_with_changed_label_moves_pairs(self, registry, path_graph):
@@ -290,18 +285,13 @@ class TestDriftBookkeeping:
             seed_labels=np.array([0, 1, 0, 1, 0], dtype=np.int64),
         )
         session.propagate()
-        before = session.quality.pair_counts.copy()
-        assert before[0, 1] == 4.0  # fully-labeled alternating path
+        assert session.counts[0, 1] == 4.0  # fully-labeled alternating path
         # Flip node 2's label 0 -> 1: edges 1-2 and 2-3 become (1, 1).
         session.step(GraphDelta(
             reveal_nodes=np.array([2]), reveal_labels=np.array([1])
         ))
-        counts = session.quality.pair_counts
-        expected = recount_pairs(
-            session.graph.adjacency, session.seed_labels, 2
-        )
-        assert np.array_equal(counts, expected)
-        assert counts[1, 1] == 4.0  # two (1,1) edges, both orientations
+        assert np.array_equal(session.counts, recount(session))
+        assert session.counts[1, 1] == 4.0  # two (1,1) edges, both orientations
 
     def test_adjacent_nodes_revealed_in_one_delta_count_once(
         self, registry, path_graph
@@ -315,11 +305,8 @@ class TestDriftBookkeeping:
         session.step(GraphDelta(
             reveal_nodes=np.array([1, 2]), reveal_labels=np.array([1, 0])
         ))
-        expected = recount_pairs(
-            session.graph.adjacency, session.seed_labels, 2
-        )
-        assert np.array_equal(session.quality.pair_counts, expected)
-        assert session.quality.pair_counts[0, 1] == 1.0
+        assert np.array_equal(session.counts, recount(session))
+        assert session.counts[0, 1] == 1.0
 
     def test_removed_edges_decrement(self, registry, path_graph):
         session = make_session(
@@ -329,10 +316,41 @@ class TestDriftBookkeeping:
         )
         session.propagate()
         session.step(GraphDelta(remove_edges=np.array([[1, 2]])))
-        expected = recount_pairs(
-            session.graph.adjacency, session.seed_labels, 2
+        assert np.array_equal(session.counts, recount(session))
+        assert session.counts[0, 1] == 3.0
+
+    @pytest.mark.parametrize("delta, obs_on", [
+        # Nodes 0 and 3 (labels 0 and 1) are not adjacent on the path.
+        pytest.param(
+            GraphDelta(remove_edges=[[0, 3]]), True,
+            id="lenient-absent-removal",
+        ),
+        pytest.param(
+            GraphDelta(add_edges=[[0, 3]], add_weights=[2.5]), True,
+            id="weighted-add",
+        ),
+        pytest.param(GraphDelta(add_edges=[[0, 3]]), False, id="obs-off-step"),
+    ])
+    def test_gauge_reads_the_recount_after_delta(
+        self, registry, path_graph, delta, obs_on
+    ):
+        compatibility = np.array([[0.1, 0.9], [0.9, 0.1]])
+        session = make_session(
+            path_graph, compatibility=compatibility,
+            seed_labels=np.array([0, 1, 0, 1, 0], dtype=np.int64),
         )
-        assert np.array_equal(session.quality.pair_counts, expected)
+        session.propagate()
+        previous = obs.set_enabled(obs_on)
+        try:
+            session.step(delta)
+        finally:
+            obs.set_enabled(previous)
+        session.step(GraphDelta())  # an obs-on step refreshes the gauge
+        expected = recount(session)
+        assert np.array_equal(session.counts, expected)
+        drift = session.quality_summary()["drift"]
+        assert drift["pairs_observed"] == expected.sum() / 2
+        assert drift["value"] == normalized_drift(expected, compatibility)
 
     def test_drift_gauge_rises_under_label_noise(self, registry, quality_graph):
         session = make_session(quality_graph)
@@ -353,6 +371,85 @@ class TestDriftBookkeeping:
         assert max(
             payload["value"] for _, payload in family["children"]
         ) == pytest.approx(session.quality.last_drift)
+
+
+# -------------------------------------------------------- batch oracle
+DYADIC_WEIGHTS = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 2.5])
+
+
+def draw_delta(data, session) -> GraphDelta:
+    """One random delta that ``session.apply`` accepts in its mode."""
+    n_classes = session.graph.n_classes
+    add_nodes = data.draw(st.integers(0, 2))
+    n_after = session.graph.n_nodes + add_nodes
+    upper = session.graph.adjacency.tocoo()
+    present = sorted(
+        (int(u), int(v)) for u, v in zip(upper.row, upper.col) if u < v
+    )
+    pairs = [(u, v) for u in range(n_after) for v in range(u + 1, n_after)]
+    absent = sorted(set(pairs) - set(present))
+    if session.strict:
+        # Strict: add absent edges, remove present ones, each at most once.
+        adds = data.draw(st.lists(st.sampled_from(absent), max_size=4, unique=True))
+        removes = (
+            data.draw(st.lists(st.sampled_from(present), max_size=3, unique=True))
+            if present else []
+        )
+    else:
+        # Lenient: re-adds sum weights, absent removals are no-ops.
+        adds = data.draw(st.lists(st.sampled_from(pairs), max_size=4))
+        removes = data.draw(st.lists(st.sampled_from(pairs), max_size=3))
+    flip = data.draw(st.booleans())
+    adds = [(v, u) if flip else (u, v) for u, v in adds]
+    weights = data.draw(st.one_of(
+        st.none(), st.lists(DYADIC_WEIGHTS, min_size=len(adds), max_size=len(adds)),
+    ))
+    reveal = data.draw(st.lists(
+        st.tuples(st.integers(0, n_after - 1), st.integers(0, n_classes - 1)),
+        max_size=3, unique_by=lambda pair: pair[0],
+    ))
+    return GraphDelta(
+        add_edges=adds,
+        add_weights=weights,
+        remove_edges=removes,
+        add_nodes=add_nodes,
+        reveal_nodes=[node for node, _ in reveal],
+        reveal_labels=[label for _, label in reveal],
+    )
+
+
+class TestCountsOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), strict=st.booleans())
+    def test_counts_equal_recount_after_every_delta(self, data, strict):
+        n_nodes, n_classes = 6, 3
+        edges = data.draw(st.lists(
+            st.tuples(st.integers(0, n_nodes - 1), st.integers(0, n_nodes - 1))
+            .filter(lambda edge: edge[0] != edge[1]),
+            max_size=10, unique_by=lambda edge: frozenset(edge),
+        ))
+        graph = Graph.from_edges(edges, n_nodes=n_nodes, n_classes=n_classes)
+        seeds = np.array(
+            data.draw(st.lists(
+                st.integers(-1, n_classes - 1), min_size=n_nodes, max_size=n_nodes,
+            )),
+            dtype=np.int64,
+        )
+        with obs.use_registry():
+            session = StreamingSession(
+                graph, get_propagator("linbp"),
+                compatibility=skew_compatibility(n_classes, h=3.0),
+                seed_labels=seeds, strict=strict,
+            )
+            assert np.array_equal(session.counts, recount(session))
+            for _ in range(data.draw(st.integers(1, 6))):
+                delta = draw_delta(data, session)
+                previous = obs.set_enabled(data.draw(st.booleans()))
+                try:
+                    session.apply(delta)
+                finally:
+                    obs.set_enabled(previous)
+                assert np.array_equal(session.counts, recount(session))
 
 
 # ----------------------------------------------------- session integration
