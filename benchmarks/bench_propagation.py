@@ -4,8 +4,8 @@ Generates a planted-compatibility graph (50k edges by default), runs each
 algorithm in the ``PROPAGATORS`` registry once through the unified engine,
 and reports per-call and per-iteration wall time.  LinBP is additionally run
 twice on the same :class:`~repro.graph.graph.Graph` to measure what the
-cached operator layer saves: the first call pays for the spectral-radius
-power iteration behind the convergence scaling, the second call reuses it.
+cached operator layer saves: the first call pays for the cold Lanczos
+spectral radius behind the convergence scaling, the second call reuses it.
 
 Writes ``BENCH_propagation.json`` next to the repository root (or to
 ``--output``), seeding the performance trajectory that future PRs extend.

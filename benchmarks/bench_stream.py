@@ -5,7 +5,7 @@ random edges) the benchmark measures, on the same updated graph:
 
 * **full rebuild** — what the batch pipeline pays today: rebuild the
   :class:`~repro.graph.graph.Graph` from the complete edge list, construct a
-  fresh operator cache (ARPACK spectral radius included) and solve the
+  fresh operator cache (cold Lanczos spectral radius included) and solve the
   fixed point from scratch;
 * **full re-solve (cached graph)** — the same without the edge-list rebuild
   (fresh operators + cold solve on the already-built CSR), reported for

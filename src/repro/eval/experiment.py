@@ -12,7 +12,7 @@ The propagation step goes through the unified engine
 runs the same code path: pass ``propagator="harmonic"`` (or any name in
 ``PROPAGATORS``) to swap the algorithm, and repeated calls on the same
 :class:`~repro.graph.graph.Graph` reuse its cached operator layer — the
-spectral-radius power iteration behind LinBP's scaling runs once per graph,
+spectral radius behind LinBP's scaling runs once per graph,
 not once per experiment point.
 """
 

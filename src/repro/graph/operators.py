@@ -6,7 +6,7 @@ spectral radius that LinBP's convergence scaling needs — and before this
 layer existed each algorithm recomputed them on every call.  A
 :class:`GraphOperators` instance owns one (immutable) adjacency matrix and
 memoizes each derived operator on first use, so a sweep that runs hundreds
-of experiment points on the same graph pays for the power iteration and the
+of experiment points on the same graph pays for the spectral radius and the
 normalizations exactly once.
 
 :class:`repro.graph.graph.Graph` exposes a lazily constructed instance as
@@ -45,8 +45,8 @@ class GraphOperators:
     * :attr:`row_normalized` — ``D^-1 W`` (harmonic functions),
     * :attr:`column_normalized` — ``W D^-1`` (random walks),
     * :attr:`symmetric_normalized` — ``D^-1/2 W D^-1/2`` (LGC),
-    * :meth:`spectral_radius` — ``rho(W)``, the expensive power-iteration /
-      ARPACK quantity behind LinBP's convergence scaling,
+    * :meth:`spectral_radius` — ``rho(W)``, the cold Lanczos quantity
+      behind LinBP's convergence scaling,
     * :meth:`linbp_scaling` — the full ``epsilon = s / (rho(W) rho(H~))``,
       additionally memoized per (compatibility bytes, safety).
     """
@@ -125,7 +125,7 @@ class GraphOperators:
 
         The streaming layer maintains a warm Lanczos estimate of ``rho(W)``
         across graph deltas (a handful of matrix-vector products instead of
-        a fresh ARPACK solve) and primes the evolved operator cache with it,
+        a cold Lanczos run) and primes the evolved operator cache with it,
         so that :meth:`spectral_radius` — and therefore
         :meth:`linbp_scaling` — never trigger the expensive batch path.
         """

@@ -204,9 +204,11 @@ class TimeSeriesRecorder:
 
     # ----------------------------------------------------------- lifecycle
     def start(self) -> "TimeSeriesRecorder":
-        """Start the background sampling thread (idempotent)."""
+        """Start the sampling thread (idempotent) after a baseline sample,
+        so windows see what is observed before the first interval ends."""
         if self._thread is not None and self._thread.is_alive():
             return self
+        self.sample()
         self._stop.clear()
         self._thread = threading.Thread(
             target=self._run, name="repro-obs-recorder", daemon=True

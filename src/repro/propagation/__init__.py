@@ -20,7 +20,7 @@ interface, :class:`~repro.propagation.engine.Propagator`:
   exposed as ``Graph.operators``) memoizes the normalized adjacencies,
   degree vectors and the spectral radius each algorithm needs, so repeated
   runs on the same graph never recompute them — in particular LinBP's
-  convergence scaling reuses one power iteration per graph.
+  convergence scaling reuses one Lanczos spectral radius per graph.
 
 Experiments, sweeps, benchmarks and the CLI all select algorithms by
 registry name (``run_experiment(..., propagator="lgc")``,
@@ -57,7 +57,6 @@ from repro.propagation.convergence import (
     SpectralState,
     lanczos_spectral_state,
     linbp_scaling,
-    power_iteration_radius,
     spectral_radius,
 )
 from repro.propagation.engine import (
@@ -117,7 +116,6 @@ __all__ = [
     "linbp_scaling",
     "local_global_consistency",
     "multi_rank_walk",
-    "power_iteration_radius",
     "propagate_and_label",
     "propagator_names",
     "random_walk_with_restart",

@@ -3,9 +3,10 @@
 LinBP converges iff ``rho(H~) < 1 / rho(W)``; the paper therefore rescales
 the centered compatibility matrix by ``epsilon = s / (rho(W) * rho(H~))``
 with a safety factor ``s`` (0.5 in the experiments).  The paper uses PyAMG's
-approximate spectral radius; we compute the same quantity with scipy's
-sparse eigensolver and fall back to power iteration, which only needs
-matrix-vector products and therefore scales to the largest graphs we build.
+approximate spectral radius; we compute ``rho(W)`` with one symmetric
+Lanczos recurrence, which only needs matrix-vector products: the batch
+path keeps two vectors of it, a streaming session's warm restarts keep the
+Krylov basis to assemble a Ritz vector.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro import obs
 from repro.utils.matrix import to_csr
@@ -24,13 +24,14 @@ from repro.utils.validation import check_positive
 
 __all__ = [
     "spectral_radius",
-    "power_iteration_radius",
     "linbp_scaling",
     "SpectralState",
     "lanczos_spectral_state",
     "quantize_radius",
     "radius_ladder_gap",
     "RADIUS_LADDER_BITS",
+    "COLD_LANCZOS_STEPS",
+    "COLD_LANCZOS_TOLERANCE",
 ]
 
 
@@ -79,65 +80,39 @@ def radius_ladder_gap(radius: float) -> float:
     return min(fraction, 1.0 - fraction) * rung / radius
 
 
-def power_iteration_radius(
-    matrix, n_iterations: int = 100, tolerance: float = 1e-7, seed=0
-) -> float:
-    """Largest absolute eigenvalue via power iteration on ``A^T A``.
-
-    Works for any square matrix (dense or sparse); for the symmetric
-    adjacency and compatibility matrices used here the dominant singular
-    value equals the spectral radius.
-    """
-    rng = ensure_rng(seed)
-    n = matrix.shape[0]
-    if n == 0:
-        return 0.0
-    vector = rng.standard_normal(n)
-    vector /= np.linalg.norm(vector)
-    previous = 0.0
-    estimate = 0.0
-    for _ in range(n_iterations):
-        product = matrix @ vector
-        if sp.issparse(product):
-            product = np.asarray(product.todense()).ravel()
-        norm = np.linalg.norm(product)
-        if norm == 0:
-            return 0.0
-        vector = np.asarray(product).ravel() / norm
-        estimate = norm
-        if abs(estimate - previous) <= tolerance * max(1.0, estimate):
-            break
-        previous = estimate
-    return float(estimate)
+# The one cold Lanczos setting: the batch radius and a streaming session's
+# anchor solve run it from the same seeded start vector, so the anchor
+# reproduces the batch value bit for bit, ~1e-11 relative to rho(W), far
+# below the scaling ladder's rung and the belief tolerance.
+COLD_LANCZOS_STEPS = 200
+COLD_LANCZOS_TOLERANCE = 1e-11
 
 
 def spectral_radius(matrix, seed=0) -> float:
     """Spectral radius of a (sparse or dense) square matrix.
 
-    Tries scipy's ARPACK eigensolver first (matching the accuracy of the
-    paper's PyAMG routine) and falls back to power iteration when ARPACK is
-    not applicable (tiny matrices, convergence failures).
+    A sparse matrix must be symmetric: a :class:`~repro.graph.graph.Graph`
+    validates its adjacency, :func:`repro.stream.delta.apply_delta` keeps it
+    so, and it is not re-checked here.  It runs the cold Lanczos recurrence
+    from the seeded start vector on two vectors.  Should the step cap come
+    before the tolerance, the Ritz value may still sit below ``rho``, so the
+    largest absolute row sum, an upper bound by Gershgorin's theorem, is
+    returned instead.  A dense (``k x k``) matrix takes exact eigenvalues.
     """
     if sp.issparse(matrix):
         matrix = to_csr(matrix)
         n = matrix.shape[0]
-        if n > 2:
-            try:
-                # A seeded start vector makes ARPACK deterministic, so two
-                # runs on the same graph agree to the last bit (the cached
-                # operator layer and fresh computations must match exactly).
-                start = ensure_rng(seed).standard_normal(n)
-                values = spla.eigs(
-                    matrix.astype(np.float64),
-                    k=1,
-                    v0=start,
-                    return_eigenvectors=False,
-                    maxiter=1000,
-                )
-                return float(np.abs(values[0]))
-            except (spla.ArpackNoConvergence, RuntimeError, ValueError):
-                pass
-        return power_iteration_radius(matrix, seed=seed)
+        if n == 0:
+            return 0.0
+        start = ensure_rng(seed).standard_normal(n)
+        start /= np.linalg.norm(start)
+        radius, _, _, _, converged = _lanczos(
+            matrix, start, COLD_LANCZOS_STEPS, COLD_LANCZOS_TOLERANCE,
+            keep_basis=False,
+        )
+        if converged:
+            return radius
+        return float(abs(matrix).sum(axis=1).max())
     dense = np.asarray(matrix, dtype=np.float64)
     if dense.shape[0] == 0:
         return 0.0
@@ -184,11 +159,11 @@ def lanczos_spectral_state(
 ) -> SpectralState:
     """Dominant eigenpair of a *symmetric* matrix via the Lanczos iteration.
 
-    Unlike :func:`spectral_radius` (the batch path, backed by ARPACK at
-    machine precision) this routine exposes the start vector, which is what
-    makes it incremental: after an edge delta, the previous Ritz vector is
-    an excellent ``v0`` and the iteration typically converges in < 15 steps
-    instead of ARPACK's hundreds of implicitly-restarted products.
+    The same recurrence as :func:`spectral_radius` (the batch path), but
+    with the start vector exposed and the Krylov basis kept to assemble a
+    Ritz vector, which is what makes it incremental: after an edge delta,
+    the previous Ritz vector is an excellent ``v0`` and the iteration
+    typically converges in < 15 steps instead of a cold start's 16 to 50.
 
     The three-term recurrence is run without reorthogonalization — safe
     here because we only ever need the extremal eigenvalue and stop as soon
@@ -211,18 +186,41 @@ def lanczos_spectral_state(
     if norm == 0:
         vector = ensure_rng(seed).standard_normal(n)
         norm = np.linalg.norm(vector)
-    basis = [vector / norm]
+    radius, ritz_vector, n_steps, residual_bound, _ = _lanczos(
+        matrix, vector / norm, max_steps, tolerance, keep_basis=True
+    )
+    if obs.enabled():
+        registry = obs.metrics()
+        warm = "warm" if warm_started else "cold"
+        registry.counter(
+            "repro_lanczos_runs_total", "Lanczos spectral-state computations.",
+            start=warm,
+        ).inc()
+        registry.histogram(
+            "repro_lanczos_steps", "Lanczos steps (matvecs) per run.",
+            buckets=obs.ITERATION_BUCKETS, start=warm,
+        ).observe(n_steps)
+    return SpectralState(radius, ritz_vector, n_steps, residual_bound)
+
+
+def _lanczos(matrix, start, max_steps, tolerance, keep_basis):
+    """The Lanczos recurrence from the unit vector ``start``.
+
+    Returns ``(radius, ritz_vector, n_steps, residual_bound, converged)``.
+    ``converged`` is False when the step cap ended the run before the Ritz
+    value met ``tolerance``.  Without ``keep_basis`` only the two vectors
+    the three-term recurrence reads are held, and ``ritz_vector`` is None.
+    """
+    basis = [start]
     alphas: list[float] = []
     betas: list[float] = []
     previous = None
     radius = 0.0
     residual_bound = float("inf")
     ritz_weights = np.ones(1)
+    converged = True
     for step in range(max_steps):
-        product = matrix @ basis[-1]
-        if sp.issparse(product):  # pragma: no cover - defensive
-            product = np.asarray(product.todense()).ravel()
-        product = np.asarray(product, dtype=np.float64).ravel()
+        product = np.asarray(matrix @ basis[-1], dtype=np.float64).ravel()
         alpha = float(basis[-1] @ product)
         product -= alpha * basis[-1]
         if step > 0:
@@ -259,25 +257,21 @@ def lanczos_spectral_state(
             residual_bound = 0.0
             break  # invariant subspace: the estimate is exact
         betas.append(beta)
-        basis.append(product / beta)
-    ritz_vector = np.zeros(n)
-    for weight, direction in zip(ritz_weights, basis):
-        ritz_vector += weight * direction
-    norm = np.linalg.norm(ritz_vector)
-    if norm > 0:
-        ritz_vector /= norm
-    if obs.enabled():
-        registry = obs.metrics()
-        warm = "warm" if warm_started else "cold"
-        registry.counter(
-            "repro_lanczos_runs_total", "Lanczos spectral-state computations.",
-            start=warm,
-        ).inc()
-        registry.histogram(
-            "repro_lanczos_steps", "Lanczos steps (matvecs) per run.",
-            buckets=obs.ITERATION_BUCKETS, start=warm,
-        ).observe(len(alphas))
-    return SpectralState(radius, ritz_vector, len(alphas), residual_bound)
+        product /= beta
+        basis.append(product)
+        if not keep_basis:
+            del basis[:-2]
+    else:
+        converged = False
+    ritz_vector = None
+    if keep_basis:
+        ritz_vector = np.zeros(matrix.shape[0])
+        for weight, direction in zip(ritz_weights, basis):
+            ritz_vector += weight * direction
+        norm = np.linalg.norm(ritz_vector)
+        if norm > 0:
+            ritz_vector /= norm
+    return radius, ritz_vector, len(alphas), residual_bound, converged
 
 
 def linbp_scaling(

@@ -5,11 +5,11 @@ events through a :class:`~repro.stream.session.StreamingSession`, scoring
 accuracy and latency after every step.  With ``verify_every=k`` it
 additionally runs, every ``k``-th step, the *batch* pipeline on a fresh copy
 of the current graph — a cold :class:`~repro.graph.graph.Graph` with a fresh
-operator cache, so ARPACK and the from-scratch fixed point are all paid —
-and records both the full re-solve's wall time and the maximum belief
-deviation between the incremental and batch answers.  That deviation is the
-correctness contract of the whole subsystem (CI asserts it stays ≤ 1e-6),
-and the full/incremental timing ratio is its speedup story.
+operator cache, so the cold spectral radius and the from-scratch fixed point
+are all paid — and records both the full re-solve's wall time and the
+maximum belief deviation between the incremental and batch answers.  That
+deviation is the correctness contract of the whole subsystem (CI asserts it
+stays ≤ 1e-6), and the full/incremental timing ratio is its speedup story.
 """
 
 from __future__ import annotations
@@ -222,8 +222,8 @@ def _batch_resolve(session: StreamingSession) -> tuple[np.ndarray, float]:
 
     A fresh :class:`Graph` wraps a *copy* of the adjacency so none of the
     session's caches can leak in: the fresh operator layer recomputes the
-    normalizations and the ARPACK spectral radius, and the propagator starts
-    from the priors — exactly what re-running the pipeline after a graph
+    normalizations and the cold Lanczos spectral radius, and the propagator
+    starts from the priors — exactly what re-running the pipeline after a graph
     change costs today without the streaming layer.
     """
     graph = Graph(

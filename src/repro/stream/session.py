@@ -10,7 +10,7 @@ a batch pipeline would rebuild from scratch after every change:
   the graph object so no stale normalization can leak,
 * a warm dominant-eigenpair estimate of the adjacency, advanced by a
   Lanczos restart from the previous Ritz vector (a handful of matrix-vector
-  products, versus a fresh ARPACK solve at machine precision) whenever the
+  products, versus a cold Lanczos run from a random vector) whenever the
   selected propagator's convergence scaling depends on ``rho(W)``,
 * the compatibility matrix and the visible seed labels,
 * the paper's neighbor label counts ``M = X^T W X`` over the seed-labeled
@@ -40,6 +40,8 @@ from repro.core.statistics import neighbor_statistics, update_neighbor_statistic
 from repro.graph.graph import Graph, one_hot_labels
 from repro.propagation import kernels
 from repro.propagation.convergence import (
+    COLD_LANCZOS_STEPS,
+    COLD_LANCZOS_TOLERANCE,
     SpectralState,
     lanczos_spectral_state,
     radius_ladder_gap,
@@ -64,10 +66,8 @@ __all__ = ["StreamStep", "StreamingSession"]
 _SESSION_IDS = itertools.count()
 
 # Warm Lanczos restarts: few steps, tight Ritz tolerance — the estimate must
-# track the batch ARPACK value to ~1e-9 relative so that warm and full
+# track the batch (cold) value to ~1e-9 relative so that warm and full
 # solves agree on LinBP's epsilon far below the belief tolerance.
-ANCHOR_LANCZOS_STEPS = 200
-ANCHOR_LANCZOS_TOLERANCE = 1e-11
 WARM_LANCZOS_STEPS = 60
 WARM_LANCZOS_TOLERANCE = 2e-8
 # Spectral refresh ahead of a *localized* solve: the scaling only consumes
@@ -428,8 +428,8 @@ class StreamingSession:
         if self._spectral is None:
             state = lanczos_spectral_state(
                 self.graph.adjacency,
-                max_steps=ANCHOR_LANCZOS_STEPS,
-                tolerance=ANCHOR_LANCZOS_TOLERANCE,
+                max_steps=COLD_LANCZOS_STEPS,
+                tolerance=COLD_LANCZOS_TOLERANCE,
                 seed=self.spectral_seed,
             )
         else:

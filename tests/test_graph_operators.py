@@ -94,7 +94,7 @@ class TestCaching:
 
 class TestSpectralRadiusMemoization:
     """Satellite regression: the second LinBP call on the same graph must not
-    re-run the spectral-radius computation (power iteration / ARPACK)."""
+    re-run the spectral-radius computation (cold Lanczos)."""
 
     def _count_radius_calls(self, monkeypatch):
         calls = {"adjacency": 0}

@@ -229,6 +229,25 @@ class TestRecorderQueries:
             recorder.stop()
         assert recorder._thread is None
 
+    def test_start_takes_a_baseline_for_the_first_window(self, registry):
+        # Observations made before the first interval ends (a burst of
+        # events right after start-up) must show in the windowed quantile
+        # read at the first sweep: start() records the empty baseline.
+        clock = FakeClock()
+        recorder = make_recorder(registry, clock, interval_seconds=60.0)
+        histogram = registry.histogram("t_seconds", "", buckets=[0.1, 1.0])
+        recorder.start()
+        try:
+            for _ in range(12):
+                histogram.observe(0.5)
+            clock.advance(0.5)
+            recorder.sample()  # the first sweep
+            assert recorder.quantile("t_seconds", 0.5, window_seconds=60.0) == (
+                pytest.approx(0.55)
+            )
+        finally:
+            recorder.stop()
+
     def test_validation(self, registry):
         with pytest.raises(ValueError):
             TimeSeriesRecorder(lambda: {}, interval_seconds=0)

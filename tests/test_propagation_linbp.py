@@ -8,11 +8,7 @@ import pytest
 from repro.core.compatibility import homophily_compatibility, skew_compatibility
 from repro.eval.metrics import macro_accuracy
 from repro.eval.seeding import stratified_seed_indices
-from repro.propagation.convergence import (
-    linbp_scaling,
-    power_iteration_radius,
-    spectral_radius,
-)
+from repro.propagation.convergence import linbp_scaling, spectral_radius
 from repro.propagation.linbp import linbp, propagate_and_label
 from repro.utils.matrix import center_matrix
 
@@ -25,11 +21,6 @@ class TestSpectralRadius:
         dense_value = spectral_radius(dense_small_adjacency.toarray())
         sparse_value = spectral_radius(dense_small_adjacency)
         assert sparse_value == pytest.approx(dense_value, rel=1e-4)
-
-    def test_power_iteration_agrees_with_eig(self, dense_small_adjacency):
-        reference = spectral_radius(dense_small_adjacency.toarray())
-        estimate = power_iteration_radius(dense_small_adjacency, n_iterations=500)
-        assert estimate == pytest.approx(reference, rel=1e-3)
 
     def test_doubly_stochastic_radius_is_one(self):
         assert spectral_radius(skew_compatibility(3, h=3.0)) == pytest.approx(1.0)
