@@ -56,6 +56,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -862,61 +863,66 @@ def _serve_router(args: argparse.Namespace) -> int:
         queue_dir=args.queue_dir,
         worker_args=worker_args,
     )
+    # SIGTERM takes the Ctrl-C path, so the finally below stops the workers
+    # instead of orphaning them.
+    signal.signal(signal.SIGTERM, _raise_interrupt)
+    server = None
     try:
-        router.start()
-    except ServeError as exc:
-        router.close()
-        raise CLIError(str(exc)) from exc
-    print(f"spawned {args.workers} worker(s): "
-          + ", ".join(h.url for h in router.workers))
-    if args.graph is not None:
-        _check_propagator(args.propagator)
-        payload = {
-            "name": args.name,
-            "propagator": args.propagator,
-            "method": args.method,
-            "fraction": args.fraction,
-            "seed": args.seed,
-            "iterations": args.iterations,
-            "tolerance": args.tolerance,
-            "localized": args.localized,
-        }
-        if args.from_store:
-            payload["store"] = args.from_store
-            payload["hash"] = args.graph
-        else:
-            if not Path(args.graph).exists():
-                router.close()
-                raise CLIError(f"graph file not found: {args.graph}")
-            payload["path"] = args.graph
-        status, body, _ = router.handle_load(payload)
-        if status != 201:
-            router.close()
-            raise CLIError(f"preload failed ({status}): "
-                           f"{body.decode('utf-8', 'replace')}")
-        owner = router.place(args.name)
-        print(f"loaded {args.name!r} on worker {owner}")
-    elif args.from_store:
-        router.close()
-        raise CLIError("--from-store needs a record hash as the GRAPH argument")
-    try:
-        server = make_router_server(
-            router, host=args.host, port=args.port, log_json=args.log_json
-        )
-    except OSError as exc:
-        router.close()
-        raise CLIError(f"could not bind {args.host}:{args.port}: {exc}") from exc
-    _write_port_file(args.port_file, server.server_address[1])
-    print(f"routing on http://{args.host}:{server.server_address[1]} "
-          f"[{args.workers} worker(s), placement by session name] — "
-          f"Ctrl-C to stop")
-    try:
+        try:
+            router.start()
+        except ServeError as exc:
+            raise CLIError(str(exc)) from exc
+        print(f"spawned {args.workers} worker(s): "
+              + ", ".join(h.url for h in router.workers))
+        if args.graph is not None:
+            _check_propagator(args.propagator)
+            payload = {
+                "name": args.name,
+                "propagator": args.propagator,
+                "method": args.method,
+                "fraction": args.fraction,
+                "seed": args.seed,
+                "iterations": args.iterations,
+                "tolerance": args.tolerance,
+                "localized": args.localized,
+            }
+            if args.from_store:
+                payload["store"] = args.from_store
+                payload["hash"] = args.graph
+            else:
+                if not Path(args.graph).exists():
+                    raise CLIError(f"graph file not found: {args.graph}")
+                payload["path"] = args.graph
+            status, body, _ = router.handle_load(payload)
+            if status != 201:
+                raise CLIError(f"preload failed ({status}): "
+                               f"{body.decode('utf-8', 'replace')}")
+            owner = router.place(args.name)
+            print(f"loaded {args.name!r} on worker {owner}")
+        elif args.from_store:
+            raise CLIError("--from-store needs a record hash as the GRAPH argument")
+        try:
+            server = make_router_server(
+                router, host=args.host, port=args.port, log_json=args.log_json
+            )
+        except OSError as exc:
+            raise CLIError(f"could not bind {args.host}:{args.port}: {exc}") from exc
+        _write_port_file(args.port_file, server.server_address[1])
+        print(f"routing on http://{args.host}:{server.server_address[1]} "
+              f"[{args.workers} worker(s), placement by session name] — "
+              f"Ctrl-C to stop")
         server.serve_forever()
     except KeyboardInterrupt:
         print("shutting down fleet")
     finally:
-        server.close()
+        if server is not None:
+            server.server_close()
+        router.close()
     return 0
+
+
+def _raise_interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
 
 
 def _command_serve(args: argparse.Namespace) -> int:

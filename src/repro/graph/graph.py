@@ -92,8 +92,9 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        """Number of undirected edges ``m`` (each edge counted once)."""
-        return int(self.adjacency.nnz // 2 + np.count_nonzero(self.adjacency.diagonal()))
+        """Number of undirected edges ``m`` (each pair and each self-loop once)."""
+        loops = np.count_nonzero(self.adjacency.diagonal())
+        return int((self.adjacency.nnz - loops) // 2 + loops)
 
     @property
     def average_degree(self) -> float:

@@ -18,8 +18,10 @@ as the ``linbp_echo`` propagator.
 and :func:`propagate_and_label` are thin backwards-compatible wrappers.  When
 called with a :class:`~repro.graph.graph.Graph`, the convergence scaling
 ``epsilon`` (which needs the graph's spectral radius) comes from the cached
-operator layer, so repeated runs on the same graph never re-run the power
-iteration.
+operator layer, so repeated runs on the same graph compute ``rho(W)`` once.
+A cold run (no warm start) sweeps only the rows its seeds have reached
+(:func:`~repro.utils.matrix.frontier_product`, bitwise the full sweep)
+until they hold a quarter of ``W``'s non-zeros.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.propagation.engine import (
     register_propagator,
 )
 from repro.propagation.push import LinearFixedPoint
-from repro.utils.matrix import center_columns, center_matrix
+from repro.utils.matrix import center_columns, center_matrix, frontier_product
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -213,22 +215,32 @@ class LinBPPropagator(Propagator):
         degrees = operators.degrees.astype(self.dtype) if echo else None
         echo_modulation = modulation @ modulation if echo else None
 
+        fused = None
         if not echo and kernels.use_fused_dense():
             ones = np.ones(operators.n_nodes, dtype=self.dtype)
-            step = kernels.make_fused_step(
-                adjacency, ones, ones, modulation, priors
-            )
-        else:
-            def step(current: np.ndarray, out: np.ndarray) -> np.ndarray:
+            fused = kernels.make_fused_step(adjacency, ones, ones, modulation, priors)
+        # Sweep l of a cold run is zero off the seeds' l-hop ball.
+        seeds = priors.any(axis=1)
+        reach = seeds if warm_start is None and not echo else None
+
+        def step(current: np.ndarray, out: np.ndarray) -> np.ndarray:
+            nonlocal reach
+            if reach is not None:
+                propagated, reach = frontier_product(adjacency, current, reach)
+                if reach is not None:
+                    reach |= seeds
+            elif fused is not None:
+                return fused(current, out)
+            else:
                 propagated = np.asarray(adjacency @ current)
-                np.matmul(propagated, modulation, out=out)
-                if echo:
-                    # Echo cancellation subtracts each node's own (modulated)
-                    # echo: F <- X + W F H - D F H^2 (linearized correction
-                    # term).
-                    out -= degrees[:, None] * (current @ echo_modulation)
-                out += priors
-                return out
+            np.matmul(propagated, modulation, out=out)
+            if echo:
+                # Echo cancellation subtracts each node's own (modulated)
+                # echo: F <- X + W F H - D F H^2 (linearized correction
+                # term).
+                out -= degrees[:, None] * (current @ echo_modulation)
+            out += priors
+            return out
 
         # The iterate lives in the (possibly centered) belief space, so a
         # previous result's beliefs resume the fixed point directly; the

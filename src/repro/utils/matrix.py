@@ -36,6 +36,7 @@ __all__ = [
     "frobenius_distance",
     "degree_vector",
     "degree_matrix",
+    "frontier_product",
     "safe_reciprocal",
     "row_normalized_adjacency",
     "column_normalized_adjacency",
@@ -240,6 +241,33 @@ def degree_vector(adjacency) -> np.ndarray:
 def degree_matrix(adjacency) -> sp.csr_matrix:
     """Return the diagonal degree matrix ``D`` of the adjacency matrix."""
     return sp.diags(degree_vector(adjacency), format="csr")
+
+
+FRONTIER_SHARE = 0.25  # past this share of nnz(W) a row slice costs a full product
+
+
+def frontier_product(
+    adjacency: sp.csr_matrix, block: np.ndarray, support: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``W @ block`` for a ``block`` that is zero off the row mask ``support``.
+
+    Returns the product and the mask of rows it can reach.  While ``support``
+    holds at most :data:`FRONTIER_SHARE` of ``W``'s non-zeros, only those rows
+    are read, as ``W[:, rows] = W[rows].T`` (``W`` symmetric), at
+    O(nnz(W[rows]) k + n k) instead of O(nnz(W) k).  Each row sums the same
+    terms in ascending column order, so with sorted indices (scipy's canonical
+    CSR) the result is bitwise ``W @ block``.  Past the cut, or for
+    ``support=None``, it is the plain product with reach ``None``.
+    """
+    if support is not None:
+        rows = np.flatnonzero(support)
+        indptr = adjacency.indptr
+        if (indptr[rows + 1] - indptr[rows]).sum() <= FRONTIER_SHARE * adjacency.nnz:
+            reached = adjacency[rows]
+            reach = np.zeros(adjacency.shape[0], dtype=bool)
+            reach[reached.indices] = True
+            return np.asarray(reached.T @ block[rows]), reach
+    return np.asarray(adjacency @ block), None
 
 
 def row_normalized_adjacency(adjacency) -> sp.csr_matrix:

@@ -102,6 +102,12 @@ class TestGraphConstruction:
         graph = Graph.from_dense(dense)
         assert graph.n_edges == 1
 
+    def test_self_loops_count_once_each(self):
+        graph = Graph.from_dense(np.array([[1.0, 0, 0], [0, 1, 1], [0, 1, 0]]))
+        assert graph.n_edges == 3
+        assert graph.average_degree == pytest.approx(2.0)
+        assert Graph.from_dense(np.eye(3)).n_edges == 3
+
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError):
             Graph(adjacency=np.array([[0.0, 1.0], [0.0, 0.0]]))

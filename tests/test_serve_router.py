@@ -23,6 +23,8 @@ import http.client
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -30,6 +32,7 @@ import urllib.request
 
 import pytest
 
+import repro
 from repro import cli
 from repro.core.compatibility import skew_compatibility
 from repro.graph.generator import generate_graph
@@ -540,3 +543,52 @@ class TestSpawnFailures:
         with pytest.raises(ServeError):
             router.start()
         router.close()
+
+
+# ---------------------------------------------------------------- signals
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestSignals:
+    def test_sigterm_to_the_router_stops_its_workers(self, tmp_path):
+        port_file = tmp_path / "router.port"
+        env = dict(os.environ)
+        src = str(os.path.dirname(os.path.dirname(repro.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        router = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--workers", "1",
+             "--port", "0", "--port-file", str(port_file),
+             "--queue-dir", str(tmp_path / "q")],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+        )
+        worker_pid = None
+        try:
+            deadline = time.monotonic() + 120.0
+            while not (port_file.exists() and port_file.read_text().strip()):
+                assert router.poll() is None, "router exited before binding"
+                assert time.monotonic() < deadline, "router never bound"
+                time.sleep(0.1)
+            base = f"http://127.0.0.1:{int(port_file.read_text())}"
+            _, body = request(base, "GET", "/fleet")
+            worker_pid = body["workers"][0]["pid"]
+            assert _alive(worker_pid)
+
+            router.send_signal(signal.SIGTERM)
+            router.wait(timeout=30.0)
+            deadline = time.monotonic() + 10.0
+            while _alive(worker_pid) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not _alive(worker_pid), "SIGTERM orphaned the worker"
+        finally:
+            if router.poll() is None:
+                router.kill()
+                router.wait(timeout=10.0)
+            if worker_pid is not None and _alive(worker_pid):
+                os.kill(worker_pid, signal.SIGKILL)
