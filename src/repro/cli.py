@@ -768,10 +768,8 @@ def _command_stream(args: argparse.Namespace) -> int:
     if prequential.get("scored"):
         drift = (quality.get("drift") or {}).get("value")
         churn = quality.get("churn") or {}
-        line = (f"prequential accuracy: {prequential['accuracy']:.4f} "
-                f"({prequential['scored']} reveals scored, "
-                f"top-{prequential['top_k']} hits {prequential['topk_hits']})")
-        print(line)
+        print(f"prequential accuracy: {prequential['accuracy']:.4f} "
+              f"({prequential['scored']} reveals scored)")
         print(f"belief churn: {churn.get('flips_total', 0)} argmax flips"
               + (f"; compatibility drift: {drift:.4f}" if drift is not None else ""))
 

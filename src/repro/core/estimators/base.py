@@ -87,12 +87,6 @@ class BaseEstimator(abc.ABC):
                 graph, seed_labels, explicit
             )
         elapsed = time.perf_counter() - start
-        if obs.enabled():
-            obs.metrics().histogram(
-                "repro_estimator_fit_seconds",
-                "Wall time of one compatibility-estimator fit.",
-                method=self.method_name,
-            ).observe(elapsed)
         return EstimationResult(
             compatibility=compatibility,
             method=self.method_name,

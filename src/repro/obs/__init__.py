@@ -30,13 +30,14 @@ Fleet layer (PR 8), built on those primitives:
 * **SLOs** — :class:`SloSpec` rules (JSON) evaluated by the recorder;
   firing rules degrade ``GET /healthz`` and surface on ``GET /alerts``.
 * **Sampling** — ``REPRO_TRACE_SAMPLE`` / :func:`configure_sampling`
-  head-sample traces (slow spans always kept); sampled observations
-  leave exemplar trace ids on histogram buckets.
+  head-sample traces (slow spans always kept).
 
 Metric naming scheme: ``repro_<subsystem>_<metric>[_<unit>]`` with
 labels for dimensions, e.g. ``repro_engine_solve_seconds{propagator}``,
-``repro_serve_queries_total{graph}``, ``repro_push_frontier_size``.
-Counters end in ``_total``; timings are histograms in seconds.
+``repro_serve_queries_total{graph}``, ``repro_batcher_queue_depth``.
+Counters end in ``_total``; timings are histograms in seconds.  Every
+family has a reader (a test, CI smoke, SLO spec or ``repro top``);
+``tests/test_obs_families.py`` names it.
 """
 
 from __future__ import annotations
@@ -46,10 +47,7 @@ from contextlib import contextmanager
 
 from repro.obs._flags import enabled, set_enabled
 from repro.obs.registry import (
-    ITERATION_BUCKETS,
     LATENCY_BUCKETS,
-    RESIDUAL_BUCKETS,
-    SIZE_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -108,9 +106,6 @@ __all__ = [
     "diff_snapshots",
     "render_prometheus",
     "LATENCY_BUCKETS",
-    "SIZE_BUCKETS",
-    "ITERATION_BUCKETS",
-    "RESIDUAL_BUCKETS",
     "span",
     "Span",
     "SpanContext",

@@ -26,7 +26,6 @@ import threading
 from bisect import bisect_left
 from typing import Iterable, Mapping
 
-from repro.obs import trace as _trace
 from repro.obs._flags import enabled
 
 __all__ = [
@@ -37,28 +36,13 @@ __all__ = [
     "diff_snapshots",
     "render_prometheus",
     "LATENCY_BUCKETS",
-    "SIZE_BUCKETS",
-    "ITERATION_BUCKETS",
-    "RESIDUAL_BUCKETS",
 ]
 
-# Default bucket ladders.  Latencies span 100us..30s (the serve p99 at
-# 60k nodes is ~3ms, a cold 1M-node solve tens of seconds); sizes are a
-# power-of-two ladder covering batch sizes up to 1M-edge frontiers;
-# iteration counts cover fixed-point solves; residuals are decades down
-# to numerical noise.
+# Default bucket ladder: latencies span 100us..30s (the serve p99 at 60k
+# nodes is ~3ms, a cold 1M-node solve tens of seconds).
 LATENCY_BUCKETS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
-)
-SIZE_BUCKETS = (
-    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
-    4096.0, 16384.0, 65536.0, 262144.0, 1048576.0,
-)
-ITERATION_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
-RESIDUAL_BUCKETS = (
-    1e-14, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3,
-    1e-2, 1e-1, 1.0,
 )
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -125,17 +109,9 @@ class Histogram:
     catches everything beyond the last bound.  Quantiles interpolate
     linearly inside the selected bucket, which is exact enough for the
     p50/p95/p99 dashboards this feeds (and costs no sample storage).
-
-    While tracing is active, each observation made inside a *sampled*
-    span leaves an **exemplar** — the observed value plus its trace id —
-    on the bucket it landed in (last write wins, so memory stays one slot
-    per bucket).  ``repro stats --trace-id`` then turns "the p99 got
-    worse" into "here is a whole request tree that slow".  Exemplars are
-    point-in-time debug state: excluded from snapshots/merges, rendered
-    only on request (OpenMetrics syntax).
     """
 
-    __slots__ = ("_lock", "buckets", "counts", "sum", "count", "exemplars")
+    __slots__ = ("_lock", "buckets", "counts", "sum", "count")
     kind = "histogram"
 
     def __init__(self, lock: threading.RLock, buckets: Iterable[float]):
@@ -147,7 +123,6 @@ class Histogram:
         self.counts = [0] * (len(bounds) + 1)  # final slot is +Inf
         self.sum = 0.0
         self.count = 0
-        self.exemplars: dict[int, dict] = {}
 
     def observe(self, value: float) -> None:
         if not enabled():
@@ -158,13 +133,6 @@ class Histogram:
             self.counts[index] += 1
             self.sum += value
             self.count += 1
-        if _trace.tracing_active():
-            context = _trace.current_context()
-            if context is not None and getattr(context, "sampled", True):
-                with self._lock:
-                    self.exemplars[index] = {
-                        "value": value, "trace_id": context.trace_id,
-                    }
 
     def quantile(self, q: float) -> float:
         """Estimate the q-quantile (q in [0, 1]) from bucket counts."""
@@ -223,7 +191,7 @@ class MetricsRegistry:
         self._lock = threading.RLock()
         self._families: dict[str, _Family] = {}
         # (name, kind, label_key) -> instrument.  Lookups on the hot path
-        # (engine/push record a dozen instruments per solve) hit this flat
+        # (every solve and request records a few instruments) hit this flat
         # dict without taking the lock or re-validating names — safe under
         # the GIL because entries are only ever added for instruments that
         # already passed the slow path, and cleared wholesale on reset.
@@ -383,8 +351,8 @@ class MetricsRegistry:
 
     # -- exposition -----------------------------------------------------------
 
-    def render_prometheus(self, exemplars: bool = False) -> str:
-        return render_prometheus([self], exemplars=exemplars)
+    def render_prometheus(self) -> str:
+        return render_prometheus([self])
 
 
 def diff_snapshots(before: dict, after: dict) -> dict:
@@ -465,29 +433,12 @@ def _format_labels(pairs) -> str:
     return "{" + body + "}"
 
 
-def _exemplar_suffix(instrument, index: int) -> str:
-    """OpenMetrics exemplar tail for one bucket line, or ''."""
-    exemplar = instrument.exemplars.get(index)
-    if exemplar is None:
-        return ""
-    return (
-        f' # {{trace_id="{_escape_label_value(exemplar["trace_id"])}"}}'
-        f' {_format_value(exemplar["value"])}'
-    )
-
-
-def render_prometheus(registries, exemplars: bool = False) -> str:
+def render_prometheus(registries) -> str:
     """Prometheus text exposition (format 0.0.4) for one or more registries.
 
     When multiple registries carry the same family name (e.g. a private
     service registry plus the process-global one), the first registry's
     family wins — callers keep family names disjoint by convention.
-
-    ``exemplars=True`` appends OpenMetrics-style exemplar tails
-    (``# {trace_id="..."} value``) to histogram bucket lines that have
-    one.  The default output stays plain 0.0.4 so render -> parse ->
-    re-render remains an identity (the parser tolerates and drops the
-    tails either way).
     """
     lines: list[str] = []
     seen: set[str] = set()
@@ -507,17 +458,12 @@ def render_prometheus(registries, exemplars: bool = False) -> str:
                     for index, bound in enumerate(instrument.buckets):
                         cumulative += instrument.counts[index]
                         bucket_pairs = pairs + [("le", _format_value(bound))]
-                        tail = _exemplar_suffix(instrument, index) if exemplars else ""
                         lines.append(
-                            f"{name}_bucket{_format_labels(bucket_pairs)} {cumulative}{tail}"
+                            f"{name}_bucket{_format_labels(bucket_pairs)} {cumulative}"
                         )
                     cumulative += instrument.counts[-1]
-                    tail = (
-                        _exemplar_suffix(instrument, len(instrument.buckets))
-                        if exemplars else ""
-                    )
                     lines.append(
-                        f"{name}_bucket{_format_labels(pairs + [('le', '+Inf')])} {cumulative}{tail}"
+                        f"{name}_bucket{_format_labels(pairs + [('le', '+Inf')])} {cumulative}"
                     )
                     lines.append(f"{name}_sum{_format_labels(pairs)} {_format_value(instrument.sum)}")
                     lines.append(f"{name}_count{_format_labels(pairs)} {cumulative}")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro import obs
 from repro.utils.matrix import to_csr
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive
@@ -171,7 +170,6 @@ def lanczos_spectral_state(
     the input is assumed, not checked.
     """
     check_positive(max_steps, "max_steps")
-    warm_started = v0 is not None
     n = matrix.shape[0]
     if n == 0:
         return SpectralState(0.0, np.zeros(0), 0)
@@ -189,17 +187,6 @@ def lanczos_spectral_state(
     radius, ritz_vector, n_steps, residual_bound, _ = _lanczos(
         matrix, vector / norm, max_steps, tolerance, keep_basis=True
     )
-    if obs.enabled():
-        registry = obs.metrics()
-        warm = "warm" if warm_started else "cold"
-        registry.counter(
-            "repro_lanczos_runs_total", "Lanczos spectral-state computations.",
-            start=warm,
-        ).inc()
-        registry.histogram(
-            "repro_lanczos_steps", "Lanczos steps (matvecs) per run.",
-            buckets=obs.ITERATION_BUCKETS, start=warm,
-        ).observe(n_steps)
     return SpectralState(radius, ritz_vector, n_steps, residual_bound)
 
 

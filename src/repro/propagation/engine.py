@@ -336,7 +336,7 @@ class Propagator(abc.ABC):
         beliefs, n_iterations, converged, residuals, details = outcome[:5]
         state = outcome[5] if len(outcome) > 5 else {}
         elapsed = time.perf_counter() - start
-        self._record_solve(path, n_iterations, converged, residuals, elapsed)
+        self._record_solve(path, converged, elapsed)
 
         labels = labels_from_one_hot(beliefs)
         if seed_labels is not None:
@@ -354,10 +354,7 @@ class Propagator(abc.ABC):
             state=state,
         )
 
-    def _record_solve(
-        self, path: str, n_iterations: int, converged: bool,
-        residuals: list[float], elapsed: float,
-    ) -> None:
+    def _record_solve(self, path: str, converged: bool, elapsed: float) -> None:
         """Publish per-solve metrics (no-op under ``REPRO_OBS=off``)."""
         if not obs.enabled():
             return
@@ -370,16 +367,6 @@ class Propagator(abc.ABC):
             "repro_engine_solve_seconds", "Wall time of one propagation solve.",
             propagator=self.name,
         ).observe(elapsed)
-        registry.histogram(
-            "repro_engine_iterations", "Fixed-point sweeps (or push rounds) per solve.",
-            buckets=obs.ITERATION_BUCKETS, propagator=self.name,
-        ).observe(n_iterations)
-        if residuals:
-            registry.histogram(
-                "repro_engine_final_residual",
-                "Max-norm residual at solve termination.",
-                buckets=obs.RESIDUAL_BUCKETS, propagator=self.name,
-            ).observe(residuals[-1])
         if not converged:
             registry.counter(
                 "repro_engine_nonconverged_total",

@@ -81,29 +81,7 @@ def set_backend(name: str | None = None) -> str:
     requested = name if name is not None else os.environ.get("REPRO_KERNELS", "auto")
     requested = requested.strip().lower() or "auto"
     _active_name, _active_module = _resolve(requested)
-    _record_selection(requested, _active_name)
     return _active_name
-
-
-def _record_selection(requested: str, resolved: str) -> None:
-    """Publish the backend choice (info gauge: exactly one backend at 1)."""
-    # Imported lazily: set_backend() runs at module import, possibly before
-    # the repro package finished initializing.
-    from repro import obs
-
-    if not obs.enabled():
-        return
-    registry = obs.metrics()
-    for candidate in ("numpy", "numba"):
-        registry.gauge(
-            "repro_kernels_backend_info",
-            "Active kernel backend (1 on the selected backend's series).",
-            backend=candidate,
-        ).set(1.0 if candidate == resolved else 0.0)
-    registry.counter(
-        "repro_kernels_selections_total", "Kernel backend selections.",
-        requested=requested, resolved=resolved,
-    ).inc()
 
 
 def active_backend() -> str:

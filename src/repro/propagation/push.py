@@ -39,42 +39,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro import obs
 from repro.propagation import kernels
 
 __all__ = ["LinearFixedPoint", "LocalizedHint", "solve_localized"]
-
-
-def _record_push_metrics(stats: dict, rounds: int) -> None:
-    """Publish frontier/touched-nnz figures for one localized solve."""
-    if not obs.enabled():
-        return
-    registry = obs.metrics()
-    backend = stats["kernel_backend"]
-    registry.counter(
-        "repro_push_solves_total", "Residual-push localized solves.",
-        backend=backend,
-    ).inc()
-    registry.histogram(
-        "repro_push_rounds", "Push rounds per localized solve.",
-        buckets=obs.ITERATION_BUCKETS,
-    ).observe(rounds)
-    registry.histogram(
-        "repro_push_frontier_size", "Initial frontier rows per localized solve.",
-        buckets=obs.SIZE_BUCKETS,
-    ).observe(stats["initial_frontier"])
-    registry.histogram(
-        "repro_push_max_frontier", "Peak frontier rows per localized solve.",
-        buckets=obs.SIZE_BUCKETS,
-    ).observe(stats["max_frontier"])
-    registry.histogram(
-        "repro_push_seed_rows", "Rows residual-seeded per localized solve.",
-        buckets=obs.SIZE_BUCKETS,
-    ).observe(stats["seed_rows"])
-    registry.counter(
-        "repro_push_touched_nnz_total",
-        "Stored nonzeros visited by localized solves.",
-    ).inc(stats["touched_nnz"])
 
 
 @dataclass
@@ -189,5 +156,4 @@ def solve_localized(
         "max_frontier": int(max_frontier),
         "touched_nnz": int(seeded_nnz) + int(pushed_nnz),
     }
-    _record_push_metrics(stats, int(rounds))
     return beliefs, int(rounds), bool(converged), history[:rounds].tolist(), stats

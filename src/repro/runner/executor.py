@@ -227,7 +227,7 @@ def _result_payload(record: ExperimentResult) -> tuple[dict, dict]:
 
 
 def _record_run_metrics(outcome: RunOutcome) -> None:
-    """Tally one run on the metrics registry (status, wall time, phases)."""
+    """Tally one run on the metrics registry (status, wall time)."""
     if not obs.enabled():
         return
     registry = obs.metrics()
@@ -241,14 +241,6 @@ def _record_run_metrics(outcome: RunOutcome) -> None:
         registry.histogram(
             "repro_runner_run_seconds", "End-to-end wall time of one grid run."
         ).observe(total)
-    for phase in ("estimation", "propagation"):
-        seconds = outcome.timing.get(f"{phase}_seconds")
-        if seconds is not None:
-            registry.histogram(
-                "repro_runner_phase_seconds",
-                "Per-phase wall time inside one grid run.",
-                phase=phase,
-            ).observe(seconds)
 
 
 def _execute_one(graph: Graph, spec: RunSpec, timeout: float | None) -> RunOutcome:

@@ -19,7 +19,6 @@ import sys
 
 import numpy as np
 
-from repro import obs
 from repro.eval.experiment import ExperimentResult
 from repro.eval.reporting import sweep_to_markdown
 from repro.eval.sweeps import SweepResult
@@ -47,21 +46,9 @@ class ProgressPrinter:
         self.done = 0
         self.stream = stream if stream is not None else sys.stdout
         self.enabled = enabled
-        registry = obs.metrics()
-        self._g_done = registry.gauge(
-            "repro_runner_progress_done",
-            "Completed runs in the current grid execution.",
-        )
-        self._g_total = registry.gauge(
-            "repro_runner_progress_total",
-            "Planned runs in the current grid execution.",
-        )
-        self._g_total.set(total)
-        self._g_done.set(0)
 
     def __call__(self, outcome: RunOutcome) -> None:
         self.done += 1
-        self._g_done.set(self.done)
         if not self.enabled:
             return
         if outcome.status == "cached":

@@ -107,27 +107,6 @@ class MicroBatcher:
         self._c_flushes = registry.counter(
             "repro_batcher_flushes_total", "Batcher flush cycles executed."
         )
-        self._h_flush_size = registry.histogram(
-            "repro_batcher_flush_size", "Requests drained per flush cycle.",
-            buckets=obs.SIZE_BUCKETS,
-        )
-        self._c_items = {
-            kind: registry.counter(
-                "repro_batcher_items_total",
-                "Requests flushed through the batcher, by kind.",
-                kind=kind,
-            )
-            for kind in ("query", "delta")
-        }
-        # items_total / batches_total per kind = the coalesce ratio.
-        self._c_batches = {
-            kind: registry.counter(
-                "repro_batcher_batches_total",
-                "Coalesced service calls issued by the batcher, by kind.",
-                kind=kind,
-            )
-            for kind in ("query", "delta")
-        }
         if start:
             self.start()
 
@@ -294,7 +273,6 @@ class MicroBatcher:
         self.n_flushes += 1
         self.largest_batch = max(self.largest_batch, len(batch))
         self._c_flushes.inc()
-        self._h_flush_size.observe(len(batch))
         self._g_queue_depth.set(len(self._queue))
 
         # Per graph: all deltas first (one propagation), then all queries
@@ -308,8 +286,6 @@ class MicroBatcher:
         for graph, pendings in deltas.items():
             self.n_deltas += len(pendings)
             self.n_delta_batches += 1
-            self._c_items["delta"].inc(len(pendings))
-            self._c_batches["delta"].inc()
             call_start = time.perf_counter()
             try:
                 # One deferred-mode sibling cannot hold eager callers back:
@@ -346,8 +322,6 @@ class MicroBatcher:
         for graph, pendings in queries.items():
             self.n_queries += len(pendings)
             self.n_query_batches += 1
-            self._c_items["query"].inc(len(pendings))
-            self._c_batches["query"].inc()
             call_start = time.perf_counter()
             try:
                 results = self.service.query_many(

@@ -13,7 +13,7 @@ dependencies) exposing:
   incremental / localized) plus cumulative touched-nonzeros and the active
   kernel backend;
 * ``GET /graphs/<name>/quality`` — model-quality telemetry (prequential
-  accuracy, belief churn, calibration, compatibility drift) and
+  accuracy, belief churn, compatibility drift) and
   ``GET /quality`` — the same for every resident graph plus an
   instance-level rollup;
 * ``POST /graphs/<name>/delta`` — apply a delta (the JSONL event-record

@@ -162,17 +162,13 @@ class Router:
         self._local = threading.local()  # per-thread keep-alive connections
         self._stop = threading.Event()
         self._supervisor: threading.Thread | None = None
+        # Plain tallies for stats(), counting under REPRO_OBS=off too
+        # (recoveries are the workers' own restart counts).
+        self.proxied = 0  # requests proxied to workers
+        self.retries = 0  # proxied requests retried after a recovery
+        self._tallies_lock = threading.Lock()
         self._c_proxied = self.registry.counter(
-            "repro_router_proxied_total",
-            "Requests proxied to workers, by method.",
-        )
-        self._c_recoveries = self.registry.counter(
-            "repro_router_recoveries_total",
-            "Dead workers respawned with their sessions re-placed.",
-        )
-        self._c_retries = self.registry.counter(
-            "repro_router_retries_total",
-            "Proxied requests retried after a worker recovery.",
+            "repro_router_proxied_total", "Requests proxied to workers.",
         )
 
     # ------------------------------------------------------------ lifecycle
@@ -346,7 +342,6 @@ class Router:
                     return False  # genuinely alive: transient network blip
             self._spawn(handle)
             handle.restarts += 1
-            self._c_recoveries.inc()
             for name, payload in sorted(handle.loads.items()):
                 body = dict(payload)
                 body["recover"] = True
@@ -426,13 +421,16 @@ class Router:
         queries are idempotent by construction.
         """
         handle = self.worker_for(name)
+        with self._tallies_lock:
+            self.proxied += 1
         self._c_proxied.inc()
         generation = handle.generation
         try:
             return self._raw_request(handle, method, path, body)
         except (OSError, http.client.HTTPException):
             self.recover(handle.index, generation)
-            self._c_retries.inc()
+            with self._tallies_lock:
+                self.retries += 1
             try:
                 return self._raw_request(handle, method, path, body, fresh=True)
             except (OSError, http.client.HTTPException) as exc:
@@ -618,9 +616,9 @@ class Router:
             "role": "router",
             "uptime_seconds": time.time() - self.started_at,
             "n_workers": self.n_workers,
-            "proxied": int(self._c_proxied.value),
-            "recoveries": int(self._c_recoveries.value),
-            "retries": int(self._c_retries.value),
+            "proxied": self.proxied,
+            "recoveries": sum(handle.restarts for handle in self.workers),
+            "retries": self.retries,
             "workers": workers,
         }
 

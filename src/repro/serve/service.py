@@ -198,12 +198,12 @@ class DeltaBatchResult:
 class _ServedGraph:
     """One named session plus its version counters and tallies.
 
-    The *consistency tokens* (``graph_version``, ``belief_version``) and
-    the staleness counters stay plain integers — read-your-writes semantics
-    and the staleness metadata depend on them, so they must keep counting
-    even under ``REPRO_OBS=off``.  The *telemetry* tallies (query and
-    delta counts) live on the metrics registry, labeled by graph name;
-    solve counts are the session's own per-mode registry series.
+    Every count here is a plain integer — the consistency tokens
+    (``graph_version``, ``belief_version``), the staleness counters and
+    the query/delta tallies — so all of them keep counting under
+    ``REPRO_OBS=off``; solve counts are the session's own ``mode_counts``.
+    The query and delta tallies are mirrored into registry counters,
+    labeled by graph name, for ``/metrics``.
     """
 
     def __init__(self, name: str, session: StreamingSession, source: dict,
@@ -229,34 +229,16 @@ class _ServedGraph:
         self.last_used = 0
         self.load_state: dict | None = None
         self.evicted = False
-        labels = {"graph": name}
+        self.n_queries = 0
+        self.n_deltas = 0
         self._c_queries = self.registry.counter(
             "repro_serve_queries_total", "Queries answered per served graph.",
-            **labels,
+            graph=name,
         )
         self._c_deltas = self.registry.counter(
             "repro_serve_deltas_total", "Deltas accepted per served graph.",
-            **labels,
+            graph=name,
         )
-        self._h_query = self.registry.histogram(
-            "repro_serve_query_seconds",
-            "Wall time of one (possibly batched) query_many call.",
-            **labels,
-        )
-        self._h_delta = self.registry.histogram(
-            "repro_serve_delta_seconds",
-            "Wall time of one coalesced delta batch (apply + propagate).",
-            **labels,
-        )
-
-    # -- registry-backed read-back properties (legacy attribute names) ------
-    @property
-    def n_queries(self) -> int:
-        return int(self._c_queries.value)
-
-    @property
-    def n_deltas(self) -> int:
-        return int(self._c_deltas.value)
 
     @property
     def n_incremental(self) -> int:
@@ -275,10 +257,14 @@ class _ServedGraph:
         return sum(self.session.mode_counts.values())
 
     # Callers hold session.lock for everything below.
-    def record_queries(self, n_answered: int, seconds: float) -> None:
+    def record_queries(self, n_answered: int) -> None:
+        self.n_queries += n_answered
         self._c_queries.inc(n_answered)
         self.queries_since_refresh += n_answered
-        self._h_query.observe(seconds)
+
+    def record_deltas(self, n_applied: int) -> None:
+        self.n_deltas += n_applied
+        self._c_deltas.inc(n_applied)
 
     def record_solve(self) -> None:
         self.belief_version += 1
@@ -367,14 +353,8 @@ class InferenceService:
         self._registry_lock = threading.RLock()
         self._use_counter = itertools.count(1)
         self._reload_locks: dict[str, threading.Lock] = {}
-        self._c_evictions = self.registry.counter(
-            "repro_serve_evictions_total",
-            "Sessions evicted to a reload stub by the LRU bound.",
-        )
-        self._c_reloads = self.registry.counter(
-            "repro_serve_reloads_total",
-            "Evicted sessions transparently rebuilt on touch.",
-        )
+        self.evictions = 0  # sessions evicted to a reload stub
+        self.reloads = 0  # evicted sessions rebuilt on touch
 
     # ------------------------------------------------------------- registry
     def graph_names(self) -> list[str]:
@@ -589,16 +569,11 @@ class InferenceService:
             [delta for _, delta in entries]
         )
         served.graph_version = entries[-1][0]
-        served._c_deltas.inc(applied)
+        served.record_deltas(applied)
         # rehydrate() already propagated; stamp the solve so the belief
         # version advances and propagated_version covers the replay.
         if step is not None:
             served.record_solve()
-        self.registry.counter(
-            "repro_serve_replayed_deltas_total",
-            "Redo-log deltas re-applied during session recovery.",
-            graph=served.name,
-        ).inc(applied)
         if errors:  # should be impossible: same base graph, same order
             self.registry.counter(
                 "repro_serve_replay_errors_total",
@@ -685,7 +660,7 @@ class InferenceService:
             # on reload, like any (re)load.  Counter consumers (the
             # time-series recorder, federation) already clamp resets.
             self.registry.reset_children(graph=name)
-        self._c_evictions.inc()
+            self.evictions += 1
         return True
 
     def _reload_lock(self, name: str) -> threading.Lock:
@@ -748,7 +723,7 @@ class InferenceService:
                 self._evicted.pop(name, None)
                 self._graphs[name] = served
                 served.last_used = next(self._use_counter)
-            self._c_reloads.inc()
+                self.reloads += 1
         self._maybe_evict(keep=name)
 
     def unload(self, name: str) -> dict:
@@ -804,8 +779,7 @@ class InferenceService:
 
         The session's :class:`~repro.obs.quality.QualityMonitor` view:
         prequential (test-then-train) accuracy against revealed labels,
-        belief churn, the calibration table, and the compatibility-drift
-        gauge.  All-zero while ``REPRO_OBS=off``.
+        belief churn, and the compatibility-drift gauge.  All-zero while ``REPRO_OBS=off``.
         """
         served = self._served(name)
         return {"graph": name, **served.session.quality_summary()}
@@ -863,7 +837,6 @@ class InferenceService:
         queue is intact) into a loud error instead of a silently stale
         read.
         """
-        query_start = time.perf_counter()
         with self._locked(name) as served, obs.span(
             "serve.query", graph=name, n_requests=len(requests)
         ):
@@ -952,7 +925,7 @@ class InferenceService:
             n_answered = sum(
                 1 for out in outputs if isinstance(out, QueryResult)
             )
-            served.record_queries(n_answered, time.perf_counter() - query_start)
+            served.record_queries(n_answered)
             return outputs
 
     # --------------------------------------------------------------- deltas
@@ -992,7 +965,6 @@ class InferenceService:
         token instead of being applied twice (a router re-sending after a
         worker death cannot double-apply).
         """
-        delta_start = time.perf_counter()
         if delta_ids is not None and len(delta_ids) != len(deltas):
             raise ServeError(
                 f"delta_ids length {len(delta_ids)} != deltas length "
@@ -1037,7 +1009,7 @@ class InferenceService:
                 errors.append(None)
                 tokens.append(served.graph_version)
                 n_applied += 1
-                served._c_deltas.inc()
+                served.record_deltas(1)
             mode = reason = None
             propagate_seconds = 0.0
             propagated = False
@@ -1061,7 +1033,6 @@ class InferenceService:
                     drift=monitor.last_drift,
                     churn_flips_total=monitor.flips_total,
                 )
-            served._h_delta.observe(time.perf_counter() - delta_start)
             return DeltaBatchResult(
                 name=name,
                 n_deltas=len(deltas),
@@ -1133,8 +1104,8 @@ class InferenceService:
             "n_resident": len(graphs),
             "n_evicted": len(stubs),
             "max_sessions": self.max_sessions,
-            "evictions": int(self._c_evictions.value),
-            "reloads": int(self._c_reloads.value),
+            "evictions": self.evictions,
+            "reloads": self.reloads,
             "durable_queue": (
                 None if self.queue is None else str(self.queue.directory)
             ),

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro import obs
 from repro.propagation.engine import PropagationResult, Propagator
 from repro.propagation.push import LocalizedHint
 
@@ -193,12 +192,6 @@ class IncrementalPropagator:
         is only consulted when the decision lands on ``"localized"``.
         """
         decision = self.decide(previous, delta_fraction, radius_drift, force_full)
-        if obs.enabled():
-            obs.metrics().counter(
-                "repro_stream_decisions_total",
-                "Incremental-propagation policy decisions by mode and reason.",
-                mode=decision.mode, reason=decision.reason,
-            ).inc()
         warm_start = previous if decision.mode in ("incremental", "localized") else None
         localized = None
         if decision.mode == "localized":

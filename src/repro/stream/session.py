@@ -60,9 +60,8 @@ from repro.stream.incremental import (
 
 __all__ = ["StreamStep", "StreamingSession"]
 
-# Unique per-session metric label so every session's lifetime counters stay
-# separate on the (by default process-global) registry — tests and the serve
-# layer read back exactly one session's counts.
+# Unique per-session metric label so every session's series stay separate
+# on the (by default process-global) registry.
 _SESSION_IDS = itertools.count()
 
 # Warm Lanczos restarts: few steps, tight Ritz tolerance — the estimate must
@@ -247,11 +246,13 @@ class StreamingSession:
         self._spectral: SpectralState | None = None
         self._anchor_radius: float | None = None
         self._edges_since_anchor = 0
-        # Lifetime counters live on the metrics registry (PR 6's bespoke
-        # dict/int fields became the `mode_counts` / `touched_nnz_total`
-        # read-back properties).  A unique `session` label isolates this
+        # Lifetime counts are plain session state, so they keep counting
+        # under REPRO_OBS=off; the per-mode solve counts are mirrored into
+        # registry counters.  A unique `session` label isolates this
         # session's series; `metric_labels` adds caller dimensions (the
         # serve layer tags the graph name).
+        self.mode_counts = {"full": 0, "incremental": 0, "localized": 0}
+        self.touched_nnz_total = 0
         self.registry = registry if registry is not None else obs.metrics()
         labels = {"session": f"s{next(_SESSION_IDS)}"}
         if metric_labels:
@@ -262,13 +263,8 @@ class StreamingSession:
                 "Streaming solves by decision mode.",
                 mode=mode, **labels,
             )
-            for mode in ("full", "incremental", "localized")
+            for mode in self.mode_counts
         }
-        self._touched_counter = self.registry.counter(
-            "repro_stream_touched_nnz_total",
-            "Stored nonzeros visited by streaming solves.",
-            **labels,
-        )
         # M = X^T W X over the seed-labeled subgraph (the paper's l=1
         # statistic) is exact session state like the adjacency it
         # summarizes: seeded here, advanced by every applied delta
@@ -280,9 +276,7 @@ class StreamingSession:
         # observation: its hooks run only while obs is enabled and never
         # write anything propagation reads.  The drift gauge reads the
         # counts above, so it starts from the same evidence DCE saw.
-        self.quality = obs.QualityMonitor(
-            graph.n_classes, registry=self.registry, labels=labels,
-        )
+        self.quality = obs.QualityMonitor(registry=self.registry, labels=labels)
         if obs.enabled():
             self.quality.refresh_drift(self.counts, self.compatibility)
 
@@ -291,16 +285,6 @@ class StreamingSession:
     def propagator(self) -> Propagator:
         """The wrapped propagation algorithm."""
         return self.incremental.propagator
-
-    @property
-    def mode_counts(self) -> dict:
-        """Per-mode solve counts, read back from the metrics registry."""
-        return {mode: int(c.value) for mode, c in self._mode_counters.items()}
-
-    @property
-    def touched_nnz_total(self) -> int:
-        """Total stored nonzeros visited, read back from the registry."""
-        return int(self._touched_counter.value)
 
     @property
     def _tracks_spectrum(self) -> bool:
@@ -401,13 +385,7 @@ class StreamingSession:
 
         self._pending.absorb(delta, application.touched_nodes)
         self._edges_since_anchor += delta.n_changed_edges
-        elapsed = time.perf_counter() - start
-        if obs.enabled():
-            obs.metrics().histogram(
-                "repro_stream_apply_seconds",
-                "Delta application (CSR mutation + label bookkeeping) time.",
-            ).observe(elapsed)
-        return elapsed
+        return time.perf_counter() - start
 
     # -------------------------------------------------------------- propagate
     def _refresh_spectral(
@@ -469,13 +447,7 @@ class StreamingSession:
         drift = None
         if self._anchor_radius:
             drift = abs(state.radius - self._anchor_radius) / self._anchor_radius
-        elapsed = time.perf_counter() - start
-        if obs.enabled():
-            obs.metrics().histogram(
-                "repro_stream_spectral_seconds",
-                "Warm Lanczos spectral-refresh time per step.",
-            ).observe(elapsed)
-        return elapsed, drift
+        return time.perf_counter() - start, drift
 
     def propagate(self, force_full: bool = False) -> StreamStep:
         """Advance the beliefs over everything applied since the last solve.
@@ -535,12 +507,6 @@ class StreamingSession:
             )
             solve_span.annotate(mode=decision.mode, reason=decision.reason)
         propagate_seconds = time.perf_counter() - start
-        if obs.enabled():
-            obs.metrics().histogram(
-                "repro_stream_propagate_seconds",
-                "Solve time per streaming step, by decision mode.",
-                mode=decision.mode,
-            ).observe(propagate_seconds)
 
         if obs.enabled() and previous is not None:
             # Belief churn: localized solves compare only the trusted
@@ -568,8 +534,9 @@ class StreamingSession:
             touched_nnz = int(result.details.get("touched_nnz", 0))
         else:
             touched_nnz = int(result.n_iterations) * int(self.graph.adjacency.nnz)
+        self.mode_counts[decision.mode] += 1
+        self.touched_nnz_total += touched_nnz
         self._mode_counters[decision.mode].inc()
-        self._touched_counter.inc(touched_nnz)
 
         step = StreamStep(
             index=self.n_steps,
@@ -685,7 +652,7 @@ class StreamingSession:
         with self.lock:
             return {
                 "mode_counts": dict(self.mode_counts),
-                "touched_nnz_total": int(self.touched_nnz_total),
+                "touched_nnz_total": self.touched_nnz_total,
                 "kernel_backend": kernels.active_backend(),
                 "localized_enabled": self.incremental.localized,
             }

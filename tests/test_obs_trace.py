@@ -282,24 +282,3 @@ class TestHeadSampling:
         obs.emit_span("kept-slow", 0.001)
         assert [r["name"] for r in sink] == ["kept-slow"]
         assert sink[0]["sampled"] is False
-
-    def test_sampled_context_flows_to_histogram_exemplars(self, sink, full_sampling):
-        obs.configure_sampling(probability=1.0)
-        with obs.use_registry() as registry:
-            histogram = registry.histogram("t_seconds", "", buckets=[0.1, 1.0])
-            with obs.span("request") as active:
-                histogram.observe(0.05)
-                trace_id = active.context.trace_id
-        assert histogram.exemplars[0]["trace_id"] == trace_id
-        rendered = registry.render_prometheus(exemplars=True)
-        assert f'# {{trace_id="{trace_id}"}} 0.05' in rendered
-        # Default rendering stays exemplar-free (round-trip identity).
-        assert "trace_id" not in registry.render_prometheus()
-
-    def test_unsampled_observation_leaves_no_exemplar(self, sink, full_sampling):
-        obs.configure_sampling(probability=0.0, slow_ms=1e9)
-        with obs.use_registry() as registry:
-            histogram = registry.histogram("t_seconds", "", buckets=[0.1, 1.0])
-            with obs.span("request"):
-                histogram.observe(0.05)
-        assert histogram.exemplars == {}

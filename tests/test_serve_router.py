@@ -329,6 +329,34 @@ class TestKillRecovery:
             assert ok, payload["problems"]
 
 
+    def test_router_tallies_count_with_obs_disabled(self, graph_path, tmp_path):
+        """proxied / recoveries / retries are router state, not metrics."""
+        router = Router(
+            1, queue_dir=tmp_path / "q",
+            worker_args=["--no-batching"],
+            spawn_timeout=120.0, supervise_interval=3600.0,
+        )
+        previous = repro.obs.set_enabled(False)
+        try:
+            with router:
+                status, _, _ = router.handle_load(
+                    {"name": "t", "path": str(graph_path), "fraction": 0.1, "seed": 1}
+                )
+                assert status == 201
+                handle = router.workers[0]
+                os.kill(handle.pid, signal.SIGKILL)
+                handle.process.wait(timeout=10.0)
+                # Hits the corpse, recovers the worker, retries once.
+                status, _, _ = router.forward(
+                    "POST", "/graphs/t/query", "t", b'{"nodes": [1]}'
+                )
+                assert status == 200
+                stats = router.stats()
+        finally:
+            repro.obs.set_enabled(previous)
+        assert (stats["proxied"], stats["recoveries"], stats["retries"]) == (2, 1, 1)
+
+
 # ----------------------------------------------------------- idempotency
 class TestIdempotentRetries:
     def test_client_delta_id_dedupes_through_router(self, fleet, graph_path):

@@ -329,3 +329,39 @@ class TestStats:
         assert stats["n_queries"] == 2
         assert set(stats["graphs"]) == {"g", "h"}
         assert stats["graphs"]["g"]["staleness"]["queries_since_refresh"] == 1
+
+    def test_served_counts_do_not_depend_on_obs(self, serve_graph, tmp_path):
+        # Graph info, decision stats and the service tallies are plain
+        # state: a run with REPRO_OBS=off reports what the same run with
+        # obs on does, evictions and a redo-log replay included.
+        path = save_graph_npz(serve_graph, tmp_path / "g.npz")
+
+        def drive(run: str) -> dict:
+            service = InferenceService(max_sessions=1, queue_dir=tmp_path / run)
+            service.load_graph("a", path=path, fraction=0.1, seed=1)
+            service.query("a", [1, 2])
+            service.query("a", [3])
+            service.apply_delta("a", GraphDelta(add_edges=[[1, 599]]))
+            service.load_graph("b", path=path, fraction=0.1, seed=1)  # evicts a
+            service.query("a", [1])  # reloads a, replaying its delta
+            stats = service.stats()
+            counts = {key: stats[key] for key in (
+                "evictions", "reloads", "n_queries", "n_deltas", "n_solves",
+            )}
+            info = stats["graphs"]["a"]
+            for key in ("n_queries", "n_deltas", "n_solves", "n_incremental",
+                        "n_localized", "n_full"):
+                counts[key + "[a]"] = info[key]
+            counts["mode_counts"] = info["decisions"]["mode_counts"]
+            counts["touched_nnz_total"] = info["decisions"]["touched_nnz_total"]
+            return counts
+
+        observed = drive("on")
+        assert observed["evictions"] == 2 and observed["reloads"] == 1
+        assert observed["n_queries[a]"] == 1 and observed["n_deltas[a]"] == 1
+        assert observed["touched_nnz_total"] > 0
+        previous = obs.set_enabled(False)
+        try:
+            assert drive("off") == observed
+        finally:
+            obs.set_enabled(previous)
