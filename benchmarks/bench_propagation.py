@@ -1,7 +1,8 @@
 """Micro-benchmark: time every registered propagator on one synthetic graph.
 
-Generates a planted-compatibility graph (50k edges by default), runs each
-algorithm in the ``PROPAGATORS`` registry once through the unified engine,
+Generates a planted-compatibility graph (50k edges by default), runs each of
+the four algorithms in the ``PROPAGATORS`` registry (LinBP with and without
+echo cancellation, loopy BP, harmonic functions) through the unified engine,
 and reports per-call and per-iteration wall time.  LinBP is additionally run
 twice on the same :class:`~repro.graph.graph.Graph` to measure what the
 cached operator layer saves: the first call pays for the cold Lanczos
@@ -29,7 +30,6 @@ from repro.core.compatibility import skew_compatibility
 from repro.eval.seeding import stratified_seed_labels
 from repro.graph.generator import generate_graph
 from repro.propagation import PROPAGATORS, get_propagator
-from repro.propagation import kernels
 
 # Iteration caps per algorithm so one benchmark pass stays comparable: the
 # slow reference algorithms (loopy BP) get the same sweep budget as the rest.
@@ -63,11 +63,6 @@ def bench_propagators(
         graph.require_labels(), fraction=label_fraction, rng=seed
     )
 
-    # One untimed warmup per kernel backend (absorbs numba JIT compilation
-    # when that backend is active) so timed calls see steady-state kernels.
-    kernels.warmup()
-    print(f"kernel backend: {kernels.active_backend()}")
-
     results: dict = {
         "graph": {
             "n_nodes": graph.n_nodes,
@@ -75,7 +70,6 @@ def bench_propagators(
             "n_classes": n_classes,
             "label_fraction": label_fraction,
         },
-        "kernel_backend": kernels.active_backend(),
         "max_iterations": BENCH_MAX_ITERATIONS,
         "repeats": repeats,
         "propagators": {},

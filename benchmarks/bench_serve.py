@@ -390,7 +390,6 @@ def main(argv=None) -> int:
     info = service.load_graph(
         GRAPH_NAME,
         graph=graph.copy(),
-        propagator="linbp",
         fraction=args.fraction,
         seed=args.seed,
         iterations=args.iterations,

@@ -26,10 +26,6 @@ check still compares identical fixed points.
 plus the max belief deviation of the incremental *and* localized answers
 against the full rebuild (the correctness contract: ≤ 1e-6).
 
-One untimed warmup solve runs per kernel backend before measurement (on the
-numba backend this absorbs JIT compilation), and the backend name is
-recorded in the output JSON.
-
 A large tier (1M nodes / 2M edges by default) measuring localized vs the
 plain warm path runs when ``--large`` is passed or ``REPRO_BENCH_LARGE`` is
 set to a truthy value.
@@ -46,7 +42,6 @@ Usage
 -----
     PYTHONPATH=src python benchmarks/bench_stream.py
     PYTHONPATH=src python benchmarks/bench_stream.py --nodes 20000 --edges 50000
-    PYTHONPATH=src python benchmarks/bench_stream.py --propagators linbp,lgc
     REPRO_BENCH_LARGE=1 PYTHONPATH=src python benchmarks/bench_stream.py
 """
 
@@ -65,21 +60,12 @@ from repro.core.statistics import gold_standard_compatibility
 from repro.eval.seeding import stratified_seed_labels
 from repro.graph.generator import generate_graph
 from repro.graph.graph import Graph
-from repro.propagation import kernels
-from repro.propagation.engine import get_propagator
+from repro.propagation.linbp import LinBPPropagator
 from repro.stream import GraphDelta, StreamingSession
 
 # Streaming solves must actually converge — warm and cold runs only agree at
 # the fixed point, never at the paper's 10-sweep budget.
-PROPAGATOR_CONFIGS = {
-    "linbp": dict(max_iterations=300, tolerance=1e-7),
-    "linbp_echo": dict(max_iterations=300, tolerance=1e-7),
-    "harmonic": dict(max_iterations=3000, tolerance=1e-10),
-    "lgc": dict(max_iterations=1000, tolerance=1e-10),
-    "mrw": dict(max_iterations=1000, tolerance=1e-10),
-    "bp": dict(max_iterations=200, tolerance=1e-8),
-    "cocitation": dict(),
-}
+LINBP_CONFIG = dict(max_iterations=300, tolerance=1e-7)
 
 
 def fresh_random_edges(adjacency, n_edges: int, rng) -> np.ndarray:
@@ -99,10 +85,9 @@ def fresh_random_edges(adjacency, n_edges: int, rng) -> np.ndarray:
     return collected[np.sort(keep)]
 
 
-def bench_one(graph, compatibility, seed_labels, propagator_name: str,
-              delta_fraction: float, n_repeats: int, rng) -> dict:
-    """Measure one (propagator, delta size) cell; returns the record."""
-    config = PROPAGATOR_CONFIGS.get(propagator_name, {})
+def bench_one(graph, compatibility, seed_labels, delta_fraction: float,
+              n_repeats: int, rng) -> dict:
+    """Measure one delta-size cell; returns the record."""
     base_edges = graph.edge_list()
     labels = graph.labels
     n_delta = max(1, int(delta_fraction * base_edges.shape[0]))
@@ -122,7 +107,7 @@ def bench_one(graph, compatibility, seed_labels, propagator_name: str,
         # Incremental: a session anchored on the base graph takes the delta.
         session = StreamingSession(
             graph.copy(),
-            get_propagator(propagator_name, **config),
+            LinBPPropagator(**LINBP_CONFIG),
             compatibility=compatibility,
             seed_labels=seed_labels,
         )
@@ -134,7 +119,7 @@ def bench_one(graph, compatibility, seed_labels, propagator_name: str,
         # Localized: the same scenario with residual push opted in.
         localized_session = StreamingSession(
             graph.copy(),
-            get_propagator(propagator_name, **config),
+            LinBPPropagator(**LINBP_CONFIG),
             compatibility=compatibility,
             seed_labels=seed_labels,
             localized=True,
@@ -150,7 +135,7 @@ def bench_one(graph, compatibility, seed_labels, propagator_name: str,
             frontier_sizes.append(int(details.get("max_frontier", 0)))
 
         # Full rebuild: edge list -> Graph -> fresh operators -> cold solve.
-        propagator = get_propagator(propagator_name, **config)
+        propagator = LinBPPropagator(**LINBP_CONFIG)
         start = time.perf_counter()
         rebuilt = Graph.from_edges(
             np.vstack([base_edges, warm_edges, new_edges]),
@@ -159,9 +144,7 @@ def bench_one(graph, compatibility, seed_labels, propagator_name: str,
             n_classes=graph.n_classes,
         )
         result_full = propagator.propagate(
-            rebuilt,
-            seed_labels,
-            compatibility=compatibility if propagator.needs_compatibility else None,
+            rebuilt, seed_labels, compatibility=compatibility
         )
         full_rebuild.append(time.perf_counter() - start)
 
@@ -171,13 +154,9 @@ def bench_one(graph, compatibility, seed_labels, propagator_name: str,
             labels=session.graph.labels,
             n_classes=graph.n_classes,
         )
-        propagator = get_propagator(propagator_name, **config)
+        propagator = LinBPPropagator(**LINBP_CONFIG)
         start = time.perf_counter()
-        propagator.propagate(
-            cached_graph,
-            seed_labels,
-            compatibility=compatibility if propagator.needs_compatibility else None,
-        )
+        propagator.propagate(cached_graph, seed_labels, compatibility=compatibility)
         full_cached.append(time.perf_counter() - start)
 
         deviations.append(float(np.abs(step.result.beliefs - result_full.beliefs).max()))
@@ -186,7 +165,7 @@ def bench_one(graph, compatibility, seed_labels, propagator_name: str,
         )
 
     record = {
-        "propagator": propagator_name,
+        "propagator": "linbp",
         "delta_fraction": delta_fraction,
         "n_delta_edges": n_delta,
         "full_rebuild_seconds": float(np.median(full_rebuild)),
@@ -210,7 +189,7 @@ def bench_one(graph, compatibility, seed_labels, propagator_name: str,
         "max_belief_deviation": float(np.max(deviations)),
         "localized_max_belief_deviation": float(np.max(localized_deviations)),
     }
-    print(f"{propagator_name:10s} delta {delta_fraction:6.3%} ({n_delta:6d} edges): "
+    print(f"linbp      delta {delta_fraction:6.3%} ({n_delta:6d} edges): "
           f"full {record['full_rebuild_seconds']*1e3:8.1f} ms, "
           f"incr {record['incremental_seconds']*1e3:7.1f} ms, "
           f"loc {record['localized_seconds']*1e3:7.1f} ms "
@@ -250,7 +229,6 @@ def bench_obs_overhead(graph, compatibility, seed_labels, args, rng) -> dict:
     """
     from repro import obs
 
-    config = PROPAGATOR_CONFIGS["linbp"]
     n_delta = max(1, int(0.005 * graph.n_edges))
     n_steps = 10
     n_reveal = 5  # per measured step, so the prequential path is in-budget
@@ -290,7 +268,7 @@ def bench_obs_overhead(graph, compatibility, seed_labels, args, rng) -> dict:
                 with obs.use_registry():
                     session = StreamingSession(
                         graph.copy(),
-                        get_propagator("linbp", **config),
+                        LinBPPropagator(**LINBP_CONFIG),
                         compatibility=compatibility,
                         seed_labels=seed_labels,
                     )
@@ -370,7 +348,6 @@ def bench_large(args, rng) -> dict:
         graph.require_labels(), fraction=args.fraction, rng=3
     )
     gold = gold_standard_compatibility(graph)
-    config = PROPAGATOR_CONFIGS["linbp"]
     n_delta = max(1, int(args.large_delta * graph.n_edges))
 
     measurements = {"incremental": [], "localized": []}
@@ -382,7 +359,7 @@ def bench_large(args, rng) -> dict:
         for mode, flag in (("incremental", False), ("localized", True)):
             session = StreamingSession(
                 graph.copy(),
-                get_propagator("linbp", **config),
+                LinBPPropagator(**LINBP_CONFIG),
                 compatibility=gold,
                 seed_labels=seed_labels,
                 localized=flag,
@@ -432,8 +409,6 @@ def main(argv=None) -> int:
                         help="initially revealed label fraction")
     parser.add_argument("--deltas", default="0.001,0.005,0.01,0.05",
                         help="comma-separated delta sizes as edge fractions")
-    parser.add_argument("--propagators", default="linbp",
-                        help="comma-separated registry names (or 'all')")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--large", action="store_true",
@@ -454,12 +429,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # One untimed warmup per kernel backend: on numba this absorbs the JIT
-    # compile so the timed cells see steady-state kernels.
-    kernels.warmup()
-    print(f"kernel backend: {kernels.active_backend()} "
-          f"(available: {', '.join(kernels.available_backends())})")
-
     compatibility = skew_compatibility(args.classes, h=3.0)
     graph = generate_graph(
         args.nodes, args.edges, compatibility, seed=args.seed, name="bench-stream"
@@ -469,16 +438,10 @@ def main(argv=None) -> int:
     )
     gold = gold_standard_compatibility(graph)
     delta_fractions = [float(x) for x in args.deltas.split(",") if x]
-    names = (
-        sorted(PROPAGATOR_CONFIGS)
-        if args.propagators == "all"
-        else [x.strip() for x in args.propagators.split(",") if x.strip()]
-    )
 
     rng = np.random.default_rng(args.seed + 1)
     records = [
-        bench_one(graph, gold, seed_labels, name, fraction, args.repeats, rng)
-        for name in names
+        bench_one(graph, gold, seed_labels, fraction, args.repeats, rng)
         for fraction in delta_fractions
     ]
 
@@ -489,7 +452,6 @@ def main(argv=None) -> int:
             "n_classes": args.classes,
             "seed_fraction": args.fraction,
         },
-        "kernel_backend": kernels.active_backend(),
         "n_repeats": args.repeats,
         "records": records,
         "obs_overhead": bench_obs_overhead(

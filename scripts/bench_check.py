@@ -43,7 +43,7 @@ from pathlib import Path
 # Config-describing keys: differences here mean the runs are not comparable
 # at the timing level, which is worth a warning but never a failure.
 CONFIG_KEYS = {"graph", "workload", "grid", "n_workers", "n_repeats",
-               "max_iterations", "repeats", "kernel_backend"}
+               "max_iterations", "repeats"}
 
 # Invariant keys: (expected truthiness). Checked on the fresh run alone.
 TRUE_FLAGS = {"reflected", "staleness_reset"}

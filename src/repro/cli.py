@@ -49,6 +49,7 @@ Examples
 at execution time, so registering a new algorithm makes it available here
 without touching this module; an unknown name (or a missing graph file)
 exits with a one-line error listing the valid choices, never a traceback.
+``repro stream`` and ``repro serve`` always run LinBP.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from repro.propagation.engine import (
     PROPAGATORS,
     propagator_names,
 )
+from repro.propagation.linbp import LinBPPropagator
 from repro.runner import (
     GridSpec,
     ProgressPrinter,
@@ -234,9 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="F",
                         help="fraction of edges in the synthesized stream's "
                              "starting graph (default 0.5)")
-    stream.add_argument("--propagator", default="linbp",
-                        help="propagation algorithm driving the session "
-                             "(see `repro list`)")
     stream.add_argument("--iterations", type=int, default=300,
                         help="fixed-point sweep cap (default 300: streaming "
                              "needs converged solves, not the paper's 10)")
@@ -279,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "result store (GRAPH is then a record hash)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8151)
-    serve.add_argument("--propagator", default="linbp",
-                       help="propagation algorithm driving the session "
-                            "(see `repro list`)")
     serve.add_argument("--method", default="GS",
                        help="compatibility estimator for the preloaded graph")
     serve.add_argument("--fraction", type=float, default=0.05,
@@ -661,7 +657,6 @@ def _command_stream(args: argparse.Namespace) -> int:
     from repro.eval.seeding import stratified_seed_indices
     from repro.stream import read_delta_stream, replay_events, synthesize_delta_stream
 
-    _check_propagator(args.propagator)
     _configure_trace(args.trace)
     if args.from_store:
         # GRAPH is a record hash: rebuild the graph that run executed on,
@@ -712,22 +707,15 @@ def _command_stream(args: argparse.Namespace) -> int:
     )
     seed_labels = graph.partial_labels(seed_indices)
 
-    propagator = PROPAGATORS[args.propagator](
-        max_iterations=args.iterations, tolerance=args.tolerance
-    )
-    compatibility = None
-    if propagator.needs_compatibility:
-        estimator = _resolve_estimator(args)
-        estimation = estimator.fit(graph, seed_labels)
-        compatibility = estimation.compatibility
-        print(f"estimated compatibility with {estimation.method} "
-              f"({estimation.elapsed_seconds:.3f}s)")
+    estimation = _resolve_estimator(args).fit(graph, seed_labels)
+    print(f"estimated compatibility with {estimation.method} "
+          f"({estimation.elapsed_seconds:.3f}s)")
 
     report = replay_events(
         graph,
         deltas,
-        propagator,
-        compatibility=compatibility,
+        LinBPPropagator(max_iterations=args.iterations, tolerance=args.tolerance),
+        compatibility=estimation.compatibility,
         seed_labels=seed_labels,
         verify_every=args.verify_every,
         score=not args.no_score,
@@ -745,11 +733,8 @@ def _command_stream(args: argparse.Namespace) -> int:
                          f"dev {record.deviation:.1e}]")
             print(line)
 
-    from repro.propagation import kernels
-
     print(f"{len(report.steps)} steps: {report.n_incremental} incremental, "
-          f"{report.n_localized} localized, {report.n_full} full "
-          f"[kernels: {kernels.active_backend()}]")
+          f"{report.n_localized} localized, {report.n_full} full")
     print(f"touched nonzeros (cumulative): {report.total_touched_nnz:,}")
     if report.final_accuracy is not None:
         print(f"final accuracy: {report.final_accuracy:.4f}")
@@ -873,10 +858,8 @@ def _serve_router(args: argparse.Namespace) -> int:
         print(f"spawned {args.workers} worker(s): "
               + ", ".join(h.url for h in router.workers))
         if args.graph is not None:
-            _check_propagator(args.propagator)
             payload = {
                 "name": args.name,
-                "propagator": args.propagator,
                 "method": args.method,
                 "fraction": args.fraction,
                 "seed": args.seed,
@@ -947,9 +930,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         queue_dir=args.queue_dir,
     )
     if args.graph is not None:
-        _check_propagator(args.propagator)
         load_kwargs = dict(
-            propagator=args.propagator,
             method=args.method,
             fraction=args.fraction,
             seed=args.seed,

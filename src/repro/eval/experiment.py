@@ -145,8 +145,8 @@ def run_experiment(
     n_propagation_iterations, safety:
         Propagation parameters used for the final labeling.  When
         ``n_propagation_iterations`` is None (the default) each algorithm
-        keeps its native sweep budget (LinBP: the paper's 10, harmonic /
-        LGC / MRW: 100, BP: 50); pass a value to override.  Both are only
+        keeps its native sweep budget (LinBP: the paper's 10, harmonic:
+        100, BP: 50); pass a value to override.  Both are only
         forwarded when the selected propagator's constructor accepts them.
     seed:
         Random seed for the stratified sampling.
@@ -161,7 +161,7 @@ def run_experiment(
         :class:`~repro.propagation.engine.Propagator` instance.
     propagator_kwargs:
         Extra constructor arguments for the selected propagator (e.g.
-        ``{"alpha": 0.99}`` for LGC).
+        ``{"damping": 0.5}`` for BP).
     """
     rng = ensure_rng(seed)
     labels = graph.require_labels()

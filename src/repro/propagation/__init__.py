@@ -2,9 +2,9 @@
 
 Architecture
 ------------
-All seven algorithms (LinBP with and without echo cancellation, loopy BP,
-harmonic functions, LGC, MultiRankWalk, co-citation) implement one
-interface, :class:`~repro.propagation.engine.Propagator`:
+All four algorithms (LinBP with and without echo cancellation, loopy BP,
+harmonic functions) implement one interface,
+:class:`~repro.propagation.engine.Propagator`:
 
 * the **engine** (:mod:`repro.propagation.engine`) owns the shared,
   buffer-reusing fixed-point loop (:func:`~repro.propagation.engine.fixed_point_iterate`
@@ -20,11 +20,15 @@ interface, :class:`~repro.propagation.engine.Propagator`:
   exposed as ``Graph.operators``) memoizes the normalized adjacencies,
   degree vectors and the spectral radius each algorithm needs, so repeated
   runs on the same graph never recompute them — in particular LinBP's
-  convergence scaling reuses one Lanczos spectral radius per graph.
+  convergence scaling reuses one Lanczos spectral radius per graph;
+* the **residual-push solver** (:mod:`repro.propagation.push`) gives LinBP
+  its localized warm mode, the one the streaming and serving layers use.
 
 Experiments, sweeps, benchmarks and the CLI all select algorithms by
-registry name (``run_experiment(..., propagator="lgc")``,
-``repro experiment --propagator mrw``).
+registry name (``run_experiment(..., propagator="harmonic")``,
+``repro experiment --propagator bp``).  Harmonic functions (Fig. 6i) and
+loopy BP (the ablations) are batch baselines; the streaming and serving
+layers run LinBP only.
 
 Registering a new propagator
 ----------------------------
@@ -52,7 +56,6 @@ and ``repro experiment --propagator jacobi``.
 """
 
 from repro.propagation.bp import BPResult, LoopyBPPropagator, beliefpropagation
-from repro.propagation.cocitation import CocitationPropagator, cocitation_classify
 from repro.propagation.convergence import (
     SpectralState,
     lanczos_spectral_state,
@@ -64,7 +67,6 @@ from repro.propagation.engine import (
     PROPAGATORS,
     PropagationResult,
     Propagator,
-    WarmStart,
     estimator_names,
     fixed_point_iterate,
     get_estimator,
@@ -74,7 +76,6 @@ from repro.propagation.engine import (
     register_propagator,
 )
 from repro.propagation.harmonic import HarmonicPropagator, harmonic_functions
-from repro.propagation.lgc import LGCPropagator, local_global_consistency
 from repro.propagation.linbp import (
     EchoLinBPPropagator,
     LinBPPropagator,
@@ -82,30 +83,20 @@ from repro.propagation.linbp import (
     linbp,
     propagate_and_label,
 )
-from repro.propagation.random_walk import (
-    MultiRankWalkPropagator,
-    multi_rank_walk,
-    random_walk_with_restart,
-)
 
 __all__ = [
     "BPResult",
-    "CocitationPropagator",
     "ESTIMATORS",
     "EchoLinBPPropagator",
     "HarmonicPropagator",
-    "LGCPropagator",
     "LinBPPropagator",
     "LinBPResult",
     "LoopyBPPropagator",
-    "MultiRankWalkPropagator",
     "PROPAGATORS",
     "PropagationResult",
     "Propagator",
     "SpectralState",
-    "WarmStart",
     "beliefpropagation",
-    "cocitation_classify",
     "estimator_names",
     "fixed_point_iterate",
     "get_estimator",
@@ -114,11 +105,8 @@ __all__ = [
     "lanczos_spectral_state",
     "linbp",
     "linbp_scaling",
-    "local_global_consistency",
-    "multi_rank_walk",
     "propagate_and_label",
     "propagator_names",
-    "random_walk_with_restart",
     "register_estimator",
     "register_propagator",
     "spectral_radius",

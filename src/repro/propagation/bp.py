@@ -88,7 +88,6 @@ class LoopyBPPropagator(Propagator):
 
     name = "bp"
     needs_compatibility = True
-    supports_warm_start = True
 
     def __init__(
         self,
@@ -111,7 +110,6 @@ class LoopyBPPropagator(Propagator):
         seed_labels,
         n_classes: int,
         compatibility: np.ndarray,
-        warm_start=None,
     ) -> tuple[np.ndarray, int, bool, list[float], dict]:
         if np.any(compatibility < 0):
             if not self.clip_potential:
@@ -167,26 +165,6 @@ class LoopyBPPropagator(Propagator):
             return outgoing
 
         initial = np.full((n_messages, n_classes), 1.0 / n_classes)
-        if warm_start is not None and "messages" in warm_start.state:
-            # Resume from the previous run's converged messages, matched by
-            # directed-edge endpoints: edges that survived the graph delta
-            # keep their message, new edges start uniform, removed edges
-            # simply drop out.  Node ids must be stable (append-only), which
-            # the streaming session guarantees.  The match runs as one
-            # searchsorted over int64 edge keys — O(m log m) vectorized, not
-            # a Python loop over all directed edges.
-            old_messages = warm_start.state["messages"]
-            old_sources = np.asarray(warm_start.state["sources"], dtype=np.int64)
-            old_targets = np.asarray(warm_start.state["targets"], dtype=np.int64)
-            if old_messages.shape[1] == n_classes and old_sources.shape[0]:
-                stride = np.int64(max(n_nodes, int(old_targets.max(initial=-1)) + 1))
-                old_keys = old_sources * stride + old_targets
-                new_keys = sources.astype(np.int64) * stride + targets.astype(np.int64)
-                order = np.argsort(old_keys)
-                positions = np.searchsorted(old_keys, new_keys, sorter=order)
-                positions = np.clip(positions, 0, old_keys.shape[0] - 1)
-                matched = old_keys[order[positions]] == new_keys
-                initial[matched] = old_messages[order[positions[matched]]]
         messages, n_iterations, converged, residuals = fixed_point_iterate(
             step, initial, self.max_iterations, self.tolerance
         )
@@ -195,8 +173,7 @@ class LoopyBPPropagator(Propagator):
         node_log_product = np.asarray(incoming @ log_messages) + log_priors
         node_log_product -= node_log_product.max(axis=1, keepdims=True)
         beliefs = _normalize_rows(np.exp(node_log_product))
-        state = {"messages": messages, "sources": sources, "targets": targets}
-        return beliefs, n_iterations, converged, residuals, {}, state
+        return beliefs, n_iterations, converged, residuals, {}
 
 
 def beliefpropagation(

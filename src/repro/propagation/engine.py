@@ -1,11 +1,9 @@
 """Unified propagation engine: interface, shared loop, and registries.
 
-Every propagation algorithm in the library — LinBP, loopy BP, harmonic
-functions, LGC, MultiRankWalk, co-citation — answers the same question
+Every propagation algorithm in the library — LinBP (with and without echo
+cancellation), loopy BP, harmonic functions — answers the same question
 ("given a graph, some seed labels and possibly a compatibility matrix, what
-is everyone's label?") yet historically each shipped a bespoke function with
-its own hand-rolled fixed-point loop.  This module provides the shared
-substrate:
+is everyone's label?").  This module provides the shared substrate:
 
 * :class:`Propagator` — the abstract interface.  Subclasses implement
   :meth:`Propagator._run`; the base class handles validation, one-hot
@@ -19,8 +17,11 @@ substrate:
   :func:`register_propagator` / :func:`register_estimator` decorators, so
   experiments, sweeps, benchmarks and the CLI select algorithms by name.
 
-Registering a new propagator takes ~10 lines; see the package docstring of
-:mod:`repro.propagation` for a worked example.
+Warm starts and the localized push mode are LinBP's alone
+(:class:`~repro.propagation.linbp.LinBPPropagator`), the only algorithm
+the streaming and serving layers run.  Registering a new propagator takes
+~10 lines; see the package docstring of :mod:`repro.propagation` for a
+worked example.
 """
 
 from __future__ import annotations
@@ -36,13 +37,11 @@ import scipy.sparse as sp
 from repro import obs
 from repro.graph.graph import labels_from_one_hot, one_hot_labels
 from repro.graph.operators import GraphOperators, operators_for
-from repro.propagation.push import LinearFixedPoint, LocalizedHint, solve_localized
 from repro.utils.validation import check_labels, check_positive, check_square
 
 __all__ = [
     "PropagationResult",
     "Propagator",
-    "WarmStart",
     "fixed_point_iterate",
     "PROPAGATORS",
     "ESTIMATORS",
@@ -81,11 +80,6 @@ class PropagationResult:
         Registry name of the algorithm that produced the result.
     details:
         Algorithm-specific extras (e.g. LinBP's ``scaling`` epsilon).
-    state:
-        Algorithm-specific warm-start payload (numpy arrays, not meant for
-        serialization).  Loopy BP stores its converged edge messages here so
-        a later run on a slightly different graph can resume from them;
-        beliefs-iterating algorithms need nothing beyond :attr:`beliefs`.
     """
 
     beliefs: np.ndarray
@@ -96,21 +90,6 @@ class PropagationResult:
     elapsed_seconds: float
     propagator: str = ""
     details: dict = field(default_factory=dict)
-    state: dict = field(default_factory=dict)
-
-
-@dataclass
-class WarmStart:
-    """Resolved warm-start context handed to :meth:`Propagator._run`.
-
-    Built by :meth:`Propagator.propagate` from either a previous
-    :class:`PropagationResult` (beliefs plus the algorithm's ``details`` and
-    ``state``) or a bare belief matrix (empty extras).
-    """
-
-    beliefs: np.ndarray
-    details: dict = field(default_factory=dict)
-    state: dict = field(default_factory=dict)
 
 
 # ------------------------------------------------------------------ iteration
@@ -190,30 +169,6 @@ class Propagator(abc.ABC):
 
     name = "propagator"
     needs_compatibility = False
-    #: True when ``_run`` accepts a ``warm_start`` keyword and can resume
-    #: from a previous result's beliefs/state.  Opt-in so pre-existing
-    #: third-party subclasses (whose ``_run`` lacks the keyword) keep
-    #: working unchanged; the engine silently ignores ``warm_start`` for
-    #: propagators that do not declare support.
-    supports_warm_start = False
-    #: True when the algorithm's convergence scaling depends on the graph's
-    #: spectral radius (LinBP's epsilon).  The streaming session uses this
-    #: to decide whether it must maintain a warm dominant-eigenpair estimate
-    #: across graph deltas.
-    uses_spectral_scaling = False
-    #: True when the algorithm is a linear fixed point ``F = B + A F C``
-    #: and implements :meth:`linear_system`, enabling the residual-push
-    #: localized solve mode (``localized=`` on :meth:`propagate`).
-    #: Algorithms that stay False (loopy BP, echo LinBP, co-citation) fall
-    #: back to their dense path with exact parity — the ``localized``
-    #: request is simply ignored.
-    supports_localized = False
-    #: How far a revealed label perturbs the fixed point's offset ``B``:
-    #: ``"node"`` (only the revealed row changes — the default) or
-    #: ``"class"`` (every seed of the revealed class changes, e.g. MRW's
-    #: per-class teleport renormalization).  The streaming session widens
-    #: its localized hints accordingly.
-    localized_reveal_scope = "node"
 
     def __init__(
         self,
@@ -235,8 +190,6 @@ class Propagator(abc.ABC):
         *,
         prior_beliefs=None,
         n_classes: int | None = None,
-        warm_start: "PropagationResult | np.ndarray | None" = None,
-        localized: "bool | LocalizedHint | None" = None,
     ) -> PropagationResult:
         """Run the algorithm and return a :class:`PropagationResult`.
 
@@ -258,24 +211,19 @@ class Propagator(abc.ABC):
         n_classes:
             Number of classes; inferred from the compatibility matrix, the
             prior beliefs, the graph or the seed labels when omitted.
-        warm_start:
-            A previous :class:`PropagationResult` for the same problem (or a
-            bare ``n x k`` belief matrix) to resume from instead of the cold
-            initial iterate.  The fixed points of every built-in iterative
-            propagator are unique, so a warm run converges to the same
-            answer as a cold one — just in fewer sweeps when the graph or
-            labels changed only slightly.  Ignored by propagators whose
-            :attr:`supports_warm_start` is False.
-        localized:
-            Opt into the residual-push localized solve (requires a
-            ``warm_start`` and :attr:`supports_localized`): ``True`` seeds
-            the residual with one dense pass, a
-            :class:`~repro.propagation.push.LocalizedHint` names the
-            delta-affected rows so even the seeding is local.  The push
-            loop drains residuals to the propagator ``tolerance``, so the
-            answer matches the dense fixed point to the solver tolerance.
-            Propagators without localized support run their dense path
-            unchanged (exact-parity fallback).
+        """
+        problem = self._problem(
+            graph, seed_labels, compatibility, prior_beliefs, n_classes
+        )
+        return self._solve("cold", problem, lambda: self._run(*problem))
+
+    def _problem(
+        self, graph, seed_labels, compatibility, prior_beliefs, n_classes
+    ) -> tuple:
+        """Validate the inputs of :meth:`propagate`.
+
+        Returns ``(operators, prior_beliefs, seed_labels, n_classes,
+        compatibility)`` — the positional arguments of :meth:`_run`.
         """
         operators = operators_for(graph)
         n_nodes = operators.n_nodes
@@ -307,34 +255,17 @@ class Propagator(abc.ABC):
                 f"compatibility matrix is "
                 f"{compatibility.shape[0]}x{compatibility.shape[0]}"
             )
+        return operators, prior_beliefs, seed_labels, n_classes, compatibility
 
-        warm = self._resolve_warm_start(warm_start, n_nodes, n_classes)
-        wants_localized = localized is not None and localized is not False
-
-        if wants_localized and self.supports_localized and warm is not None:
-            path = "localized"
-        elif warm is not None:
-            path = "warm"
-        else:
-            path = "cold"
+    def _solve(self, path: str, problem: tuple, run) -> PropagationResult:
+        """Time ``run()`` under the ``engine.solve`` span and wrap its outcome."""
+        operators, _, seed_labels, _, _ = problem
         start = time.perf_counter()
-        with obs.span("engine.solve", propagator=self.name, path=path, n_nodes=n_nodes):
-            if path == "localized":
-                outcome = self._run_localized(
-                    operators, prior_beliefs, seed_labels, n_classes, compatibility,
-                    warm, localized,
-                )
-            elif path == "warm":
-                outcome = self._run(
-                    operators, prior_beliefs, seed_labels, n_classes, compatibility,
-                    warm_start=warm,
-                )
-            else:
-                outcome = self._run(
-                    operators, prior_beliefs, seed_labels, n_classes, compatibility
-                )
-        beliefs, n_iterations, converged, residuals, details = outcome[:5]
-        state = outcome[5] if len(outcome) > 5 else {}
+        with obs.span(
+            "engine.solve", propagator=self.name, path=path,
+            n_nodes=operators.n_nodes,
+        ):
+            beliefs, n_iterations, converged, residuals, details = run()
         elapsed = time.perf_counter() - start
         self._record_solve(path, converged, elapsed)
 
@@ -351,7 +282,6 @@ class Propagator(abc.ABC):
             elapsed_seconds=elapsed,
             propagator=self.name,
             details=details,
-            state=state,
         )
 
     def _record_solve(self, path: str, converged: bool, elapsed: float) -> None:
@@ -373,65 +303,6 @@ class Propagator(abc.ABC):
                 "Solves that hit the iteration cap before converging.",
                 propagator=self.name,
             ).inc()
-
-    # ------------------------------------------------------------- localized
-    def linear_system(
-        self,
-        operators: GraphOperators,
-        prior_beliefs,
-        seed_labels: np.ndarray | None,
-        n_classes: int,
-        compatibility: np.ndarray | None,
-    ) -> LinearFixedPoint:
-        """Express this algorithm as ``F = B + A F C`` for the push solver.
-
-        Implemented by propagators that set :attr:`supports_localized`;
-        returns the :class:`~repro.propagation.push.LinearFixedPoint` whose
-        fixed point equals the dense path's converged beliefs.
-        """
-        raise NotImplementedError(
-            f"{self.name} does not define a linear fixed-point form"
-        )
-
-    def _localized_prepare(
-        self, warm: "WarmStart", spec: LinearFixedPoint
-    ) -> tuple[np.ndarray, bool]:
-        """Warm initial iterate for a localized solve, plus hint validity.
-
-        Returns ``(initial, hint_ok)``: the float64 starting beliefs (a
-        fresh array the solver may mutate) and whether a caller-supplied
-        :class:`LocalizedHint` is still trustworthy.  Subclasses override
-        to apply warm-start corrections — LinBP's epsilon-drift adjustment
-        perturbs *every* row, so it also invalidates local hints once the
-        leftover second-order residual could exceed the push threshold.
-        """
-        return np.array(warm.beliefs, dtype=np.float64, copy=True), True
-
-    def _run_localized(
-        self,
-        operators: GraphOperators,
-        prior_beliefs,
-        seed_labels: np.ndarray | None,
-        n_classes: int,
-        compatibility: np.ndarray | None,
-        warm: "WarmStart",
-        request,
-    ) -> tuple[np.ndarray, int, bool, list[float], dict]:
-        spec = self.linear_system(
-            operators, prior_beliefs, seed_labels, n_classes, compatibility
-        )
-        initial, hint_ok = self._localized_prepare(warm, spec)
-        hint = request if isinstance(request, LocalizedHint) and hint_ok else None
-        beliefs, rounds, converged, residuals, stats = solve_localized(
-            spec,
-            initial,
-            epsilon=self.tolerance,
-            max_rounds=self.max_iterations,
-            hint=hint,
-        )
-        details = dict(spec.details)
-        details.update(stats)
-        return beliefs, rounds, converged, residuals, details
 
     # --------------------------------------------------------------- helpers
     def _resolve_n_classes(
@@ -455,37 +326,6 @@ class Propagator(abc.ABC):
         check_positive(n_classes, "n_classes")
         return int(n_classes)
 
-    def _resolve_warm_start(
-        self, warm_start, n_nodes: int, n_classes: int
-    ) -> "WarmStart | None":
-        """Normalize the public ``warm_start`` argument into a :class:`WarmStart`.
-
-        Returns None (cold start) when no warm start was given or the
-        algorithm does not support one.  A belief matrix whose shape does
-        not match the current problem is an error — callers that grew the
-        graph must pad the previous beliefs themselves (the streaming
-        session does exactly that for added nodes).
-        """
-        if warm_start is None or not self.supports_warm_start:
-            return None
-        if isinstance(warm_start, PropagationResult):
-            warm = WarmStart(
-                beliefs=warm_start.beliefs,
-                details=warm_start.details,
-                state=warm_start.state,
-            )
-        elif isinstance(warm_start, WarmStart):
-            warm = warm_start
-        else:
-            warm = WarmStart(beliefs=np.asarray(warm_start))
-        beliefs = np.asarray(warm.beliefs)
-        if beliefs.shape != (n_nodes, n_classes):
-            raise ValueError(
-                f"warm-start beliefs have shape {beliefs.shape}; expected "
-                f"({n_nodes}, {n_classes})"
-            )
-        return WarmStart(beliefs=beliefs, details=warm.details, state=warm.state)
-
     @staticmethod
     def _dense(matrix, dtype=np.float64) -> np.ndarray:
         """Prior beliefs as a dense float array (sparse inputs are expanded)."""
@@ -502,13 +342,7 @@ class Propagator(abc.ABC):
         n_classes: int,
         compatibility: np.ndarray | None,
     ) -> tuple[np.ndarray, int, bool, list[float], dict]:
-        """Return ``(beliefs, n_iterations, converged, residuals, details)``.
-
-        Subclasses that declare ``supports_warm_start = True`` must also
-        accept a ``warm_start: WarmStart`` keyword (only passed when a warm
-        start was requested) and may append a sixth ``state`` dict to the
-        returned tuple carrying their resumable internal state.
-        """
+        """Return ``(beliefs, n_iterations, converged, residuals, details)``."""
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"{self.__class__.__name__}(name={self.name!r})"

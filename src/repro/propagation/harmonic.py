@@ -16,13 +16,11 @@ import numpy as np
 
 from repro.graph.graph import one_hot_labels
 from repro.graph.operators import GraphOperators
-from repro.propagation import kernels
 from repro.propagation.engine import (
     Propagator,
     fixed_point_iterate,
     register_propagator,
 )
-from repro.propagation.push import LinearFixedPoint
 
 __all__ = ["HarmonicPropagator", "harmonic_functions"]
 
@@ -37,8 +35,6 @@ class HarmonicPropagator(Propagator):
 
     name = "harmonic"
     needs_compatibility = False
-    supports_warm_start = True
-    supports_localized = True
 
     def __init__(
         self,
@@ -48,28 +44,6 @@ class HarmonicPropagator(Propagator):
     ) -> None:
         super().__init__(max_iterations=max_iterations, tolerance=tolerance, dtype=dtype)
 
-    def linear_system(
-        self, operators, prior_beliefs, seed_labels, n_classes, compatibility
-    ):
-        if seed_labels is None:
-            raise ValueError("harmonic functions need seed_labels to clamp seeds")
-        clamped = self._dense(one_hot_labels(seed_labels, n_classes))
-        seeded = seed_labels >= 0
-        # Clamping as a linear system: zeroing the seed rows of
-        # ``D^-1 W`` and pinning their offset to the one-hot labels makes
-        # ``F[seeded] = clamped[seeded]`` exactly at the fixed point.
-        rowscale = np.array(operators.inverse_degrees, dtype=np.float64, copy=True)
-        rowscale[seeded] = 0.0
-        offset = np.zeros_like(clamped)
-        offset[seeded] = clamped[seeded]
-        return LinearFixedPoint(
-            adjacency=operators.cast_adjacency(np.float64),
-            rowscale=rowscale,
-            colscale=np.ones(operators.n_nodes, dtype=np.float64),
-            coupling=None,
-            offset=offset,
-        )
-
     def _run(
         self,
         operators: GraphOperators,
@@ -77,42 +51,20 @@ class HarmonicPropagator(Propagator):
         seed_labels,
         n_classes: int,
         compatibility,
-        warm_start=None,
     ) -> tuple[np.ndarray, int, bool, list[float], dict]:
         if seed_labels is None:
             raise ValueError("harmonic functions need seed_labels to clamp seeds")
         clamped = self._dense(one_hot_labels(seed_labels, n_classes), dtype=self.dtype)
         seeded = seed_labels >= 0
+        averaging = operators.row_normalized
 
-        if kernels.use_fused_dense():
-            # Same clamping expressed linearly: zeroed seed rows plus a
-            # pinned offset reproduce ``averaged[seeded] = clamped[seeded]``.
-            rowscale = operators.inverse_degrees.astype(self.dtype)
-            rowscale[seeded] = 0.0
-            offset = np.zeros_like(clamped)
-            offset[seeded] = clamped[seeded]
-            step = kernels.make_fused_step(
-                operators.cast_adjacency(self.dtype),
-                rowscale, np.ones(operators.n_nodes, dtype=self.dtype),
-                None, offset,
-            )
-        else:
-            averaging = operators.row_normalized
-
-            def step(current: np.ndarray, out: np.ndarray) -> np.ndarray:
-                averaged = np.asarray(averaging @ current)
-                averaged[seeded] = clamped[seeded]
-                return averaged
-
-        initial = clamped
-        if warm_start is not None:
-            # Resume from the previous beliefs, re-clamping the (possibly
-            # newly revealed) seed rows to their one-hot labels.
-            initial = np.array(warm_start.beliefs, dtype=self.dtype, copy=True)
-            initial[seeded] = clamped[seeded]
+        def step(current: np.ndarray, out: np.ndarray) -> np.ndarray:
+            averaged = np.asarray(averaging @ current)
+            averaged[seeded] = clamped[seeded]
+            return averaged
 
         beliefs, n_iterations, converged, residuals = fixed_point_iterate(
-            step, initial, self.max_iterations, self.tolerance
+            step, clamped, self.max_iterations, self.tolerance
         )
         return beliefs, n_iterations, converged, residuals, {}
 

@@ -22,6 +22,10 @@ operator layer, so repeated runs on the same graph compute ``rho(W)`` once.
 A cold run (no warm start) sweeps only the rows its seeds have reached
 (:func:`~repro.utils.matrix.frontier_product`, bitwise the full sweep)
 until they hold a quarter of ``W``'s non-zeros.
+
+LinBP is the one propagator the streaming and serving layers run, so it
+alone resumes from a previous result (``warm_start=``) and offers the
+residual-push localized mode (``localized=``, :mod:`repro.propagation.push`).
 """
 
 from __future__ import annotations
@@ -32,13 +36,13 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.graph.operators import GraphOperators
-from repro.propagation import kernels
 from repro.propagation.engine import (
+    PropagationResult,
     Propagator,
     fixed_point_iterate,
     register_propagator,
 )
-from repro.propagation.push import LinearFixedPoint
+from repro.propagation.push import LinearFixedPoint, LocalizedHint, solve_localized
 from repro.utils.matrix import center_columns, center_matrix, frontier_product
 from repro.utils.validation import check_positive
 
@@ -102,8 +106,6 @@ class LinBPPropagator(Propagator):
 
     name = "linbp"
     needs_compatibility = True
-    supports_warm_start = True
-    supports_localized = True
 
     def __init__(
         self,
@@ -121,9 +123,67 @@ class LinBPPropagator(Propagator):
         self.center = bool(center)
         self.echo_cancellation = bool(echo_cancellation)
         self.scaling = scaling
-        # Epsilon depends on rho(W) unless pinned explicitly, in which case
-        # the streaming session need not track the spectral radius at all.
-        self.uses_spectral_scaling = scaling is None
+
+    def propagate(
+        self,
+        graph,
+        seed_labels: np.ndarray | None = None,
+        compatibility: np.ndarray | None = None,
+        *,
+        prior_beliefs=None,
+        n_classes: int | None = None,
+        warm_start: "PropagationResult | np.ndarray | None" = None,
+        localized: "bool | LocalizedHint | None" = None,
+    ) -> PropagationResult:
+        """Run LinBP; see :meth:`Propagator.propagate` for the shared inputs.
+
+        Parameters
+        ----------
+        warm_start:
+            A previous :class:`PropagationResult` for the same problem (or a
+            bare ``n x k`` belief matrix) to resume from instead of the
+            priors.  The fixed point is unique, so a warm run converges to
+            the same answer as a cold one — just in fewer sweeps when the
+            graph or labels changed only slightly.
+        localized:
+            Opt into the residual-push localized solve (needs a
+            ``warm_start``): ``True`` seeds the residual with one dense
+            pass, a :class:`~repro.propagation.push.LocalizedHint` names the
+            delta-affected rows so even the seeding is local.  The push
+            loop drains residuals to the ``tolerance``, so the answer
+            matches the dense fixed point to the solver tolerance.  The echo
+            term is outside the push solver's ``F = B + W F C`` form, so
+            with ``echo_cancellation`` the request runs the dense warm path.
+        """
+        problem = self._problem(
+            graph, seed_labels, compatibility, prior_beliefs, n_classes
+        )
+        operators, _, _, n_classes, _ = problem
+        if warm_start is None:
+            return self._solve("cold", problem, lambda: self._run(*problem))
+        if isinstance(warm_start, PropagationResult):
+            beliefs, details = warm_start.beliefs, warm_start.details
+        else:
+            beliefs, details = warm_start, {}
+        beliefs = np.asarray(beliefs)
+        if beliefs.shape != (operators.n_nodes, n_classes):
+            # Callers that grew the graph pad the previous beliefs
+            # themselves (the streaming session does so for added nodes).
+            raise ValueError(
+                f"warm-start beliefs have shape {beliefs.shape}; expected "
+                f"({operators.n_nodes}, {n_classes})"
+            )
+        if localized and not self.echo_cancellation:
+            hint = localized if isinstance(localized, LocalizedHint) else None
+            return self._solve(
+                "localized", problem,
+                lambda: self._run_localized(
+                    *problem, beliefs, details.get("scaling"), hint
+                ),
+            )
+        return self._solve(
+            "warm", problem, lambda: self._run(*problem, warm_beliefs=beliefs)
+        )
 
     def _system_terms(
         self, operators: GraphOperators, prior_beliefs, compatibility
@@ -144,16 +204,14 @@ class LinBPPropagator(Propagator):
         return priors, modulation, float(scaling)
 
     def linear_system(
-        self, operators, prior_beliefs, seed_labels, n_classes, compatibility
-    ):
+        self, operators: GraphOperators, prior_beliefs, compatibility
+    ) -> LinearFixedPoint:
+        """The (echo-free) fixed point as ``F = B + W F C`` for the push solver."""
         priors, modulation, scaling = self._system_terms(
             operators, prior_beliefs, compatibility
         )
-        ones = np.ones(operators.n_nodes)
         return LinearFixedPoint(
             adjacency=operators.cast_adjacency(np.float64),
-            rowscale=ones,
-            colscale=ones,
             coupling=np.asarray(scaling * modulation, dtype=np.float64),
             offset=np.asarray(priors, dtype=np.float64),
             details={"scaling": scaling},
@@ -165,11 +223,20 @@ class LinBPPropagator(Propagator):
     # operator is barely contracting and only dense seeding is safe.
     MAX_DRIFT_CORRECTION_TERMS = 80
 
-    def _localized_prepare(self, warm, spec):
-        initial = np.array(warm.beliefs, dtype=np.float64, copy=True)
-        previous_scaling = warm.details.get("scaling")
-        scaling = spec.details.get("scaling")
-        hint_ok = True
+    def _run_localized(
+        self,
+        operators: GraphOperators,
+        prior_beliefs,
+        seed_labels,
+        n_classes: int,
+        compatibility: np.ndarray,
+        warm_beliefs: np.ndarray,
+        previous_scaling: float | None,
+        hint: LocalizedHint | None,
+    ) -> tuple[np.ndarray, int, bool, list[float], dict]:
+        spec = self.linear_system(operators, prior_beliefs, compatibility)
+        initial = np.array(warm_beliefs, dtype=np.float64, copy=True)
+        scaling = spec.details["scaling"]
         if previous_scaling and scaling:
             drift = float(scaling) / float(previous_scaling) - 1.0
             if drift != 0.0:
@@ -182,7 +249,9 @@ class LinBPPropagator(Propagator):
                 # first omitted term, so a converged series keeps local
                 # hints valid at any drift magnitude; each term is one
                 # O(nnz k) matvec with no frontier bookkeeping, far cheaper
-                # than letting the push frontier saturate.
+                # than letting the push frontier saturate.  A series cut
+                # at the term cap leaves residual everywhere, so the hint is
+                # dropped and the residual seeded densely.
                 cutoff = 0.25 * self.tolerance
                 term = drift * (initial - spec.offset)
                 initial += term
@@ -193,8 +262,18 @@ class LinBPPropagator(Propagator):
                     initial += term
                     terms += 1
                     peak = float(np.abs(term).max())
-                hint_ok = peak <= cutoff
-        return initial, hint_ok
+                if peak > cutoff:
+                    hint = None
+        beliefs, rounds, converged, residuals, stats = solve_localized(
+            spec,
+            initial,
+            epsilon=self.tolerance,
+            max_rounds=self.max_iterations,
+            hint=hint,
+        )
+        details = dict(spec.details)
+        details.update(stats)
+        return beliefs, rounds, converged, residuals, details
 
     def _run(
         self,
@@ -203,7 +282,7 @@ class LinBPPropagator(Propagator):
         seed_labels,
         n_classes: int,
         compatibility: np.ndarray,
-        warm_start=None,
+        warm_beliefs: np.ndarray | None = None,
     ) -> tuple[np.ndarray, int, bool, list[float], dict]:
         priors, modulation, scaling = self._system_terms(
             operators, prior_beliefs, compatibility
@@ -215,13 +294,9 @@ class LinBPPropagator(Propagator):
         degrees = operators.degrees.astype(self.dtype) if echo else None
         echo_modulation = modulation @ modulation if echo else None
 
-        fused = None
-        if not echo and kernels.use_fused_dense():
-            ones = np.ones(operators.n_nodes, dtype=self.dtype)
-            fused = kernels.make_fused_step(adjacency, ones, ones, modulation, priors)
         # Sweep l of a cold run is zero off the seeds' l-hop ball.
         seeds = priors.any(axis=1)
-        reach = seeds if warm_start is None and not echo else None
+        reach = seeds if warm_beliefs is None and not echo else None
 
         def step(current: np.ndarray, out: np.ndarray) -> np.ndarray:
             nonlocal reach
@@ -229,8 +304,6 @@ class LinBPPropagator(Propagator):
                 propagated, reach = frontier_product(adjacency, current, reach)
                 if reach is not None:
                     reach |= seeds
-            elif fused is not None:
-                return fused(current, out)
             else:
                 propagated = np.asarray(adjacency @ current)
             np.matmul(propagated, modulation, out=out)
@@ -247,8 +320,8 @@ class LinBPPropagator(Propagator):
         # contraction converges to the same unique fixed point whatever the
         # previous scaling was.
         initial = (
-            priors if warm_start is None
-            else np.asarray(warm_start.beliefs, dtype=self.dtype)
+            priors if warm_beliefs is None
+            else np.asarray(warm_beliefs, dtype=self.dtype)
         )
         beliefs, n_iterations, converged, residuals = fixed_point_iterate(
             step, initial, self.max_iterations, self.tolerance
@@ -260,13 +333,10 @@ class LinBPPropagator(Propagator):
 class EchoLinBPPropagator(LinBPPropagator):
     """Original LinBP of Gatterbauer et al. (2015) with echo cancellation.
 
-    The echo term ``- D F H^2`` is outside the ``F = B + A F C`` family, so
-    the localized push mode stays off and ``localized=`` requests fall back
-    to the dense sweep (exact parity).
+    The registry name of ``LinBPPropagator(echo_cancellation=True)``.
     """
 
     name = "linbp_echo"
-    supports_localized = False
 
     def __init__(
         self,

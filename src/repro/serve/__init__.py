@@ -26,7 +26,7 @@ Quickstart::
     from repro.serve import InferenceService, MicroBatcher
 
     service = InferenceService()
-    service.load_graph("demo", path="graph.npz", propagator="linbp")
+    service.load_graph("demo", path="graph.npz", method="DCEr")
     result = service.query("demo", nodes=[0, 17, 42], top_k=2)
     print(result.labels, result.staleness)
 

@@ -5,13 +5,13 @@ dependencies) exposing:
 
 * ``POST /graphs`` — load a graph: ``{"name": ..., "path": "g.npz"}`` or
   ``{"name": ..., "store": "runs/grid", "hash": "ab12…"}`` plus optional
-  ``propagator`` / ``method`` / ``fraction`` / ``seed`` / ``iterations`` /
+  ``propagator_kwargs`` (LinBP options, e.g. ``{"echo_cancellation":
+  true}``) / ``method`` / ``fraction`` / ``seed`` / ``iterations`` /
   ``tolerance`` / ``localized`` / ``replace``;
 * ``DELETE /graphs/<name>`` — unload it;
 * ``GET /graphs/<name>`` — its info/staleness snapshot;
 * ``GET /graphs/<name>/stats`` — per-mode solve counts (full /
-  incremental / localized) plus cumulative touched-nonzeros and the active
-  kernel backend;
+  incremental / localized) plus cumulative touched-nonzeros;
 * ``GET /graphs/<name>/quality`` — model-quality telemetry (prequential
   accuracy, belief churn, compatibility drift) and
   ``GET /quality`` — the same for every resident graph plus an
@@ -348,7 +348,7 @@ class ServeHandler(JsonHandler):
         if not isinstance(name, str) or not name:
             raise ServeError("load needs a non-empty 'name'")
         allowed = {
-            "name", "path", "store", "hash", "propagator", "propagator_kwargs",
+            "name", "path", "store", "hash", "propagator_kwargs",
             "method", "method_kwargs", "fraction", "seed", "iterations",
             "tolerance", "localized", "replace", "recover",
         }
@@ -367,7 +367,6 @@ class ServeHandler(JsonHandler):
             path=payload.get("path"),
             store=payload.get("store"),
             run_hash=payload.get("hash"),
-            propagator=payload.get("propagator", "linbp"),
             propagator_kwargs=payload.get("propagator_kwargs"),
             method=payload.get("method", "GS"),
             method_kwargs=payload.get("method_kwargs"),

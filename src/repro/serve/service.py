@@ -6,8 +6,8 @@ graph — and exposes the three serving verbs:
 
 * **load/unload** — materialize a graph (``.npz`` bundle, a runner-store
   record, or a ready :class:`~repro.graph.graph.Graph`), seed it, estimate
-  the compatibility matrix if the propagator needs one, run the anchoring
-  full solve, and keep the warm session around;
+  the compatibility matrix, run the anchoring LinBP solve, and keep the
+  warm session around;
 * **delta** — push one or more :class:`~repro.stream.delta.GraphDelta`
   through the session (one incremental propagation per *batch* of deltas,
   not per delta — the coalescing the micro-batcher exploits);
@@ -51,7 +51,8 @@ import numpy as np
 from repro import obs
 from repro.eval.seeding import stratified_seed_labels
 from repro.graph.graph import Graph
-from repro.propagation.engine import ESTIMATORS, PROPAGATORS, propagator_names
+from repro.propagation.engine import ESTIMATORS
+from repro.propagation.linbp import LinBPPropagator
 from repro.serve.loader import GraphSourceError, load_serving_graph
 from repro.serve.queue import DeltaQueue
 from repro.stream.delta import GraphDelta
@@ -83,6 +84,21 @@ class UnknownGraphError(ServeError):
         super().__init__(
             f"no graph named {name!r} is loaded (loaded: {listing})", status=404
         )
+
+
+def _linbp(iterations, tolerance, propagator_kwargs) -> LinBPPropagator:
+    """The LinBP a load request asks for; bad ``propagator_kwargs`` are a 400."""
+    if propagator_kwargs is None:
+        propagator_kwargs = {}
+    if not isinstance(propagator_kwargs, dict):
+        raise ServeError("propagator_kwargs must be a JSON object")
+    iterations, tolerance = int(iterations), float(tolerance)
+    try:
+        return LinBPPropagator(
+            max_iterations=iterations, tolerance=tolerance, **propagator_kwargs
+        )
+    except (TypeError, ValueError) as exc:
+        raise ServeError(f"invalid propagator_kwargs: {exc}") from exc
 
 
 # ------------------------------------------------------------------- results
@@ -405,7 +421,6 @@ class InferenceService:
         store=None,
         run_hash: str | None = None,
         graph: Graph | None = None,
-        propagator: str = "linbp",
         propagator_kwargs: dict | None = None,
         method: str = "GS",
         method_kwargs: dict | None = None,
@@ -427,9 +442,13 @@ class InferenceService:
         ``seed_labels`` is given, seeds are drawn stratified from the
         graph's ground-truth labels at ``fraction``; unless
         ``compatibility`` is given, the matrix is estimated with the
-        registered ``method`` (only when the propagator needs one).
-        ``localized=True`` opts the session into residual-push localized
-        solves for small deltas.  Returns the loaded graph's info dict.
+        registered ``method``.  The session runs
+        :class:`~repro.propagation.linbp.LinBPPropagator` with
+        ``propagator_kwargs`` as extra constructor arguments (e.g.
+        ``{"echo_cancellation": true}``); its sweep cap and tolerance come
+        from ``iterations`` and ``tolerance``.  ``localized=True`` opts the
+        session into residual-push localized solves for small deltas.
+        Returns the loaded graph's info dict.
 
         With a durable queue attached, a fresh load **drops** any redo log
         a previous same-named session left behind (the log described that
@@ -450,11 +469,7 @@ class InferenceService:
                     f"a graph named {name!r} is already loaded "
                     "(pass replace=true to swap it)", status=409,
                 )
-        if propagator not in PROPAGATORS:
-            raise ServeError(
-                f"unknown propagator {propagator!r}; valid: "
-                f"{', '.join(propagator_names())}"
-            )
+        propagator = _linbp(iterations, tolerance, propagator_kwargs)
         if graph is None:
             try:
                 graph = load_serving_graph(path=path, store=store, run_hash=run_hash)
@@ -482,12 +497,7 @@ class InferenceService:
         else:
             seed_labels = np.asarray(seed_labels, dtype=np.int64)
 
-        propagator_instance = PROPAGATORS[propagator](
-            max_iterations=int(iterations),
-            tolerance=float(tolerance),
-            **(propagator_kwargs or {}),
-        )
-        if propagator_instance.needs_compatibility and compatibility is None:
+        if compatibility is None:
             compatibility = self._estimate_compatibility(
                 graph, seed_labels, method, method_kwargs, int(seed)
             )
@@ -503,7 +513,6 @@ class InferenceService:
                 "path": source["path"],
                 "store": source["store"],
                 "run_hash": run_hash,
-                "propagator": propagator,
                 "propagator_kwargs": dict(propagator_kwargs or {}),
                 "iterations": int(iterations),
                 "tolerance": float(tolerance),
@@ -521,7 +530,7 @@ class InferenceService:
         self.registry.reset_children(graph=name)
         session = StreamingSession(
             graph,
-            propagator_instance,
+            propagator,
             compatibility=compatibility,
             seed_labels=seed_labels,
             localized=bool(localized),
@@ -694,15 +703,14 @@ class InferenceService:
                         f"could not reload evicted session {name!r}: {exc}",
                         status=503,
                     ) from exc
-                propagator_instance = PROPAGATORS[state["propagator"]](
-                    max_iterations=state["iterations"],
-                    tolerance=state["tolerance"],
-                    **(state["propagator_kwargs"] or {}),
+                propagator = _linbp(
+                    state["iterations"], state["tolerance"],
+                    state["propagator_kwargs"],
                 )
                 self.registry.reset_children(graph=name)
                 session = StreamingSession(
                     graph,
-                    propagator_instance,
+                    propagator,
                     compatibility=state["compatibility"],
                     seed_labels=state["seed_labels"],
                     localized=state["localized"],
@@ -759,9 +767,9 @@ class InferenceService:
     def graph_stats(self, name: str) -> dict:
         """Solve-decision statistics for one served graph.
 
-        Reports the per-mode solve counts (full / incremental / localized),
-        the cumulative stored-nonzeros the solves visited, and the active
-        kernel backend — the observability slice of the localized subsystem.
+        Reports the per-mode solve counts (full / incremental / localized)
+        and the cumulative stored-nonzeros the solves visited — the
+        observability slice of the localized subsystem.
         """
         served = self._served(name)
         with served.session.lock:

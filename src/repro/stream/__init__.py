@@ -8,8 +8,8 @@ the labels *now*?" without re-paying the full pipeline:
   nodes, reveal labels), its JSONL event format, and ``O(nnz + delta)``
   application onto a canonical CSR adjacency;
 * :mod:`repro.stream.incremental` — :class:`IncrementalPropagator`, the
-  warm-restart wrapper with the full-solve fallback policy (huge delta,
-  spectral-radius drift, unsupported algorithm);
+  warm-restart wrapper around LinBP with the full-solve fallback policy
+  (huge delta, spectral-radius drift);
 * :mod:`repro.stream.session` — :class:`StreamingSession`, owning the
   mutable graph plus all warm state: evolved operator caches, the Lanczos
   dominant-eigenpair estimate behind LinBP's convergence scaling, the

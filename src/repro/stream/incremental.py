@@ -1,13 +1,13 @@
 """Incremental propagation: warm fixed-point restarts with a fallback policy.
 
-:class:`IncrementalPropagator` wraps any registered
-:class:`~repro.propagation.engine.Propagator` and decides, per delta, whether
-to resume the fixed point from the previous beliefs (residuals then live
-only at the delta-touched frontier and decay from there) or to re-solve from
-scratch.  The fallback triggers are:
+:class:`IncrementalPropagator` wraps a
+:class:`~repro.propagation.linbp.LinBPPropagator` (echo cancellation
+optional) and decides, per delta, whether to resume the fixed point from
+the previous beliefs (residuals then live only at the delta-touched
+frontier and decay from there) or to re-solve from scratch.  The fallback
+triggers are:
 
 * no previous result (first solve, or the caller dropped its warm state),
-* the wrapped algorithm cannot warm-start (``supports_warm_start`` False),
 * the accumulated delta since the last full solve exceeds
   ``full_solve_edge_fraction`` of the graph's edges — a huge delta leaves
   nothing for the warm start to save, so re-anchoring is both faster and
@@ -19,18 +19,19 @@ scratch.  The fallback triggers are:
   graph.
 
 On top of warm-vs-full sits an opt-in third mode, **localized**: when the
-wrapped algorithm advertises ``supports_localized`` and the delta is tiny
-(at most ``localized_edge_fraction`` of the edges), the warm resume runs
-through the residual-push solver (:mod:`repro.propagation.push`) instead of
-dense sweeps, iterating only the delta-affected frontier.  Localized solves
-hit the same unique fixed point to the same tolerance — the mode is purely
-a work-complexity choice, which is why it slots in *after* every
-correctness-motivated fallback above.
+delta is tiny (at most ``localized_edge_fraction`` of the edges), the warm
+resume runs through the residual-push solver (:mod:`repro.propagation.push`)
+instead of dense sweeps, iterating only the delta-affected frontier.
+Localized solves hit the same unique fixed point to the same tolerance —
+the mode is purely a work-complexity choice, which is why it slots in
+*after* every correctness-motivated fallback above.  The echo term is
+outside the push solver's linear form, so echo-cancelling LinBP never
+localizes.
 
-Because every built-in iterative propagator contracts to a *unique* fixed
-point, a warm solve converges to the same beliefs as a cold one (to the
-configured tolerance); the policy above is purely about speed and about
-keeping the warm spectral state honest.
+Because LinBP contracts to a *unique* fixed point, a warm solve converges
+to the same beliefs as a cold one (to the configured tolerance); the policy
+above is purely about speed and about keeping the warm spectral state
+honest.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.propagation.engine import PropagationResult, Propagator
+from repro.propagation.engine import PropagationResult
+from repro.propagation.linbp import LinBPPropagator
 from repro.propagation.push import LocalizedHint
 
 __all__ = ["IncrementalDecision", "IncrementalPropagator", "delta_edge_fraction"]
@@ -70,8 +72,7 @@ class IncrementalDecision:
 
     ``mode`` is ``"incremental"``, ``"localized"`` or ``"full"``;
     ``reason`` is a short machine-readable tag (``"warm"``,
-    ``"localized"``, ``"first"``, ``"unsupported"``, ``"delta"``,
-    ``"drift"``, ``"forced"``).
+    ``"localized"``, ``"first"``, ``"delta"``, ``"drift"``, ``"forced"``).
     """
 
     mode: str
@@ -81,26 +82,27 @@ class IncrementalDecision:
 
 
 class IncrementalPropagator:
-    """Delta-aware wrapper around one :class:`Propagator` instance.
+    """Delta-aware wrapper around one :class:`LinBPPropagator` instance.
 
     Parameters
     ----------
     propagator:
-        The wrapped algorithm (a ready instance; its configuration — cap,
-        tolerance, dtype — applies to warm and full solves alike).
+        The wrapped LinBP (a ready instance; its configuration — cap,
+        tolerance, dtype, echo — applies to warm and full solves alike).
     full_solve_edge_fraction:
         Re-solve from scratch once the edges changed since the last full
         solve exceed this fraction of the current edge count.
     radius_drift_tolerance:
         Re-solve from scratch once the warm spectral-radius estimate drifts
         this far (relative) from the last full solve's radius.  Only
-        consulted when the caller supplies a drift value (i.e. the wrapped
-        algorithm actually uses spectral scaling).
+        consulted when the caller supplies a drift value (i.e. LinBP's
+        epsilon is derived from the spectral radius, not pinned).
     localized:
         Opt in to the residual-push localized mode.  Off by default: the
         mode is numerically equivalent but changes the work profile, so
         callers enable it explicitly (``repro stream --localized``, the
-        serve ``localized`` load flag, or benchmark configs).
+        serve ``localized`` load flag, or benchmark configs).  Ignored
+        with echo cancellation, whose steps stay on the dense warm path.
     localized_edge_fraction:
         Ceiling on the delta fraction eligible for a localized solve; above
         it the frontier is unlikely to stay small, so a plain warm resume's
@@ -109,15 +111,16 @@ class IncrementalPropagator:
 
     def __init__(
         self,
-        propagator: Propagator,
+        propagator: LinBPPropagator,
         full_solve_edge_fraction: float = FULL_SOLVE_EDGE_FRACTION,
         radius_drift_tolerance: float = RADIUS_DRIFT_TOLERANCE,
         localized: bool = False,
         localized_edge_fraction: float = LOCALIZED_EDGE_FRACTION,
     ) -> None:
-        if not isinstance(propagator, Propagator):
+        if not isinstance(propagator, LinBPPropagator):
             raise TypeError(
-                f"propagator must be a Propagator instance, got {type(propagator)!r}"
+                f"propagator must be a LinBPPropagator instance, got "
+                f"{type(propagator)!r}"
             )
         if full_solve_edge_fraction <= 0:
             raise ValueError("full_solve_edge_fraction must be positive")
@@ -128,7 +131,7 @@ class IncrementalPropagator:
         self.propagator = propagator
         self.full_solve_edge_fraction = float(full_solve_edge_fraction)
         self.radius_drift_tolerance = float(radius_drift_tolerance)
-        self.localized = bool(localized)
+        self.localized = bool(localized) and not propagator.echo_cancellation
         self.localized_edge_fraction = float(localized_edge_fraction)
 
     def decide(
@@ -143,8 +146,6 @@ class IncrementalPropagator:
             reason = "forced"
         elif previous is None:
             reason = "first"
-        elif not self.propagator.supports_warm_start:
-            reason = "unsupported"
         elif not math.isfinite(delta_fraction) or delta_fraction > self.full_solve_edge_fraction:
             # Non-finite covers the edgeless-graph conventions of
             # delta_edge_fraction *and* a NaN from any caller's own 0/0 —
@@ -153,11 +154,7 @@ class IncrementalPropagator:
             reason = "delta"
         elif radius_drift is not None and radius_drift > self.radius_drift_tolerance:
             reason = "drift"
-        elif (
-            self.localized
-            and getattr(self.propagator, "supports_localized", False)
-            and delta_fraction <= self.localized_edge_fraction
-        ):
+        elif self.localized and delta_fraction <= self.localized_edge_fraction:
             reason = "localized"
         else:
             reason = "warm"
@@ -173,7 +170,7 @@ class IncrementalPropagator:
         self,
         graph,
         seed_labels,
-        compatibility=None,
+        compatibility,
         *,
         previous: PropagationResult | None = None,
         delta_fraction: float = 0.0,
@@ -199,7 +196,7 @@ class IncrementalPropagator:
         result = self.propagator.propagate(
             graph,
             seed_labels,
-            compatibility=compatibility if self.propagator.needs_compatibility else None,
+            compatibility=compatibility,
             n_classes=n_classes,
             warm_start=warm_start,
             localized=localized,

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from repro import obs
 from repro.eval.metrics import macro_accuracy
 from repro.graph.graph import Graph
-from repro.propagation.engine import Propagator
+from repro.propagation.linbp import LinBPPropagator
 from repro.stream.delta import GraphDelta
 from repro.stream.session import StreamingSession
 
@@ -237,9 +237,7 @@ def _batch_resolve(session: StreamingSession) -> tuple[np.ndarray, float]:
     result = propagator.propagate(
         graph,
         session.seed_labels,
-        compatibility=(
-            session.compatibility if propagator.needs_compatibility else None
-        ),
+        compatibility=session.compatibility,
         n_classes=session.graph.n_classes,
     )
     return result.beliefs, time.perf_counter() - start
@@ -248,7 +246,7 @@ def _batch_resolve(session: StreamingSession) -> tuple[np.ndarray, float]:
 def replay_events(
     graph: Graph,
     deltas: list[GraphDelta],
-    propagator: Propagator,
+    propagator: LinBPPropagator,
     compatibility: np.ndarray | None = None,
     seed_labels: np.ndarray | None = None,
     verify_every: int = 0,
@@ -266,7 +264,7 @@ def replay_events(
         The event stream (e.g. from
         :func:`repro.stream.delta.read_delta_stream`).
     propagator:
-        Ready :class:`Propagator` instance driving the session.
+        Ready :class:`LinBPPropagator` instance driving the session.
     compatibility / seed_labels:
         Session warm state (see :class:`StreamingSession`).
     verify_every:

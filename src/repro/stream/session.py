@@ -10,8 +10,8 @@ a batch pipeline would rebuild from scratch after every change:
   the graph object so no stale normalization can leak,
 * a warm dominant-eigenpair estimate of the adjacency, advanced by a
   Lanczos restart from the previous Ritz vector (a handful of matrix-vector
-  products, versus a cold Lanczos run from a random vector) whenever the
-  selected propagator's convergence scaling depends on ``rho(W)``,
+  products, versus a cold Lanczos run from a random vector) whenever
+  LinBP's convergence scaling depends on ``rho(W)`` (no pinned epsilon),
 * the compatibility matrix and the visible seed labels,
 * the paper's neighbor label counts ``M = X^T W X`` over the seed-labeled
   subgraph, advanced exactly by every delta
@@ -38,7 +38,6 @@ import numpy as np
 from repro import obs
 from repro.core.statistics import neighbor_statistics, update_neighbor_statistics
 from repro.graph.graph import Graph, one_hot_labels
-from repro.propagation import kernels
 from repro.propagation.convergence import (
     COLD_LANCZOS_STEPS,
     COLD_LANCZOS_TOLERANCE,
@@ -46,7 +45,8 @@ from repro.propagation.convergence import (
     lanczos_spectral_state,
     radius_ladder_gap,
 )
-from repro.propagation.engine import PropagationResult, Propagator
+from repro.propagation.engine import PropagationResult
+from repro.propagation.linbp import LinBPPropagator
 from repro.propagation.push import LocalizedHint
 from repro.stream.delta import GraphDelta, apply_delta
 from repro.stream.incremental import (
@@ -87,9 +87,9 @@ class StreamStep:
     """Timed outcome of one applied-and-propagated delta.
 
     ``apply_seconds`` covers the CSR mutation and label bookkeeping,
-    ``spectral_seconds`` the warm Lanczos restart (zero when the propagator
-    does not use spectral scaling), ``propagate_seconds`` the warm or full
-    solve itself.
+    ``spectral_seconds`` the warm Lanczos restart (zero when LinBP's
+    epsilon is pinned), ``propagate_seconds`` the warm or full solve
+    itself.
     """
 
     index: int
@@ -121,9 +121,7 @@ class _PendingDelta:
     """Delta effects applied to the graph but not yet propagated.
 
     Besides the summary counts, it accumulates the *identities* the
-    localized solver needs: structurally touched nodes, revealed nodes, and
-    the classes revealed (teleport-normalizing walks must reseed every seed
-    of a revealed class, not just the new one).
+    localized solver needs: structurally touched nodes and revealed nodes.
     """
 
     edges_changed: int = 0
@@ -132,7 +130,6 @@ class _PendingDelta:
     deltas: int = 0
     touched: list = field(default_factory=list)
     revealed: list = field(default_factory=list)
-    revealed_classes: set = field(default_factory=set)
 
     def absorb(self, delta: GraphDelta, touched_nodes: np.ndarray) -> None:
         self.edges_changed += delta.n_changed_edges
@@ -143,7 +140,6 @@ class _PendingDelta:
             self.touched.append(np.asarray(touched_nodes, dtype=np.int64))
         if delta.reveal_nodes.shape[0]:
             self.revealed.append(np.asarray(delta.reveal_nodes, dtype=np.int64))
-            self.revealed_classes.update(int(c) for c in delta.reveal_labels)
 
     def clear(self) -> None:
         self.edges_changed = 0
@@ -152,7 +148,6 @@ class _PendingDelta:
         self.deltas = 0
         self.touched = []
         self.revealed = []
-        self.revealed_classes = set()
 
 
 class StreamingSession:
@@ -165,14 +160,14 @@ class StreamingSession:
         place (pass ``graph.copy()`` to keep the original).  ``n_classes``
         must be known (labeled graph, or set explicitly).
     propagator:
-        A ready :class:`~repro.propagation.engine.Propagator` instance.
-        Configure convergence tightly enough that warm and full solves both
-        actually converge (e.g. ``LinBPPropagator(max_iterations=200,
-        tolerance=1e-8)``); the paper's 10-sweep budget stops far from the
-        fixed point, where warm and cold runs would disagree.
+        A ready :class:`~repro.propagation.linbp.LinBPPropagator` instance
+        (echo cancellation optional).  Configure convergence tightly enough
+        that warm and full solves both actually converge (e.g.
+        ``LinBPPropagator(max_iterations=200, tolerance=1e-8)``); the
+        paper's 10-sweep budget stops far from the fixed point, where warm
+        and cold runs would disagree.
     compatibility:
-        ``k x k`` compatibility matrix, kept as session warm state (only
-        needed when the propagator requires one).
+        ``k x k`` compatibility matrix, kept as session warm state.
     seed_labels:
         Initially visible labels (full-length vector, ``-1`` hidden).
         Defaults to all hidden; ``reveal`` events add seeds over time.
@@ -192,7 +187,7 @@ class StreamingSession:
     def __init__(
         self,
         graph: Graph,
-        propagator: Propagator,
+        propagator: LinBPPropagator,
         compatibility: np.ndarray | None = None,
         seed_labels: np.ndarray | None = None,
         full_solve_edge_fraction: float = FULL_SOLVE_EDGE_FRACTION,
@@ -214,14 +209,12 @@ class StreamingSession:
             localized=localized,
             localized_edge_fraction=localized_edge_fraction,
         )
-        self.compatibility = (
-            None if compatibility is None else np.asarray(compatibility, dtype=np.float64)
-        )
-        if propagator.needs_compatibility and self.compatibility is None:
+        if compatibility is None:
             raise ValueError(
                 f"{propagator.name} needs a compatibility matrix; pass one to "
                 "the session"
             )
+        self.compatibility = np.asarray(compatibility, dtype=np.float64)
         if seed_labels is None:
             self.seed_labels = np.full(graph.n_nodes, -1, dtype=np.int64)
         else:
@@ -282,13 +275,9 @@ class StreamingSession:
 
     # ------------------------------------------------------------- properties
     @property
-    def propagator(self) -> Propagator:
-        """The wrapped propagation algorithm."""
+    def propagator(self) -> LinBPPropagator:
+        """The wrapped LinBP instance."""
         return self.incremental.propagator
-
-    @property
-    def _tracks_spectrum(self) -> bool:
-        return bool(getattr(self.propagator, "uses_spectral_scaling", False))
 
     # ------------------------------------------------------------------ apply
     def apply(self, delta: GraphDelta) -> float:
@@ -400,7 +389,8 @@ class StreamingSession:
         for its certified error bound.  Anchor solves always run at full
         quality.
         """
-        if not self._tracks_spectrum:
+        if self.propagator.scaling is not None:
+            # A pinned epsilon does not depend on rho(W).
             return 0.0, None
         start = time.perf_counter()
         if self._spectral is None:
@@ -474,7 +464,6 @@ class StreamingSession:
             not force_full
             and self.incremental.localized
             and previous is not None
-            and getattr(self.propagator, "supports_localized", False)
             and math.isfinite(delta_fraction)
             and delta_fraction <= self.incremental.localized_edge_fraction
         )
@@ -609,10 +598,7 @@ class StreamingSession:
         The hint is a *trust* statement — every row off it must provably
         still satisfy the residual tolerance — so it is only built when the
         previous solve converged.  It covers structurally touched nodes
-        plus their current neighbors (degree-dependent column scales reach
-        one hop), revealed nodes, and — for propagators with class-scoped
-        reveals (MultiRankWalk's teleport renormalization) — every seed of
-        a revealed class.
+        plus their current neighbors, and revealed nodes.
         """
         if previous is None or not previous.converged:
             return None
@@ -631,15 +617,6 @@ class StreamingSession:
                 parts.append(neighbors.astype(np.int64))
         if self._pending.revealed:
             parts.append(np.concatenate(self._pending.revealed))
-        if (
-            self._pending.revealed_classes
-            and getattr(self.propagator, "localized_reveal_scope", "node") == "class"
-        ):
-            classes = np.fromiter(
-                self._pending.revealed_classes, dtype=np.int64,
-                count=len(self._pending.revealed_classes),
-            )
-            parts.append(np.flatnonzero(np.isin(self.seed_labels, classes)))
         if parts:
             rows = np.unique(np.concatenate(parts))
             rows = rows[(rows >= 0) & (rows < n_nodes)]
@@ -653,7 +630,6 @@ class StreamingSession:
             return {
                 "mode_counts": dict(self.mode_counts),
                 "touched_nnz_total": self.touched_nnz_total,
-                "kernel_backend": kernels.active_backend(),
                 "localized_enabled": self.incremental.localized,
             }
 
@@ -682,7 +658,6 @@ class StreamingSession:
             elapsed_seconds=previous.elapsed_seconds,
             propagator=previous.propagator,
             details=previous.details,
-            state=previous.state,
         )
 
     def beliefs(self) -> np.ndarray | None:

@@ -19,7 +19,6 @@ spec.loader.exec_module(bench_check)
 def stream_doc(deviation=1e-8, speedup=6.0, overhead=0.01) -> dict:
     return {
         "graph": {"n_nodes": 1000, "n_edges": 5000},
-        "kernel_backend": "numpy",
         "n_repeats": 3,
         "records": [
             {
@@ -113,7 +112,7 @@ class TestGate:
         # matching cell is compared, the missing one is not a failure.
         baseline = stream_doc()
         baseline["records"].insert(0, {
-            "propagator": "lgc", "delta_fraction": 0.05,
+            "propagator": "linbp_echo", "delta_fraction": 0.05,
             "speedup_vs_cached": 100.0, "max_belief_deviation": 1e-9,
         })
         assert run(tmp_path, stream_doc(), baseline) == 0

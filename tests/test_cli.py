@@ -61,6 +61,12 @@ class TestParser:
         assert "unknown estimator 'magic'" in error
         assert "DCEr" in error
 
+    @pytest.mark.parametrize("command", ["stream", "serve"])
+    def test_stream_and_serve_have_no_propagator_option(self, command):
+        # Both run LinBP; echo cancellation is a serve load option.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "g.npz", "--propagator", "bp"])
+
     def test_dataset_choices(self):
         args = build_parser().parse_args(["dataset", "cora", "-o", "cora.npz"])
         assert args.name == "cora"
@@ -397,17 +403,6 @@ class TestStreamCommand:
         assert exit_code == 0
         assert "deviation" not in output
 
-    def test_stream_homophily_propagator_skips_estimation(
-        self, graph_file, events_file, capsys
-    ):
-        exit_code = main([
-            "stream", str(graph_file), str(events_file),
-            "--propagator", "lgc", "--fraction", "0.1", "--quiet",
-        ])
-        output = capsys.readouterr().out
-        assert exit_code == 0
-        assert "estimated compatibility" not in output
-
     def test_stream_missing_events_file(self, graph_file, tmp_path, capsys):
         exit_code = main([
             "stream", str(graph_file), str(tmp_path / "missing.jsonl"),
@@ -428,14 +423,6 @@ class TestStreamCommand:
         exit_code = main(["stream", str(graph_file), str(events)])
         assert exit_code == 2
         assert "no deltas" in capsys.readouterr().err
-
-    def test_stream_unknown_propagator(self, graph_file, events_file, capsys):
-        exit_code = main([
-            "stream", str(graph_file), str(events_file),
-            "--propagator", "nope",
-        ])
-        assert exit_code == 2
-        assert "valid propagators" in capsys.readouterr().err
 
 
 class TestGcCommand:

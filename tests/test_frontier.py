@@ -25,7 +25,6 @@ from repro.core.statistics import path_statistics
 from repro.eval.seeding import stratified_seed_labels
 from repro.graph.generator import generate_graph
 from repro.graph.graph import Graph, one_hot_labels
-from repro.propagation import kernels
 from repro.propagation.linbp import LinBPPropagator
 from repro.utils.matrix import FRONTIER_SHARE, frontier_product
 
@@ -161,15 +160,6 @@ def sparse_labelled():
     return graph, seeds
 
 
-@pytest.fixture
-def numpy_kernels():
-    """The scipy-composed dense sweep, so both runs share one arithmetic."""
-    previous = kernels.active_backend()
-    kernels.set_backend("numpy")
-    yield
-    kernels.set_backend(previous)
-
-
 class TestFullSizeProducts:
     def test_statistics_make_one_full_product_at_length_five(self, sparse_labelled):
         graph, seeds = sparse_labelled
@@ -189,7 +179,7 @@ class TestFullSizeProducts:
             assert np.array_equal(mine, x.T @ count)
 
     def test_cold_linbp_makes_at_most_eight_full_sweeps(
-        self, sparse_labelled, numpy_kernels, monkeypatch
+        self, sparse_labelled, monkeypatch
     ):
         graph, seeds = sparse_labelled
         compatibility = skew_compatibility(3, h=3.0)

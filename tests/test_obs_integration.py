@@ -37,7 +37,7 @@ def registry():
 def server(obs_graph, registry):
     service = InferenceService(registry=registry)
     service.load_graph(
-        "g", graph=obs_graph.copy(), propagator="linbp", fraction=0.1, seed=3
+        "g", graph=obs_graph.copy(), fraction=0.1, seed=3
     )
     batcher = MicroBatcher(service, max_latency_seconds=0.005)
     server = make_server(service, port=0, batcher=batcher)

@@ -1,4 +1,4 @@
-"""Unit tests for BP, random walks, harmonic functions and LGC."""
+"""Unit tests for BP and harmonic functions."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ from repro.eval.metrics import macro_accuracy
 from repro.eval.seeding import stratified_seed_indices
 from repro.propagation.bp import beliefpropagation
 from repro.propagation.harmonic import harmonic_functions
-from repro.propagation.lgc import local_global_consistency
-from repro.propagation.random_walk import multi_rank_walk, random_walk_with_restart
 
 
 class TestBeliefPropagation:
@@ -92,40 +90,16 @@ class TestBeliefPropagation:
             )
 
 
-class TestRandomWalkWithRestart:
-    def test_scores_sum_to_one(self, heterophily_graph):
-        teleport = np.zeros(heterophily_graph.n_nodes)
-        teleport[:10] = 1.0
-        scores = random_walk_with_restart(heterophily_graph.adjacency, teleport)
-        assert scores.sum() == pytest.approx(1.0, abs=1e-6)
-
-    def test_restart_node_scores_high(self, star_graph):
-        teleport = np.zeros(star_graph.n_nodes)
-        teleport[0] = 1.0
-        scores = random_walk_with_restart(star_graph.adjacency, teleport)
-        assert scores[0] == scores.max()
-
-    def test_rejects_zero_teleport(self, star_graph):
-        with pytest.raises(ValueError, match="positive mass"):
-            random_walk_with_restart(star_graph.adjacency, np.zeros(star_graph.n_nodes))
-
-    def test_rejects_bad_length(self, star_graph):
-        with pytest.raises(ValueError, match="length"):
-            random_walk_with_restart(star_graph.adjacency, np.ones(3))
-
-
 class TestHomophilyBaselines:
-    """Harmonic functions, LGC and MultiRankWalk work on homophilous graphs
-    but fail on heterophilous ones (the Fig. 6i contrast)."""
+    """Harmonic functions work on homophilous graphs but fail on
+    heterophilous ones (the Fig. 6i contrast)."""
 
     @pytest.mark.parametrize(
         "method",
         [
-            lambda graph, partial: multi_rank_walk(graph.adjacency, partial, 3),
             lambda graph, partial: harmonic_functions(graph.adjacency, partial, 3),
-            lambda graph, partial: local_global_consistency(graph.adjacency, partial, 3),
         ],
-        ids=["multi_rank_walk", "harmonic", "lgc"],
+        ids=["harmonic"],
     )
     def test_good_on_homophily(self, homophily_graph, method):
         seeds = stratified_seed_indices(
@@ -141,10 +115,9 @@ class TestHomophilyBaselines:
     @pytest.mark.parametrize(
         "method",
         [
-            lambda graph, partial: multi_rank_walk(graph.adjacency, partial, 3),
             lambda graph, partial: harmonic_functions(graph.adjacency, partial, 3),
         ],
-        ids=["multi_rank_walk", "harmonic"],
+        ids=["harmonic"],
     )
     def test_poor_on_strong_heterophily(self, strong_heterophily_graph, method):
         graph = strong_heterophily_graph
@@ -170,26 +143,3 @@ class TestHomophilyBaselines:
         partial = homophily_graph.partial_labels(seeds)
         predicted = harmonic_functions(homophily_graph.adjacency, partial, 3)
         np.testing.assert_array_equal(predicted[seeds], homophily_graph.labels[seeds])
-
-    def test_seeds_clamped_lgc(self, homophily_graph):
-        seeds = np.arange(0, 100)
-        partial = homophily_graph.partial_labels(seeds)
-        predicted = local_global_consistency(homophily_graph.adjacency, partial, 3)
-        np.testing.assert_array_equal(predicted[seeds], homophily_graph.labels[seeds])
-
-    def test_multi_rank_walk_missing_class(self, homophily_graph):
-        # Only classes 0 and 1 have seeds; class 2 can never be predicted but
-        # the method must still run and label every node.
-        labels = homophily_graph.labels
-        seeds = np.concatenate(
-            [np.flatnonzero(labels == 0)[:5], np.flatnonzero(labels == 1)[:5]]
-        )
-        partial = homophily_graph.partial_labels(seeds)
-        predicted = multi_rank_walk(homophily_graph.adjacency, partial, 3)
-        assert set(np.unique(predicted)).issubset({0, 1})
-
-    def test_lgc_alpha_validation(self, homophily_graph):
-        with pytest.raises(ValueError):
-            local_global_consistency(
-                homophily_graph.adjacency, homophily_graph.labels, 3, alpha=1.5
-            )

@@ -16,27 +16,16 @@ from repro.propagation import (
     PropagationResult,
     Propagator,
     beliefpropagation,
-    cocitation_classify,
     fixed_point_iterate,
     get_propagator,
     harmonic_functions,
     linbp,
-    local_global_consistency,
-    multi_rank_walk,
     propagator_names,
     register_propagator,
 )
 
 
-EXPECTED_PROPAGATORS = {
-    "linbp",
-    "linbp_echo",
-    "bp",
-    "harmonic",
-    "lgc",
-    "mrw",
-    "cocitation",
-}
+EXPECTED_PROPAGATORS = {"linbp", "linbp_echo", "bp", "harmonic"}
 
 
 @pytest.fixture()
@@ -48,8 +37,8 @@ def seeded(heterophily_graph):
 
 
 class TestRegistries:
-    def test_all_seven_algorithms_registered(self):
-        assert EXPECTED_PROPAGATORS <= set(PROPAGATORS)
+    def test_exactly_four_algorithms_registered(self):
+        assert set(PROPAGATORS) == EXPECTED_PROPAGATORS
 
     def test_propagator_names_sorted(self):
         assert propagator_names() == sorted(PROPAGATORS)
@@ -125,10 +114,10 @@ class TestRoundTripThroughRunExperiment:
             GoldStandard(),
             label_fraction=0.1,
             seed=0,
-            propagator="lgc",
-            propagator_kwargs={"alpha": 0.5},
+            propagator="bp",
+            propagator_kwargs={"damping": 0.5},
         )
-        assert result.propagator == "lgc"
+        assert result.propagator == "bp"
 
     def test_native_iteration_budget_preserved(self, homophily_graph):
         # Harmonic's native cap is 100 sweeps; run_experiment must not force
@@ -233,26 +222,6 @@ class TestBackwardsCompatibleWrappers:
         modern = get_propagator("harmonic").propagate(homophily_graph, partial)
         np.testing.assert_array_equal(legacy, modern.labels)
 
-    def test_lgc_wrapper_equals_class(self, homophily_graph):
-        seeds = np.arange(0, homophily_graph.n_nodes, 7)
-        partial = homophily_graph.partial_labels(seeds)
-        legacy = local_global_consistency(homophily_graph.adjacency, partial, 3)
-        modern = get_propagator("lgc").propagate(homophily_graph, partial)
-        np.testing.assert_array_equal(legacy, modern.labels)
-
-    def test_mrw_wrapper_equals_class(self, homophily_graph):
-        seeds = np.arange(0, homophily_graph.n_nodes, 7)
-        partial = homophily_graph.partial_labels(seeds)
-        legacy = multi_rank_walk(homophily_graph.adjacency, partial, 3)
-        modern = get_propagator("mrw").propagate(homophily_graph, partial)
-        np.testing.assert_array_equal(legacy, modern.labels)
-
-    def test_cocitation_wrapper_equals_class(self, heterophily_graph, seeded):
-        seeds, partial = seeded
-        legacy = cocitation_classify(heterophily_graph.adjacency, partial, 3)
-        modern = get_propagator("cocitation").propagate(heterophily_graph, partial)
-        np.testing.assert_array_equal(legacy, modern.labels)
-
     def test_bp_wrapper_equals_class(self, heterophily_graph, seeded):
         seeds, partial = seeded
         prior = heterophily_graph.partial_label_matrix(seeds)
@@ -284,14 +253,14 @@ class TestPropagationResult:
     def test_residual_history_is_decreasing_overall(self, homophily_graph):
         seeds = np.arange(0, homophily_graph.n_nodes, 5)
         partial = homophily_graph.partial_labels(seeds)
-        result = get_propagator("lgc").propagate(homophily_graph, partial)
+        result = get_propagator("harmonic").propagate(homophily_graph, partial)
         assert result.converged
         assert result.residuals[-1] < result.residuals[0]
         assert result.residuals[-1] < 1e-8
 
     def test_seed_labels_clamped(self, heterophily_graph, seeded):
         seeds, partial = seeded
-        for name in ("linbp", "harmonic", "lgc", "mrw", "cocitation"):
+        for name in ("linbp", "harmonic"):
             result = get_propagator(name).propagate(
                 heterophily_graph, partial,
                 compatibility=skew_compatibility(3, h=3.0),
@@ -391,7 +360,7 @@ class TestSweepPropagatorPassthrough:
 
 
 class TestWarmStart:
-    """The warm-start contract: same fixed point, resumable, opt-in."""
+    """LinBP's warm-start contract: same fixed point, resumable."""
 
     @pytest.fixture()
     def problem(self, heterophily_graph):
@@ -431,51 +400,6 @@ class TestWarmStart:
                 compatibility=skew_compatibility(3, h=3.0),
                 warm_start=np.zeros((3, 3)),
             )
-
-    def test_unsupported_propagator_silently_ignores_warm_start(self, problem):
-        graph, partial = problem
-        engine = get_propagator("cocitation")
-        cold = engine.propagate(graph, partial)
-        warm = engine.propagate(graph, partial, warm_start=cold)
-        np.testing.assert_array_equal(warm.beliefs, cold.beliefs)
-
-    def test_support_flags(self):
-        expectations = {
-            "linbp": True, "linbp_echo": True, "bp": True, "harmonic": True,
-            "lgc": True, "mrw": True, "cocitation": False,
-        }
-        for name, expected in expectations.items():
-            assert PROPAGATORS[name].supports_warm_start is expected
-
-    def test_bp_result_carries_message_state(self, problem):
-        graph, partial = problem
-        compatibility = skew_compatibility(3, h=3.0)
-        engine = get_propagator("bp", max_iterations=30, tolerance=1e-8)
-        result = engine.propagate(graph, partial, compatibility=compatibility)
-        assert {"messages", "sources", "targets"} <= set(result.state)
-        assert result.state["messages"].shape[0] == graph.adjacency.nnz
-        resumed = engine.propagate(
-            graph, partial, compatibility=compatibility, warm_start=result
-        )
-        assert resumed.n_iterations <= result.n_iterations
-        np.testing.assert_allclose(resumed.beliefs, result.beliefs, atol=1e-5)
-
-    def test_legacy_run_signature_still_works(self, problem):
-        """Pre-warm-start subclasses (5-argument _run) keep functioning."""
-        graph, partial = problem
-
-        class LegacyPropagator(Propagator):
-            name = "test-legacy"
-
-            def _run(self, operators, prior, seed_labels, n_classes, compatibility):
-                return self._dense(prior), 0, True, [], {}
-
-        result = LegacyPropagator().propagate(graph, partial)
-        assert result.converged
-        # warm_start passes through harmlessly: unsupported propagators
-        # (the default) never receive the keyword.
-        again = LegacyPropagator().propagate(graph, partial, warm_start=result)
-        np.testing.assert_array_equal(again.beliefs, result.beliefs)
 
     @pytest.mark.parametrize(
         "localized", [None, True, "hint"],

@@ -1,15 +1,8 @@
-"""Tests for the sparse-kernel layer behind localized propagation.
+"""Tests for the residual-push solver behind localized propagation.
 
-The load-bearing properties:
-
-* the jit module (running as pure Python when numba is absent, compiled
-  when it is present) produces **bitwise identical** results to the
-  reference numpy kernels — both implement the same accumulation order, so
-  the backend choice can never change any numeric outcome;
-* backend selection honours ``REPRO_KERNELS`` and fails loudly when numba
-  is requested but not installed;
-* the residual-push solver reaches the dense fixed point of random linear
-  systems, with hint-seeded solves matching full-seeded ones.
+The residual-push solver reaches the dense fixed point of random linear
+systems ``F = B + W F C``, with hint-seeded solves matching full-seeded
+ones.
 """
 
 from __future__ import annotations
@@ -18,23 +11,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.propagation import kernels
-from repro.propagation.kernels import (
-    KernelBackendError,
-    jit,
-    reference,
-)
 from repro.propagation.push import LinearFixedPoint, LocalizedHint, solve_localized
 
 
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    yield
-    kernels.set_backend("auto")
-
-
-def random_system(seed: int, n: int = 120, k: int = 3, coupling: bool = True):
-    """A random symmetric CSR plus contraction-safe scales and offsets."""
+def random_system(seed: int, n: int = 120, k: int = 3):
+    """A random symmetric CSR, a contraction-safe coupling and offsets."""
     rng = np.random.default_rng(seed)
     density = 6.0 / n
     upper = sp.random(n, n, density=density, random_state=rng, format="coo")
@@ -44,174 +25,40 @@ def random_system(seed: int, n: int = 120, k: int = 3, coupling: bool = True):
     upper.data[:] = rng.uniform(0.5, 1.5, upper.nnz)
     W = (upper + upper.T).tocsr()
     degrees = np.asarray(np.abs(W).sum(axis=1)).ravel()
-    # Scale rows/cols so rho(A) < 1: divide by (max degree + 1).
-    bound = degrees.max() + 1.0
-    rowscale = rng.uniform(0.3, 0.9, n) / np.sqrt(bound)
-    colscale = rng.uniform(0.3, 0.9, n) / np.sqrt(bound)
-    C = None
-    if coupling:
-        C = rng.uniform(-0.4, 0.4, (k, k))
-        C = (C + C.T) / 2
+    # Gershgorin: rho(W) <= max degree and rho(C) <= 3 * 0.4 before the
+    # division, so rho(W) * rho(C) <= 0.6 and the map F -> W F C contracts.
+    C = rng.uniform(-0.4, 0.4, (k, k))
+    C = (C + C.T) / 2 / (2.0 * degrees.max())
     B = rng.normal(0, 1, (n, k))
     beliefs = rng.normal(0, 1, (n, k))
-    return W, rowscale, colscale, C, B, beliefs
-
-
-def csr_parts(W):
-    return W.indptr, W.indices, np.ascontiguousarray(W.data, dtype=np.float64)
-
-
-COUPLING_CASES = [True, False]
-
-
-class TestBitwiseParityReferenceVsJit:
-    """jit (pure-python here; compiled under numba in CI) == reference, bitwise."""
-
-    @pytest.mark.parametrize("coupling", COUPLING_CASES)
-    def test_full_residual(self, coupling):
-        W, rs, cs, C, B, F = random_system(0, coupling=coupling)
-        indptr, indices, data = csr_parts(W)
-        got = jit.full_residual(indptr, indices, data, rs, cs, C, B, F.copy())
-        want = reference.full_residual(indptr, indices, data, rs, cs, C, B, F.copy())
-        np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("coupling", COUPLING_CASES)
-    def test_seed_residual_rows(self, coupling):
-        W, rs, cs, C, B, F = random_system(1, coupling=coupling)
-        indptr, indices, data = csr_parts(W)
-        rows = np.unique(np.random.default_rng(5).integers(0, W.shape[0], 17))
-        residual_jit = np.zeros_like(F)
-        residual_ref = np.zeros_like(F)
-        nnz_jit = jit.seed_residual_rows(
-            indptr, indices, data, rs, cs, C, B, F, rows, residual_jit
-        )
-        nnz_ref = reference.seed_residual_rows(
-            indptr, indices, data, rs, cs, C, B, F, rows, residual_ref
-        )
-        assert nnz_jit == nnz_ref
-        np.testing.assert_array_equal(residual_jit, residual_ref)
-
-    @pytest.mark.parametrize("coupling", COUPLING_CASES)
-    def test_push_rounds(self, coupling):
-        W, rs, cs, C, B, F = random_system(2, coupling=coupling)
-        indptr, indices, data = csr_parts(W)
-        epsilon = 1e-10
-        outcomes = []
-        for impl in (jit, reference):
-            beliefs = F.copy()
-            residual = impl.full_residual(
-                indptr, indices, data, rs, cs, C, B, beliefs
-            )
-            frontier = np.flatnonzero(np.abs(residual).max(axis=1) > epsilon)
-            history = np.zeros(500, dtype=np.float64)
-            out = impl.push_rounds(
-                indptr, indices, data, rs, cs, C,
-                beliefs, residual, frontier.astype(np.int64), epsilon, 500, history,
-            )
-            outcomes.append((beliefs, residual, history, out))
-        (b_jit, r_jit, h_jit, o_jit), (b_ref, r_ref, h_ref, o_ref) = outcomes
-        assert o_jit == o_ref  # rounds, converged, touched_nnz, max_frontier
-        np.testing.assert_array_equal(b_jit, b_ref)
-        np.testing.assert_array_equal(r_jit, r_ref)
-        np.testing.assert_array_equal(h_jit, h_ref)
-
-    @pytest.mark.parametrize("coupling", COUPLING_CASES)
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_fused_sweep(self, coupling, dtype):
-        W, rs, cs, C, B, F = random_system(3, coupling=coupling)
-        indptr, indices, data = csr_parts(W)
-        data = data.astype(dtype)
-        rs, cs, B, F = (x.astype(dtype) for x in (rs, cs, B, F))
-        C = None if C is None else C.astype(dtype)
-        out_jit = np.empty_like(F)
-        out_ref = np.empty_like(F)
-        got = jit.fused_sweep(indptr, indices, data, rs, cs, C, B, F, out_jit)
-        want = reference.fused_sweep(indptr, indices, data, rs, cs, C, B, F, out_ref)
-        assert got.dtype == want.dtype == dtype
-        np.testing.assert_array_equal(got, want)
-
-
-class TestBackendSelection:
-    def test_default_backend_is_valid(self):
-        assert kernels.active_backend() in kernels.available_backends()
-
-    def test_explicit_numpy(self):
-        kernels.set_backend("numpy")
-        assert kernels.active_backend() == "numpy"
-        assert kernels.get_kernels() is reference
-
-    def test_env_variable_respected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        kernels.set_backend()
-        assert kernels.active_backend() == "numpy"
-
-    def test_invalid_name_rejected(self):
-        with pytest.raises(KernelBackendError, match="unknown kernel backend"):
-            kernels.set_backend("fortran")
-
-    def test_explicit_numba_without_package_fails_loudly(self):
-        if jit.NUMBA_AVAILABLE:
-            pytest.skip("numba installed: explicit selection succeeds")
-        with pytest.raises(KernelBackendError, match="numba"):
-            kernels.set_backend("numba")
-
-    def test_auto_falls_back_quietly(self):
-        kernels.set_backend("auto")
-        expected = "numba" if jit.NUMBA_AVAILABLE else "numpy"
-        assert kernels.active_backend() == expected
-
-    def test_fused_dense_only_on_numba(self):
-        kernels.set_backend("numpy")
-        assert not kernels.use_fused_dense()
-
-    def test_warmup_runs_on_active_backend(self):
-        kernels.set_backend("numpy")
-        kernels.warmup()  # must not raise
-
-    @pytest.mark.skipif(not jit.NUMBA_AVAILABLE, reason="numba not installed")
-    def test_numba_backend_selectable_when_available(self):
-        kernels.set_backend("numba")
-        assert kernels.active_backend() == "numba"
-        assert kernels.use_fused_dense()
-        kernels.warmup()
+    return W, C, B, beliefs
 
 
 class TestSolveLocalized:
     @staticmethod
-    def dense_fixed_point(W, rs, cs, C, B):
+    def dense_fixed_point(W, C, B):
         from scipy.sparse.linalg import spsolve
 
         n, k = B.shape
-        A = (sp.diags(rs) @ W @ sp.diags(cs)).tocsc()
-        if C is None:
-            return np.column_stack([
-                spsolve(sp.eye(n, format="csc") - A, B[:, j]) for j in range(k)
-            ])
-        # Column-major vec: vec(A F C) = (C^T ⊗ A) vec(F).
-        operator = sp.eye(n * k, format="csc") - sp.kron(C.T, A, format="csc")
+        # Column-major vec: vec(W F C) = (C^T ⊗ W) vec(F).
+        operator = sp.eye(n * k, format="csc") - sp.kron(C.T, W, format="csc")
         return spsolve(operator, B.ravel(order="F")).reshape((n, k), order="F")
 
-    @pytest.mark.parametrize("coupling", COUPLING_CASES)
-    def test_converges_to_exact_solution(self, coupling):
-        W, rs, cs, C, B, F0 = random_system(7, coupling=coupling)
-        spec = LinearFixedPoint(
-            adjacency=W, rowscale=rs, colscale=cs, coupling=C, offset=B
-        )
+    def test_converges_to_exact_solution(self):
+        W, C, B, F0 = random_system(7)
+        spec = LinearFixedPoint(adjacency=W, coupling=C, offset=B)
         beliefs, rounds, converged, history, stats = solve_localized(
             spec, F0, epsilon=1e-12, max_rounds=2000
         )
-        exact = self.dense_fixed_point(W, rs, cs, C, B)
+        exact = self.dense_fixed_point(W, C, B)
         assert converged
         assert np.abs(beliefs - exact).max() <= 1e-9
-        assert stats["kernel_backend"] in ("numpy", "numba")
         assert stats["touched_nnz"] >= W.nnz  # dense seeding counts the pass
         assert len(history) == rounds
 
     def test_hint_seeded_matches_full_seeded(self):
-        W, rs, cs, C, B, _ = random_system(8)
-        spec = LinearFixedPoint(
-            adjacency=W, rowscale=rs, colscale=cs, coupling=C, offset=B
-        )
+        W, C, B, _ = random_system(8)
+        spec = LinearFixedPoint(adjacency=W, coupling=C, offset=B)
         # Solve to convergence first.
         start = np.zeros_like(B)
         solved, _, converged, _, _ = solve_localized(
@@ -222,9 +69,7 @@ class TestSolveLocalized:
         rows = np.array([3, 17, 40], dtype=np.int64)
         B2 = B.copy()
         B2[rows] += 0.25
-        spec2 = LinearFixedPoint(
-            adjacency=W, rowscale=rs, colscale=cs, coupling=C, offset=B2
-        )
+        spec2 = LinearFixedPoint(adjacency=W, coupling=C, offset=B2)
         hinted, _, hinted_converged, _, stats = solve_localized(
             spec2, solved.copy(), epsilon=1e-13, max_rounds=4000,
             hint=LocalizedHint(rows=rows),
@@ -237,10 +82,8 @@ class TestSolveLocalized:
         assert np.abs(hinted - dense).max() <= 1e-10
 
     def test_converged_input_returns_immediately(self):
-        W, rs, cs, C, B, _ = random_system(9)
-        spec = LinearFixedPoint(
-            adjacency=W, rowscale=rs, colscale=cs, coupling=C, offset=B
-        )
+        W, C, B, _ = random_system(9)
+        spec = LinearFixedPoint(adjacency=W, coupling=C, offset=B)
         solved, _, _, _, _ = solve_localized(
             spec, np.zeros_like(B), epsilon=1e-12, max_rounds=4000
         )
@@ -253,9 +96,7 @@ class TestSolveLocalized:
         np.testing.assert_array_equal(again, solved)
 
     def test_shape_mismatch_rejected(self):
-        W, rs, cs, C, B, _ = random_system(10)
-        spec = LinearFixedPoint(
-            adjacency=W, rowscale=rs, colscale=cs, coupling=C, offset=B
-        )
+        W, C, B, _ = random_system(10)
+        spec = LinearFixedPoint(adjacency=W, coupling=C, offset=B)
         with pytest.raises(ValueError, match="rows"):
             solve_localized(spec, np.zeros((3, B.shape[1])), 1e-8, 10)

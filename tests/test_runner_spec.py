@@ -80,8 +80,8 @@ class TestRunSpec:
             graph=small_graph_config(),
             estimator="DCEr",
             estimator_kwargs={"n_restarts": 4},
-            propagator="lgc",
-            propagator_kwargs={"alpha": 0.9},
+            propagator="bp",
+            propagator_kwargs={"damping": 0.5},
             label_fraction=0.05,
             repetition=3,
             base_seed=2,

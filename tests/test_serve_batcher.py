@@ -25,7 +25,7 @@ def batch_graph():
 def service(batch_graph):
     service = InferenceService()
     service.load_graph(
-        "g", graph=batch_graph.copy(), propagator="linbp", fraction=0.1, seed=2
+        "g", graph=batch_graph.copy(), fraction=0.1, seed=2
     )
     return service
 

@@ -29,7 +29,7 @@ def http_graph():
 def server(http_graph):
     service = InferenceService()
     service.load_graph(
-        "g", graph=http_graph.copy(), propagator="linbp", fraction=0.1, seed=3
+        "g", graph=http_graph.copy(), fraction=0.1, seed=3
     )
     batcher = MicroBatcher(service, max_latency_seconds=0.005)
     server = make_server(service, port=0, batcher=batcher)
@@ -205,8 +205,7 @@ class TestSloHealth:
         with obs.use_registry() as registry:
             service = InferenceService(registry=registry)
             service.load_graph(
-                "g", graph=http_graph.copy(), propagator="linbp",
-                fraction=0.1, seed=3,
+                "g", graph=http_graph.copy(), fraction=0.1, seed=3,
             )
             clock = [1000.0]
             recorder = TimeSeriesRecorder(
@@ -347,3 +346,25 @@ class TestErrorMapping:
         )
         assert status == 400
         assert "not found" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"propagator_kwargs": {"bogus": 1}}, "invalid propagator_kwargs"),
+            ({"propagator_kwargs": [1, 2]}, "must be a JSON object"),
+            ({"propagator_kwargs": {"max_iterations": 5}}, "invalid propagator_kwargs"),
+            ({"propagator": "bp"}, "unknown load fields"),
+        ],
+        ids=["unknown-kwarg", "not-a-mapping", "iterations-clash", "propagator-field"],
+    )
+    def test_bad_propagator_load_is_400(
+        self, server, http_graph, tmp_path, fields, message
+    ):
+        path = save_graph_npz(http_graph, tmp_path / "bad.npz")
+        # An unknown estimator would fail too, so a 400 naming the
+        # propagator proves the check runs before any estimation.
+        body = {"name": "x", "path": str(path), "method": "nope", **fields}
+        status, payload = call(server, "POST", "/graphs", body)
+        assert status == 400
+        assert message in payload["error"]
+        assert call(server, "GET", "/graphs/x")[0] == 404

@@ -33,7 +33,7 @@ def serve_graph():
 def service(serve_graph):
     service = InferenceService()
     service.load_graph(
-        "g", graph=serve_graph.copy(), propagator="linbp", fraction=0.1, seed=1
+        "g", graph=serve_graph.copy(), fraction=0.1, seed=1
     )
     return service
 
@@ -101,9 +101,9 @@ class TestLoading:
 
     def test_bad_propagator_and_method(self, serve_graph):
         service = InferenceService()
-        with pytest.raises(ServeError, match="unknown propagator"):
+        with pytest.raises(ServeError, match="invalid propagator_kwargs"):
             service.load_graph("x", graph=serve_graph.copy(),
-                               propagator="nope")
+                               propagator_kwargs={"nope": 1})
         with pytest.raises(ServeError, match="unknown estimator"):
             service.load_graph("x", graph=serve_graph.copy(), method="nope")
 

@@ -3,8 +3,7 @@
 The load-bearing property mirrors ``test_stream_session``: with
 ``localized=True`` every small delta must be solved by the residual-push
 path ("localized" mode) and still land within 1e-6 of a cold batch re-solve
-— for every propagator that supports localization, across edge deltas,
-label reveals, and node additions.  On top of that this module pins the
+— across edge deltas, label reveals, and node additions.  On top of that this module pins the
 decision policy (when localized is chosen over warm/full), the
 per-session mode counters and touched-nonzeros accounting, and the serve
 layer's ``GET /graphs/<name>/stats`` observability slice.
@@ -25,8 +24,7 @@ from repro.core.statistics import gold_standard_compatibility
 from repro.eval.seeding import stratified_seed_labels
 from repro.graph.generator import generate_graph
 from repro.graph.graph import Graph
-from repro.propagation import kernels
-from repro.propagation.engine import get_propagator, propagator_names
+from repro.propagation.engine import get_propagator
 from repro.serve import InferenceService, make_server
 from repro.stream import GraphDelta, IncrementalPropagator, StreamingSession
 from repro.stream.replay import _batch_resolve, replay_events
@@ -34,9 +32,6 @@ from repro.stream.replay import _batch_resolve, replay_events
 # Tight budgets: localized and dense solves only agree at the fixed point.
 LOCALIZED_CONFIGS = {
     "linbp": dict(max_iterations=300, tolerance=1e-10),
-    "lgc": dict(max_iterations=1000, tolerance=1e-12),
-    "harmonic": dict(max_iterations=3000, tolerance=1e-12),
-    "mrw": dict(max_iterations=1000, tolerance=1e-12),
 }
 
 AGREEMENT_TOLERANCE = 1e-6
@@ -79,7 +74,7 @@ def make_session(stream_graph, compatibility, seed_labels, name, **kwargs):
     return StreamingSession(
         stream_graph.copy(),
         propagator,
-        compatibility=compatibility if propagator.needs_compatibility else None,
+        compatibility=compatibility,
         seed_labels=seed_labels,
         localized=True,
         **kwargs,
@@ -87,16 +82,6 @@ def make_session(stream_graph, compatibility, seed_labels, name, **kwargs):
 
 
 class TestLocalizedAgreesWithBatch:
-    def test_localized_support_matches_registry(self):
-        supported = {
-            name for name in propagator_names()
-            if getattr(get_propagator(name), "supports_localized", False)
-        }
-        assert supported == set(LOCALIZED_CONFIGS), (
-            "a propagator gained/lost localized support without a matching "
-            "agreement test config; update LOCALIZED_CONFIGS"
-        )
-
     @pytest.mark.parametrize("name", sorted(LOCALIZED_CONFIGS))
     def test_random_deltas_reveals_and_node_adds(
         self, stream_graph, compatibility, seed_labels, name
@@ -148,9 +133,7 @@ class TestLocalizedAgreesWithBatch:
         dense = StreamingSession(
             stream_graph.copy(),
             propagator,
-            compatibility=(
-                compatibility if propagator.needs_compatibility else None
-            ),
+            compatibility=compatibility,
             seed_labels=seed_labels,
         )
         localized.propagate()
@@ -168,10 +151,41 @@ class TestLocalizedAgreesWithBatch:
             assert deviation <= AGREEMENT_TOLERANCE
 
 
+    def test_echo_request_runs_the_dense_warm_path(self):
+        """``localized=True`` on echo LinBP must not solve the echo-free system."""
+        graph = generate_graph(
+            2000, 10000, skew_compatibility(3, h=3.0), seed=11, name="echo"
+        )
+        seeds = stratified_seed_labels(graph.require_labels(), fraction=0.1, rng=3)
+        propagator = get_propagator(
+            "linbp", echo_cancellation=True, **LOCALIZED_CONFIGS["linbp"]
+        )
+        session = StreamingSession(
+            graph, propagator, compatibility=skew_compatibility(3, h=3.0),
+            seed_labels=seeds, localized=True,
+        )
+        previous = session.propagate().result
+        hidden = np.flatnonzero(seeds < 0)[:3]
+        step = session.step(GraphDelta(
+            reveal_nodes=hidden, reveal_labels=graph.labels[hidden],
+        ))
+        assert step.mode == "incremental"
+        batch_beliefs, _ = _batch_resolve(session)
+        deviation = float(np.abs(step.result.beliefs - batch_beliefs).max())
+        assert deviation <= AGREEMENT_TOLERANCE
+        # A direct localized request on the engine takes the same dense path.
+        direct = propagator.propagate(
+            session.graph, session.seed_labels, session.compatibility,
+            warm_start=previous, localized=True,
+        )
+        assert not direct.details.get("localized")
+        np.testing.assert_allclose(direct.beliefs, batch_beliefs, atol=1e-6)
+
+
 class TestLocalizedDecisionPolicy:
     @staticmethod
-    def primed(name="linbp", localized=True, **kwargs):
-        propagator = get_propagator(name, max_iterations=50)
+    def primed(localized=True, **kwargs):
+        propagator = get_propagator("linbp", max_iterations=50)
         return IncrementalPropagator(propagator, localized=localized, **kwargs)
 
     def test_small_delta_goes_localized(self):
@@ -190,14 +204,6 @@ class TestLocalizedDecisionPolicy:
         incremental = self.primed(localized=False)
         decision = incremental.decide(object(), delta_fraction=0.001, radius_drift=0.0)
         assert decision.mode == "incremental"
-
-    def test_unsupported_propagator_never_localizes(self):
-        # bp warm-starts but has no linear-system form: it degrades to a
-        # plain warm resume, never to the localized mode.
-        incremental = self.primed(name="bp")
-        decision = incremental.decide(object(), delta_fraction=0.001, radius_drift=0.0)
-        assert decision.mode == "incremental"
-        assert decision.reason == "warm"
 
     def test_custom_fraction_threshold(self):
         # Must stay below full_solve_edge_fraction (0.05) or the delta
@@ -233,7 +239,6 @@ class TestCountersAndObservability:
         stats = session.decision_stats()
         assert stats["mode_counts"] == session.mode_counts
         assert stats["touched_nnz_total"] == session.touched_nnz_total
-        assert stats["kernel_backend"] == kernels.active_backend()
         assert stats["localized_enabled"] is True
 
     def test_replay_report_carries_localized_counters(
@@ -266,7 +271,7 @@ class TestServeLocalized:
     def service(self, stream_graph):
         service = InferenceService()
         service.load_graph(
-            "g", graph=stream_graph.copy(), propagator="linbp",
+            "g", graph=stream_graph.copy(),
             fraction=0.1, seed=1, localized=True,
         )
         return service
@@ -282,7 +287,6 @@ class TestServeLocalized:
         assert stats["n_full"] == 1
         assert stats["mode_counts"]["localized"] == 1
         assert stats["touched_nnz_total"] > 0
-        assert stats["kernel_backend"] == kernels.active_backend()
         assert stats["localized_enabled"] is True
         # info() exposes the same decision slice inline.
         info = service.info("g")
@@ -312,7 +316,7 @@ class TestServeLocalized:
             assert stats["localized_enabled"] is True
             assert set(stats) >= {
                 "n_solves", "n_incremental", "n_localized", "n_full",
-                "mode_counts", "touched_nnz_total", "kernel_backend",
+                "mode_counts", "touched_nnz_total",
             }
             status, _ = get("/graphs/missing/stats")
             assert status == 404
