@@ -149,7 +149,9 @@ class LinBPPropagator(Propagator):
             Opt into the residual-push localized solve (needs a
             ``warm_start``): ``True`` seeds the residual with one dense
             pass, a :class:`~repro.propagation.push.LocalizedHint` names the
-            delta-affected rows so even the seeding is local.  The push
+            delta-affected rows so even the seeding is local (rows off the
+            hint resume from the ``warm_start`` result's carried push
+            residual when it has one).  The push
             loop drains residuals to the ``tolerance``, so the answer
             matches the dense fixed point to the solver tolerance.  The echo
             term is outside the push solver's ``F = B + W F C`` form, so
@@ -178,7 +180,8 @@ class LinBPPropagator(Propagator):
             return self._solve(
                 "localized", problem,
                 lambda: self._run_localized(
-                    *problem, beliefs, details.get("scaling"), hint
+                    *problem, beliefs, details.get("scaling"), hint,
+                    details.get("residual"),
                 ),
             )
         return self._solve(
@@ -233,6 +236,7 @@ class LinBPPropagator(Propagator):
         warm_beliefs: np.ndarray,
         previous_scaling: float | None,
         hint: LocalizedHint | None,
+        carried: np.ndarray | None = None,
     ) -> tuple[np.ndarray, int, bool, list[float], dict]:
         spec = self.linear_system(operators, prior_beliefs, compatibility)
         initial = np.array(warm_beliefs, dtype=np.float64, copy=True)
@@ -251,7 +255,9 @@ class LinBPPropagator(Propagator):
                 # O(nnz k) matvec with no frontier bookkeeping, far cheaper
                 # than letting the push frontier saturate.  A series cut
                 # at the term cap leaves residual everywhere, so the hint is
-                # dropped and the residual seeded densely.
+                # dropped and the residual seeded densely.  The carried
+                # residual describes the old epsilon, so it is dropped too.
+                carried = None
                 cutoff = 0.25 * self.tolerance
                 term = drift * (initial - spec.offset)
                 initial += term
@@ -270,9 +276,16 @@ class LinBPPropagator(Propagator):
             epsilon=self.tolerance,
             max_rounds=self.max_iterations,
             hint=hint,
+            residual=carried,
         )
+        # stats["residual"] is the exact R of the returned beliefs; the next
+        # hinted solve resumes from it, so sub-tolerance leftovers cannot
+        # pile up across steps.  Only a drained push leaves every row within
+        # the tolerance, the premise of a hint.
         details = dict(spec.details)
         details.update(stats)
+        if not converged:
+            del details["residual"]
         return beliefs, rounds, converged, residuals, details
 
     def _run(

@@ -30,6 +30,13 @@ Residual initialization has two modes:
 * **local seeding** (:class:`LocalizedHint`): exact residuals only on the
   delta-affected rows the caller names — valid when the previous solve
   converged, making everything off the hint provably sub-``epsilon``.
+  Off-hint rows start from the previous solve's final residual when the
+  caller carries it (``residual=``), and from zero otherwise.
+
+A push keeps ``R`` exact as it goes, so its final residual describes the
+returned beliefs; carrying it into the next hinted solve means the
+sub-``epsilon`` leftovers of consecutive solves add up in ``R`` (and get
+pushed once they cross ``epsilon``) instead of being forgotten each time.
 """
 
 from __future__ import annotations
@@ -69,11 +76,13 @@ class LinearFixedPoint:
 class LocalizedHint:
     """Rows whose residual a delta may have disturbed.
 
-    Everything *not* listed is trusted to already satisfy
-    ``||R[row]||_inf <= epsilon`` — only safe when the previous solve
-    converged and ``rows`` covers every term of ``B + W F C`` the delta
-    changed (edge endpoints plus their neighbors, revealed nodes, added
-    nodes).
+    Everything *not* listed already satisfies ``||R[row]||_inf <= epsilon``
+    — only safe when the previous solve converged and ``rows`` covers
+    every term of ``B + W F C`` the delta changed (edge endpoints plus
+    their neighbors, revealed nodes, added nodes).  When the previous
+    solve's residual is carried in, those off-hint rows are *known* (they
+    keep their exact value); without it they are trusted and seeded as
+    zero.
     """
 
     rows: np.ndarray
@@ -238,14 +247,19 @@ def solve_localized(
     epsilon: float,
     max_rounds: int,
     hint: LocalizedHint | None = None,
+    residual: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, bool, list[float], dict]:
     """Drive ``initial`` to the fixed point of ``spec`` by residual push.
+
+    ``residual`` is the previous solve's final residual, the off-hint
+    starting point of a hinted solve (rows past its end, i.e. nodes added
+    since, start at zero); it is not modified, and ignored without a hint.
 
     Returns ``(beliefs, rounds, converged, residual_history, stats)`` with
     ``stats`` reporting frontier-size / touched-nnz figures
     (``touched_nnz`` counts stored nonzeros visited across residual seeding
     and all push rounds — the number a dense solve would put at
-    ``iterations * nnz``).
+    ``iterations * nnz``) and ``residual``, the final ``n x k`` residual.
     """
     adjacency = spec.adjacency
     n_nodes = adjacency.shape[0]
@@ -268,7 +282,10 @@ def solve_localized(
     if hint is not None:
         rows = np.unique(np.asarray(hint.rows, dtype=np.int64).ravel())
         rows = rows[(rows >= 0) & (rows < n_nodes)]
+        carried = residual
         residual = np.zeros_like(beliefs)
+        if carried is not None:
+            residual[: carried.shape[0]] = carried
         seeded_nnz = seed_residual_rows(
             matrix, coupling, offset, beliefs, rows, residual
         )
@@ -297,5 +314,6 @@ def solve_localized(
         "initial_frontier": int(frontier.shape[0]),
         "max_frontier": int(max_frontier),
         "touched_nnz": int(seeded_nnz) + int(pushed_nnz),
+        "residual": residual,
     }
     return beliefs, int(rounds), bool(converged), history[:rounds].tolist(), stats

@@ -8,10 +8,10 @@ frontier and decay from there) or to re-solve from scratch.  The fallback
 triggers are:
 
 * no previous result (first solve, or the caller dropped its warm state),
-* the accumulated delta since the last full solve exceeds
-  ``full_solve_edge_fraction`` of the graph's edges — a huge delta leaves
-  nothing for the warm start to save, so re-anchoring is both faster and
-  keeps the spectral estimate trustworthy,
+* the delta accumulated since the last full solve (the *anchor*)
+  exceeds ``full_solve_edge_fraction`` of the graph's edges — a huge
+  delta leaves nothing for the warm start to save, so re-anchoring is
+  both faster and keeps the spectral estimate trustworthy,
 * the warm spectral-radius estimate drifted more than
   ``radius_drift_tolerance`` (relative) from the radius of the last full
   solve — LinBP's convergence scaling is a function of ``rho(W)``, and a
@@ -19,9 +19,14 @@ triggers are:
   graph.
 
 On top of warm-vs-full sits an opt-in third mode, **localized**: when the
-delta is tiny (at most ``localized_edge_fraction`` of the edges), the warm
-resume runs through the residual-push solver (:mod:`repro.propagation.push`)
-instead of dense sweeps, iterating only the delta-affected frontier.
+step being solved is tiny (its own delta at most ``localized_edge_fraction``
+of the edges), the warm resume runs through the residual-push solver
+(:mod:`repro.propagation.push`) instead of dense sweeps, iterating only the
+delta-affected frontier.  The localized ceiling is per step, while the
+full-solve budget above is accumulated since the anchor: a step's frontier
+depends only on what that step changed, whereas the spectral state and the
+anchor's drift budget age with everything changed since the last full
+solve.
 Localized solves hit the same unique fixed point to the same tolerance —
 the mode is purely a work-complexity choice, which is why it slots in
 *after* every correctness-motivated fallback above.  The echo term is
@@ -73,12 +78,16 @@ class IncrementalDecision:
     ``mode`` is ``"incremental"``, ``"localized"`` or ``"full"``;
     ``reason`` is a short machine-readable tag (``"warm"``,
     ``"localized"``, ``"first"``, ``"delta"``, ``"drift"``, ``"forced"``).
+    ``delta_fraction`` is the edge fraction changed since the anchor (read
+    by the ``"delta"`` fallback), ``step_fraction`` the fraction changed by
+    this step alone (read by the localized ceiling).
     """
 
     mode: str
     reason: str
     delta_fraction: float = 0.0
     radius_drift: float | None = None
+    step_fraction: float = 0.0
 
 
 class IncrementalPropagator:
@@ -106,7 +115,8 @@ class IncrementalPropagator:
     localized_edge_fraction:
         Ceiling on the delta fraction eligible for a localized solve; above
         it the frontier is unlikely to stay small, so a plain warm resume's
-        dense sweeps win.
+        dense sweeps win.  Compared against the step's own delta
+        (``step_fraction``), not the accumulation since the anchor.
     """
 
     def __init__(
@@ -140,8 +150,16 @@ class IncrementalPropagator:
         delta_fraction: float = 0.0,
         radius_drift: float | None = None,
         force_full: bool = False,
+        step_fraction: float | None = None,
     ) -> IncrementalDecision:
-        """Resolve the warm-vs-full policy without running anything."""
+        """Resolve the warm-vs-full policy without running anything.
+
+        ``delta_fraction`` is the edge fraction changed since the anchor,
+        ``step_fraction`` the fraction this step changed; None means the
+        step is everything since the anchor.
+        """
+        if step_fraction is None:
+            step_fraction = delta_fraction
         if force_full:
             reason = "forced"
         elif previous is None:
@@ -154,7 +172,7 @@ class IncrementalPropagator:
             reason = "delta"
         elif radius_drift is not None and radius_drift > self.radius_drift_tolerance:
             reason = "drift"
-        elif self.localized and delta_fraction <= self.localized_edge_fraction:
+        elif self.localized and step_fraction <= self.localized_edge_fraction:
             reason = "localized"
         else:
             reason = "warm"
@@ -164,6 +182,7 @@ class IncrementalPropagator:
             reason=reason,
             delta_fraction=float(delta_fraction),
             radius_drift=radius_drift,
+            step_fraction=float(step_fraction),
         )
 
     def propagate(
@@ -178,6 +197,7 @@ class IncrementalPropagator:
         force_full: bool = False,
         n_classes: int | None = None,
         localized_hint: LocalizedHint | None = None,
+        step_fraction: float | None = None,
     ) -> tuple[PropagationResult, IncrementalDecision]:
         """Run warm, localized, or cold according to the policy.
 
@@ -188,7 +208,9 @@ class IncrementalPropagator:
         localized solve's residual seeding to the delta-affected rows; it
         is only consulted when the decision lands on ``"localized"``.
         """
-        decision = self.decide(previous, delta_fraction, radius_drift, force_full)
+        decision = self.decide(
+            previous, delta_fraction, radius_drift, force_full, step_fraction
+        )
         warm_start = previous if decision.mode in ("incremental", "localized") else None
         localized = None
         if decision.mode == "localized":

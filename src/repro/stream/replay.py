@@ -107,6 +107,8 @@ class ReplayStepRecord:
     n_edges: int
     n_seeds: int
     touched_nnz: int = 0
+    # Edge fraction this step changed: what the localized ceiling reads.
+    step_fraction: float = 0.0
     accuracy: float | None = None
     full_seconds: float | None = None
     deviation: float | None = None
@@ -127,6 +129,7 @@ class ReplayStepRecord:
             "n_edges": self.n_edges,
             "n_seeds": self.n_seeds,
             "touched_nnz": self.touched_nnz,
+            "step_fraction": self.step_fraction,
             "accuracy": self.accuracy,
             "full_seconds": self.full_seconds,
             "deviation": self.deviation,
@@ -316,6 +319,7 @@ def replay_events(
             n_edges=step.n_edges,
             n_seeds=int(np.sum(session.seed_labels >= 0)),
             touched_nnz=step.touched_nnz,
+            step_fraction=step.decision.step_fraction,
             accuracy=accuracy,
         )
         if verify_every and step.index % verify_every == 0:

@@ -47,7 +47,7 @@ from repro.propagation.convergence import (
 )
 from repro.propagation.engine import PropagationResult
 from repro.propagation.linbp import LinBPPropagator
-from repro.propagation.push import LocalizedHint
+from repro.propagation.push import LocalizedHint, _neighbor_positions
 from repro.stream.delta import GraphDelta, apply_delta
 from repro.stream.incremental import (
     FULL_SOLVE_EDGE_FRACTION,
@@ -175,9 +175,14 @@ class StreamingSession:
         Fallback policy thresholds (see
         :class:`~repro.stream.incremental.IncrementalPropagator`).
     localized / localized_edge_fraction:
-        Opt in to residual-push localized solves for small deltas (see
+        Opt in to residual-push localized solves for steps whose own delta
+        is small (see
         :class:`~repro.stream.incremental.IncrementalPropagator`); off by
-        default.
+        default.  Rows off a step's hint start from the previous localized
+        solve's carried push residual, so they are *known* to be within
+        the tolerance; on the first localized step after a dense warm or
+        full solve, and on a step whose epsilon changed, they are trusted
+        (seeded as zero).
     strict:
         Delta application strictness (see :func:`repro.stream.delta.apply_delta`).
     spectral_seed:
@@ -451,6 +456,7 @@ class StreamingSession:
     def _propagate(self, force_full: bool = False) -> StreamStep:
         n_edges = self.graph.n_edges
         delta_fraction = delta_edge_fraction(self._edges_since_anchor, n_edges)
+        step_fraction = delta_edge_fraction(self._pending.edges_changed, n_edges)
         previous = self.last_result
         if previous is not None:
             previous = self._pad_previous(previous)
@@ -459,23 +465,30 @@ class StreamingSession:
         # refresh would otherwise dominate the whole localized solve.  When
         # the decision then lands anywhere *but* localized, pay for the
         # full-quality refresh before solving: the cheaper estimate is only
-        # good enough because a tiny delta barely moves the spectrum.
+        # good enough because a tiny delta barely moves the spectrum.  A
+        # step about to re-anchor (accumulated delta over the full-solve
+        # budget) skips the coarse refresh it would only have to redo.
         want_localized = (
             not force_full
             and self.incremental.localized
             and previous is not None
             and math.isfinite(delta_fraction)
-            and delta_fraction <= self.incremental.localized_edge_fraction
+            and delta_fraction <= self.incremental.full_solve_edge_fraction
+            and step_fraction <= self.incremental.localized_edge_fraction
         )
         spectral_seconds, drift = self._refresh_spectral(
             budget_steps=LOCALIZED_LANCZOS_STEPS if want_localized else None,
             coarse=want_localized,
         )
-        preview = self.incremental.decide(previous, delta_fraction, drift, force_full)
+        preview = self.incremental.decide(
+            previous, delta_fraction, drift, force_full, step_fraction
+        )
         if want_localized and preview.mode != "localized":
             extra_seconds, drift = self._refresh_spectral()
             spectral_seconds += extra_seconds
-            preview = self.incremental.decide(previous, delta_fraction, drift, force_full)
+            preview = self.incremental.decide(
+                previous, delta_fraction, drift, force_full, step_fraction
+            )
 
         localized_hint = None
         if preview.mode == "localized":
@@ -493,6 +506,7 @@ class StreamingSession:
                 force_full=force_full,
                 n_classes=self.graph.n_classes,
                 localized_hint=localized_hint,
+                step_fraction=step_fraction,
             )
             solve_span.annotate(mode=decision.mode, reason=decision.reason)
         propagate_seconds = time.perf_counter() - start
@@ -609,12 +623,8 @@ class StreamingSession:
             touched = np.unique(np.concatenate(self._pending.touched))
             touched = touched[(touched >= 0) & (touched < n_nodes)]
             parts.append(touched)
-            if touched.shape[0]:
-                indptr = adjacency.indptr
-                neighbors = np.concatenate(
-                    [adjacency.indices[indptr[t]: indptr[t + 1]] for t in touched]
-                )
-                parts.append(neighbors.astype(np.int64))
+            positions, _, _ = _neighbor_positions(adjacency.indptr, touched)
+            parts.append(adjacency.indices[positions].astype(np.int64))
         if self._pending.revealed:
             parts.append(np.concatenate(self._pending.revealed))
         if parts:

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.propagation.push import LinearFixedPoint, LocalizedHint, solve_localized
+from repro.propagation.push import (
+    LinearFixedPoint,
+    LocalizedHint,
+    full_residual,
+    solve_localized,
+)
 
 
 def random_system(seed: int, n: int = 120, k: int = 3):
@@ -80,6 +85,44 @@ class TestSolveLocalized:
         assert hinted_converged
         assert stats["seed_rows"] == 3
         assert np.abs(hinted - dense).max() <= 1e-10
+
+    def test_carried_residual_stays_exact_across_hinted_solves(self):
+        """Each hinted solve's final residual is the true ``B + W F C - F``."""
+        W, C, B, _ = random_system(11)
+        epsilon = 1e-6
+        spec = LinearFixedPoint(adjacency=W, coupling=C, offset=B)
+        beliefs, _, _, _, stats = solve_localized(
+            spec, np.zeros_like(B), epsilon=epsilon, max_rounds=4000
+        )
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            rows = rng.choice(B.shape[0], 2, replace=False)
+            B = B.copy()
+            B[rows] += rng.normal(0, 1e-5, (2, B.shape[1]))
+            spec = LinearFixedPoint(adjacency=W, coupling=C, offset=B)
+            carried = stats["residual"]
+            untouched = carried.copy()
+            beliefs, _, converged, _, stats = solve_localized(
+                spec, beliefs, epsilon=epsilon, max_rounds=4000,
+                hint=LocalizedHint(rows=rows), residual=carried,
+            )
+            assert converged
+            np.testing.assert_array_equal(carried, untouched)
+            exact = full_residual(W, C, B, beliefs)
+            assert np.abs(stats["residual"] - exact).max() <= 1e-12
+            assert np.abs(exact).max() <= epsilon
+
+    def test_carried_residual_is_zero_padded_for_new_rows(self):
+        W, C, B, _ = random_system(12)
+        spec = LinearFixedPoint(adjacency=W, coupling=C, offset=B)
+        short = np.full((B.shape[0] - 5, B.shape[1]), 1e-9)
+        _, _, _, _, stats = solve_localized(
+            spec, np.zeros_like(B), epsilon=1.0, max_rounds=10,
+            hint=LocalizedHint(rows=np.empty(0, dtype=np.int64)),
+            residual=short,
+        )
+        np.testing.assert_array_equal(stats["residual"][:-5], short)
+        np.testing.assert_array_equal(stats["residual"][-5:], 0.0)
 
     def test_converged_input_returns_immediately(self):
         W, C, B, _ = random_system(9)

@@ -216,6 +216,117 @@ class TestLocalizedDecisionPolicy:
         with pytest.raises(ValueError, match="localized_edge_fraction"):
             self.primed(localized_edge_fraction=0.0)
 
+    def test_ceiling_reads_the_step_and_budget_reads_the_anchor(self):
+        incremental = self.primed()
+        decision = incremental.decide(
+            object(), delta_fraction=0.03, radius_drift=0.0, step_fraction=0.001
+        )
+        assert (decision.mode, decision.reason) == ("localized", "localized")
+        assert decision.delta_fraction == 0.03
+        assert decision.step_fraction == 0.001
+        decision = incremental.decide(
+            object(), delta_fraction=0.06, radius_drift=0.0, step_fraction=0.001
+        )
+        assert (decision.mode, decision.reason) == ("full", "delta")
+
+    def test_small_step_after_a_large_one_localizes(
+        self, stream_graph, compatibility, seed_labels
+    ):
+        session = make_session(stream_graph, compatibility, seed_labels, "linbp")
+        session.propagate()
+        large = session.step(GraphDelta(
+            add_edges=fresh_edges(session.graph, 30, seed=90)
+        ))
+        assert large.mode == "incremental"
+        small = session.step(GraphDelta(
+            add_edges=fresh_edges(session.graph, 4, seed=91)
+        ))
+        assert small.mode == "localized"
+        assert small.decision.step_fraction == pytest.approx(
+            4 / session.graph.n_edges
+        )
+        assert small.decision.delta_fraction == pytest.approx(
+            34 / session.graph.n_edges
+        )
+
+
+class TestLocalizedErrorDoesNotPileUp:
+    """Consecutive localized steps stay within 1e-6 of a cold solve.
+
+    Each push stops with every row's residual at most the tolerance.  A
+    hinted solve that seeded its off-hint rows at zero would forget those
+    leftovers, and over 150 steps of this case they add up to 3e-6.  The
+    ceiling sits at the full-solve budget so every step localizes whatever
+    the gate reads, which makes the case about the carried residual alone.
+    """
+
+    @pytest.mark.parametrize("grow", [False, True], ids=["edges", "add-nodes"])
+    def test_150_localized_steps_match_a_tight_cold_solve(self, grow):
+        compatibility = skew_compatibility(3, h=3.0)
+        graph = generate_graph(20000, 40000, compatibility, seed=7, name="pile")
+        labels = graph.require_labels().copy()
+        seeds = stratified_seed_labels(labels, fraction=0.05, rng=1)
+        session = StreamingSession(
+            graph,
+            get_propagator("linbp", max_iterations=500, tolerance=1e-7),
+            compatibility=compatibility,
+            seed_labels=seeds,
+            localized=True,
+            localized_edge_fraction=0.05,
+            strict=False,
+        )
+        session.propagate()
+        rng = np.random.default_rng(3)
+        for _ in range(150):
+            n = session.graph.n_nodes
+            edges = rng.integers(0, n, (5, 2))
+            edges = edges[edges[:, 0] != edges[:, 1]]
+            reveal = rng.choice(np.flatnonzero(session.seed_labels < 0), 1)
+            extra = {}
+            if grow:
+                label = int(rng.integers(0, 3))
+                edges = np.vstack([edges, [[n, int(rng.integers(0, n))]]])
+                extra = dict(add_nodes=1, node_labels=[label])
+                labels = np.append(labels, label)
+            step = session.step(GraphDelta(
+                add_edges=edges, reveal_nodes=reveal,
+                reveal_labels=labels[reveal], **extra,
+            ))
+            assert step.mode == "localized"
+        cold = get_propagator("linbp", max_iterations=2000, tolerance=1e-13)
+        exact = cold.propagate(
+            session.graph.copy(), session.seed_labels,
+            compatibility=compatibility, n_classes=3,
+        )
+        assert exact.converged
+        deviation = float(np.abs(session.beliefs() - exact.beliefs).max())
+        assert deviation <= AGREEMENT_TOLERANCE, f"{deviation:.2e}"
+
+
+class TestLocalizedHint:
+    def test_hint_rows_are_touched_nodes_neighbors_and_reveals(
+        self, stream_graph, compatibility, seed_labels
+    ):
+        session = make_session(stream_graph, compatibility, seed_labels, "linbp")
+        previous = session.propagate().result
+        added = fresh_edges(session.graph, 6, seed=95)
+        hidden = np.flatnonzero(seed_labels < 0)[:2]
+        session.apply(GraphDelta(
+            add_edges=added, reveal_nodes=hidden,
+            reveal_labels=stream_graph.labels[hidden],
+        ))
+        hint = session._localized_hint(previous)
+
+        adjacency = session.graph.adjacency
+        touched = np.unique(added)
+        expected = set(touched.tolist()) | set(hidden.tolist())
+        for node in touched:
+            expected.update(
+                adjacency.indices[adjacency.indptr[node]: adjacency.indptr[node + 1]]
+                .tolist()
+            )
+        np.testing.assert_array_equal(hint.rows, np.array(sorted(expected)))
+
 
 class TestCountersAndObservability:
     def test_session_mode_counts_and_touched_nnz(
@@ -257,6 +368,8 @@ class TestCountersAndObservability:
         assert report.n_localized == 2
         payload = report.to_dict()
         assert payload["n_localized"] == 2
+        last = payload["steps"][-1]
+        assert last["step_fraction"] == pytest.approx(4 / last["n_edges"])
         assert payload["total_touched_nnz"] == sum(
             record.touched_nnz for record in report.steps
         )
