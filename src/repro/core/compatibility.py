@@ -99,16 +99,23 @@ def vector_to_matrix(parameters: np.ndarray, n_classes: int) -> np.ndarray:
 
     Implements Eq. 6: free entries fill the leading block symmetrically, the
     last column/row absorb the stochasticity slack, and the bottom-right
-    corner is ``2 - k + sum of the leading block``.
+    corner is ``2 - k + sum of the leading block``.  A ``(B, k*)`` stack of
+    parameter vectors maps to a ``(B, k, k)`` stack of matrices.
     """
-    parameters = np.asarray(parameters, dtype=np.float64).ravel()
+    parameters = np.asarray(parameters, dtype=np.float64)
+    if parameters.ndim != 2:
+        parameters = parameters.ravel()
     offset, basis = parameter_map(n_classes)
-    if parameters.shape[0] != basis.shape[1]:
+    if parameters.shape[-1] != basis.shape[1]:
         raise ValueError(
             f"expected {basis.shape[1]} free parameters for k={n_classes}, "
-            f"got {parameters.shape[0]}"
+            f"got {parameters.shape[-1]}"
         )
     centered = parameters - 1.0 / n_classes
+    if parameters.ndim == 2:
+        # One product per row, so a row's matrix does not depend on the stack.
+        flat = np.matmul(centered[:, None, :], basis.T)[:, 0]
+        return (offset + flat).reshape(-1, n_classes, n_classes)
     return (offset + basis.dot(centered)).reshape(n_classes, n_classes)
 
 

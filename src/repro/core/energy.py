@@ -31,6 +31,8 @@ __all__ = [
     "dce_weights",
     "matrix_powers",
     "dce_forward",
+    "dce_forward_batch",
+    "dce_hessian_terms",
     "dce_energy",
     "dce_adjoint",
     "dce_matrix_gradient",
@@ -83,6 +85,86 @@ def dce_forward(
     residuals = np.subtract(powers, statistics)
     squares = (residuals * residuals).reshape(len(residuals), -1).sum(axis=1)
     return powers, residuals, float(np.dot(weights, squares))
+
+
+def dce_forward_batch(
+    matrices: np.ndarray, statistics: list[np.ndarray], weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`dce_forward` for a ``(B, k, k)`` stack of matrices at once.
+
+    Returns the powers and residuals as ``(B, l_max, k, k)`` arrays and the
+    ``B`` energies; every stacked product works on one matrix at a time, so
+    entry ``b`` does not depend on the rest of the stack.
+    """
+    if len(statistics) != len(weights):
+        raise ValueError(
+            f"got {len(statistics)} statistics matrices but {len(weights)} weights"
+        )
+    matrices = np.asarray(matrices, dtype=np.float64)
+    powers = np.empty((len(matrices), len(weights)) + matrices.shape[1:])
+    powers[:, 0] = matrices
+    for length in range(1, len(weights)):
+        np.matmul(powers[:, length - 1], matrices, out=powers[:, length])
+    residuals = powers - np.asarray(statistics, dtype=np.float64)
+    squares = (residuals * residuals).reshape(len(matrices), len(weights), -1).sum(axis=2)
+    return powers, residuals, (squares * weights).sum(axis=1)
+
+
+def dce_hessian_terms(
+    powers: np.ndarray, residuals: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Newton and curvature terms of DCE's energy over the free parameters.
+
+    DCE's energy is the sum of squares of ``r = sqrt(w_l) vec(H^l - P̂^(l))``.
+    With ``S_p`` the structure matrices of Eq. 6, the derivatives of the
+    powers follow the forward recurrence ``D_1 = S`` and
+    ``D_l = D_(l-1) H + H^(l-1) S``; the Jacobian ``J`` stacks
+    ``sqrt(w_l) vec(D_l)``, and each level adds ``w_l D_l D_l^T`` to
+    ``J^T J`` and ``w_l D_l vec(R_l)`` to ``J^T r`` without forming ``J``.
+
+    The curvature term ``C = sum_i r_i Hess(r_i)`` is what Gauss-Newton
+    drops from ``Hess(E) / 2 = J^T J + C``.  Differentiating the recurrence
+    again and sweeping the residuals backwards like :func:`dce_adjoint`,
+    ``A_l = w_l R_l + A_(l+1) H^T``, gives
+    ``C = sum_(l >= 2) (Q_l + Q_l^T)`` with ``Q_l[p, q] = <D_(l-1)(p), A_l S_q>``.
+
+    ``powers`` and ``residuals`` are :func:`dce_forward_batch`'s
+    ``(B, l_max, k, k)`` stacks.  Returns ``J^T J`` and ``C`` as
+    ``(B, k*, k*)`` and ``J^T r`` as ``(B, k*)``; ``2 J^T r`` is the
+    free-parameter gradient.
+    """
+    count, max_length, n_classes = powers.shape[:3]
+    structure = parameter_map(n_classes)[1].T
+    size = len(structure)
+    # The S_p side by side, (k, k* k): X S is one product per matrix X.
+    beside = structure.reshape(size, n_classes, n_classes).transpose(1, 0, 2).reshape(
+        n_classes, -1
+    )
+
+    def times_structure(matrices: np.ndarray) -> np.ndarray:
+        """``(B, k, k)`` -> ``(B, k*, k^2)``: row ``p`` is ``vec(M S_p)``."""
+        product = np.matmul(matrices, beside).reshape(count, n_classes, size, n_classes)
+        return product.transpose(0, 2, 1, 3).reshape(count, size, -1)
+
+    adjoints = np.empty_like(residuals)
+    adjoints[:, -1] = weights[-1] * residuals[:, -1]
+    transposed = powers[:, 0].swapaxes(1, 2)
+    for length in range(max_length - 2, -1, -1):
+        adjoints[:, length] = weights[length] * residuals[:, length] + np.matmul(
+            adjoints[:, length + 1], transposed
+        )
+    flat_residuals = residuals.reshape(count, max_length, -1, 1)
+    derivative = np.broadcast_to(structure, (count,) + structure.shape)
+    gram = weights[0] * np.matmul(derivative, derivative.swapaxes(1, 2))
+    gradient = weights[0] * np.matmul(derivative, flat_residuals[:, 0])
+    curvature = np.zeros_like(gram)
+    for length in range(1, max_length):
+        curvature += np.matmul(derivative, times_structure(adjoints[:, length]).swapaxes(1, 2))
+        derivative = np.matmul(derivative.reshape(count, -1, n_classes), powers[:, 0])
+        derivative = derivative.reshape(count, size, -1) + times_structure(powers[:, length - 1])
+        gram += weights[length] * np.matmul(derivative, derivative.swapaxes(1, 2))
+        gradient += weights[length] * np.matmul(derivative, flat_residuals[:, length])
+    return gram, gradient[:, :, 0], curvature + curvature.swapaxes(1, 2)
 
 
 def dce_energy(

@@ -7,10 +7,24 @@ minimizes the distance-smoothed energy
 
     ``E(H) = sum_l  w_l ||H^l - P̂^(l)_NB||^2``,   ``w_l = lambda^(l-1)``
 
-over the ``k*`` free parameters of ``H`` with the analytic gradient of
-Proposition 4.7.  The objective is non-convex for ``l_max > 1``; DCEr
-restarts the optimization from points scattered around the uninformative
-``1/k`` matrix (Section 4.8) and keeps the lowest-energy solution.
+over the ``k*`` free parameters of ``H``.  The objective is non-convex for
+``l_max > 1``; DCEr restarts the optimization from points scattered around
+the uninformative ``1/k`` matrix (Section 4.8) and keeps the lowest-energy
+solution.
+
+The energy is a sum of squares of the residuals
+``sqrt(w_l) vec(H^l - P̂^(l))``, so the optimizer is Levenberg-Marquardt
+(:func:`repro.core.optimizer.least_squares_batch`), run on all starts at
+once: the ``B`` starts form a ``(B, k, k)`` stack, and one round costs a few
+stacked products of ``k x k`` matrices for the energies and the Hessian
+terms (:func:`repro.core.energy.dce_hessian_terms`) and one stacked
+``k* x k*`` solve.  Each start keeps its own Marquardt damping and takes
+Gauss-Newton steps until an accepted step gains at most ``1e-4`` of its
+energy, then Newton steps on the exact Hessian: the statistics are noisy,
+the residuals stay large, and Gauss-Newton alone would crawl to the minimum.
+A start stops once an accepted step lowers its energy by at most ``1e-10``
+of it, once no damped step lowers it at all, or after ``max_iterations``
+steps.
 """
 
 from __future__ import annotations
@@ -22,45 +36,14 @@ import scipy.sparse as sp
 
 from repro import obs
 from repro.core.compatibility import restart_initial_points, uniform_vector, vector_to_matrix
-from repro.core.energy import dce_adjoint, dce_forward, dce_weights, free_parameter_gradient
+from repro.core.energy import dce_forward_batch, dce_hessian_terms, dce_weights
 from repro.core.estimators.base import BaseEstimator
-from repro.core.optimizer import best_outcome, minimize_free_parameters
+from repro.core.optimizer import least_squares_batch
 from repro.core.statistics import NORMALIZATION_VARIANTS, observed_statistics
 from repro.graph.graph import Graph
 from repro.utils.validation import check_positive
 
-__all__ = ["DCE", "DCEr", "DCEObjective"]
-
-
-class DCEObjective:
-    """DCE's energy and free-parameter gradient over one shared forward pass.
-
-    SLSQP asks for the gradient at the point whose energy it has just
-    evaluated, so the last forward pass ``(powers, residuals, energy)`` is
-    kept, keyed on the point, and that gradient call runs only the adjoint
-    pass.  ``n_evaluations`` counts the energy calls.
-    """
-
-    def __init__(self, statistics: list[np.ndarray], weights: np.ndarray, n_classes: int):
-        self.statistics = np.asarray(statistics, dtype=np.float64)  # stacked: one subtraction
-        self.weights, self.n_classes = weights, n_classes
-        self.n_evaluations, self._cached = 0, (None, None)
-
-    def _forward_pass(self, parameters: np.ndarray):
-        key = np.asarray(parameters, dtype=np.float64).tobytes()
-        if key != self._cached[0]:
-            matrix = vector_to_matrix(parameters, self.n_classes)
-            self._cached = (key, dce_forward(matrix, self.statistics, self.weights))
-        return self._cached[1]
-
-    def energy(self, parameters: np.ndarray) -> float:
-        self.n_evaluations += 1
-        return self._forward_pass(parameters)[2]
-
-    def gradient(self, parameters: np.ndarray) -> np.ndarray:
-        powers, residuals, _ = self._forward_pass(parameters)
-        gradient = dce_adjoint(powers[0], residuals, self.weights)
-        return free_parameter_gradient(gradient, self.n_classes)
+__all__ = ["DCE", "DCEr"]
 
 
 class DCE(BaseEstimator):
@@ -78,11 +61,11 @@ class DCE(BaseEstimator):
     non_backtracking:
         Use NB path statistics (the consistent estimator of Thm 4.1).
         Setting this to False reproduces the biased plain-path ablation.
-    bounds:
-        Optional box constraints on the free parameters.
     initial:
         Optional explicit starting point (free-parameter vector); defaults
         to the uninformative all-``1/k`` point.
+    max_iterations:
+        Cap on the damped steps each start takes.
     """
 
     method_name = "DCE"
@@ -93,7 +76,6 @@ class DCE(BaseEstimator):
         scaling: float = 10.0,
         variant: int = 1,
         non_backtracking: bool = True,
-        bounds: tuple[float, float] | None = None,
         initial: np.ndarray | None = None,
         max_iterations: int = 500,
     ) -> None:
@@ -107,7 +89,6 @@ class DCE(BaseEstimator):
         self.scaling = scaling
         self.variant = variant
         self.non_backtracking = non_backtracking
-        self.bounds = bounds
         self.initial = initial
         self.max_iterations = max_iterations
 
@@ -132,30 +113,32 @@ class DCE(BaseEstimator):
     def _optimize(
         self, statistics: list[np.ndarray], n_classes: int
     ) -> tuple[np.ndarray, float, dict]:
-        """Step (2): minimize the distance-smoothed energy over ``h``."""
+        """Step (2): minimize the distance-smoothed energy from every start."""
         weights = dce_weights(self.max_length, self.scaling)
-        objective = DCEObjective(statistics, weights, n_classes)
-        outcomes = [
-            minimize_free_parameters(
-                objective.energy,
-                n_classes,
-                gradient=objective.gradient,
-                initial=start,
-                method="SLSQP",
-                bounds=self.bounds,
-                max_iterations=self.max_iterations,
-            )
-            for start in self._initial_points(n_classes)
-        ]
-        winner = best_outcome(outcomes)
+
+        def energy(points: np.ndarray) -> np.ndarray:
+            matrices = vector_to_matrix(points, n_classes)
+            return dce_forward_batch(matrices, statistics, weights)[2]
+
+        def hessian_terms(points: np.ndarray) -> tuple[np.ndarray, ...]:
+            matrices = vector_to_matrix(points, n_classes)
+            powers, residuals, _ = dce_forward_batch(matrices, statistics, weights)
+            return dce_hessian_terms(powers, residuals, weights)
+
+        outcome = least_squares_batch(
+            energy, hessian_terms, self._initial_points(n_classes), self.max_iterations
+        )
+        winner = int(np.argmin(outcome.energies))
         details = {
-            "restart_energies": [outcome.energy for outcome in outcomes],
-            "n_restarts": len(outcomes),
-            "n_evaluations": objective.n_evaluations,
-            "converged": winner.converged,
+            "restart_energies": outcome.energies.tolist(),
+            "n_restarts": len(outcome.energies),
+            "n_evaluations": outcome.n_evaluations,
+            "n_iterations": outcome.n_rounds,
+            "converged": bool(outcome.converged[winner]),
             "weights": weights,
         }
-        return winner.matrix, winner.energy, details
+        matrix = vector_to_matrix(outcome.parameters[winner], n_classes)
+        return matrix, float(outcome.energies[winner]), details
 
     def _estimate(
         self,
@@ -210,7 +193,6 @@ class DCEr(DCE):
         n_restarts: int = 10,
         restart_delta: float | None = None,
         seed=None,
-        bounds: tuple[float, float] | None = None,
         max_iterations: int = 500,
     ) -> None:
         super().__init__(
@@ -218,7 +200,6 @@ class DCEr(DCE):
             scaling=scaling,
             variant=variant,
             non_backtracking=non_backtracking,
-            bounds=bounds,
             max_iterations=max_iterations,
         )
         check_positive(n_restarts, "n_restarts")

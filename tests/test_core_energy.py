@@ -15,8 +15,11 @@ from repro.core.compatibility import (
 )
 from repro.core.energy import (
     dce_energy,
+    dce_forward,
+    dce_forward_batch,
     dce_free_gradient,
     dce_matrix_gradient,
+    dce_hessian_terms,
     dce_weights,
     free_parameter_gradient,
     lce_energy,
@@ -164,33 +167,6 @@ class TestDceGradient:
             dce_matrix_gradient(matrix, statistics, weights), expected, rtol=1e-12, atol=1e-12
         )
 
-    def test_gradient_after_energy_reuses_the_forward_pass(self, monkeypatch):
-        # SLSQP asks for the gradient at the point whose energy it has just
-        # evaluated; DCE's objective must not compute the powers again there.
-        from repro.core import energy
-        from repro.core.estimators.dce import DCEObjective
-
-        calls = []
-        original = energy.matrix_powers
-        monkeypatch.setattr(
-            energy, "matrix_powers", lambda *args: calls.append(args) or original(*args)
-        )
-        k, max_length = 8, 5
-        statistics = [random_compatibility(k, seed=i + 1) for i in range(max_length)]
-        weights = dce_weights(max_length, 10.0)
-        objective = DCEObjective(statistics, weights, k)
-        point = uniform_vector(k) + 0.01
-        value = objective.energy(point)
-        gradient = objective.gradient(point.copy())
-        assert len(calls) == 1
-        objective.gradient(point + 1e-3)  # a new point pays for its own pass
-        assert len(calls) == 2
-        assert objective.n_evaluations == 1
-        assert value == dce_energy(vector_to_matrix(point, k), statistics, weights)
-        np.testing.assert_array_equal(
-            gradient, dce_free_gradient(point, k, statistics, weights)
-        )
-
     def test_gradient_zero_at_global_optimum(self):
         matrix = skew_compatibility(3, h=3.0)
         statistics = matrix_powers(matrix, 3)
@@ -203,6 +179,67 @@ class TestDceGradient:
         statistics = matrix_powers(skew_compatibility(3, h=8.0), 3)
         gradient = dce_matrix_gradient(matrix, statistics, dce_weights(3, 2.0))
         np.testing.assert_allclose(gradient, gradient.T, atol=1e-10)
+
+
+class TestDceBatch:
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_forward_batch_matches_per_matrix(self, k):
+        rng = np.random.default_rng(k)
+        matrices = np.asarray(
+            [random_compatibility(k, seed=k + i) + 0.01 * rng.standard_normal((k, k))
+             for i in range(4)]
+        )
+        statistics = [random_compatibility(k, seed=10 + i) for i in range(5)]
+        weights = dce_weights(5, 10.0)
+        powers, residuals, energies = dce_forward_batch(matrices, statistics, weights)
+        for index, matrix in enumerate(matrices):
+            single_powers, single_residuals, single_energy = dce_forward(
+                matrix, statistics, weights
+            )
+            np.testing.assert_allclose(powers[index], single_powers, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(
+                residuals[index], single_residuals, rtol=1e-12, atol=1e-15
+            )
+            assert energies[index] == pytest.approx(single_energy, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_hessian_terms_match_finite_differences(self, k):
+        statistics = [random_compatibility(k, seed=20 + i) for i in range(4)]
+        weights = dce_weights(4, 3.0)
+        points = uniform_vector(k) + np.random.default_rng(k).uniform(
+            -0.05, 0.05, size=(3, free_parameter_count(k))
+        )
+
+        def residual(point):
+            _, residuals, _ = dce_forward(vector_to_matrix(point, k), statistics, weights)
+            return (np.sqrt(weights)[:, None, None] * residuals).ravel()
+
+        def half_gradient(point):
+            return dce_free_gradient(point, k, statistics, weights) / 2.0
+
+        powers, residuals, _ = dce_forward_batch(
+            vector_to_matrix(points, k), statistics, weights
+        )
+        gram, gradient, curvature = dce_hessian_terms(powers, residuals, weights)
+        epsilon = 1e-6
+        for index, point in enumerate(points):
+            steps = epsilon * np.eye(len(point))
+            jacobian = np.column_stack(
+                [(residual(point + step) - residual(point - step)) / (2 * epsilon)
+                 for step in steps]
+            )
+            half_hessian = np.column_stack(
+                [(half_gradient(point + step) - half_gradient(point - step)) / (2 * epsilon)
+                 for step in steps]
+            )
+            np.testing.assert_allclose(gram[index], jacobian.T @ jacobian, rtol=1e-6, atol=1e-6)
+            np.testing.assert_allclose(
+                gradient[index], jacobian.T @ residual(point), rtol=1e-6, atol=1e-6
+            )
+            np.testing.assert_allclose(
+                gram[index] + curvature[index], half_hessian, rtol=1e-5, atol=1e-5
+            )
+            np.testing.assert_allclose(curvature[index], curvature[index].T, atol=1e-12)
 
 
 class TestMceEnergy:

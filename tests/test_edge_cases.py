@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.compatibility import skew_compatibility
-from repro.core.estimators import DCE, DCEr, MCE
+from repro.core.estimators import DCE, DCEr, LCE, MCE
 from repro.core.statistics import neighbor_statistics, observed_statistics
 from repro.eval.experiment import run_experiment
 from repro.eval.metrics import macro_accuracy
@@ -138,6 +138,24 @@ class TestWeightedAndTinyGraphs:
         stats = observed_statistics(graph.adjacency, graph.label_matrix(), max_length=2)
         assert stats[0].shape == (1, 1)
         np.testing.assert_allclose(stats[0], [[1.0]])
+
+    @pytest.mark.parametrize(
+        "estimator",
+        [DCE(), DCEr(seed=0), LCE(), MCE(solver="slsqp")],
+        ids=["DCE", "DCEr", "LCE", "MCE-slsqp"],
+    )
+    def test_single_class_fit_skips_the_optimizer(self, estimator, capfd):
+        # k=1 leaves no free parameter; handing LAPACK an empty vector made
+        # it print "illegal value" errors.
+        graph = Graph.from_edges(
+            [(0, 1), (1, 2), (2, 0), (2, 3)], n_nodes=4,
+            labels=np.zeros(4, dtype=int), n_classes=1,
+        )
+        result = estimator.fit(graph, np.array([0, -1, 0, -1]))
+        assert np.array_equal(result.compatibility, [[1.0]])
+        captured = capfd.readouterr()
+        assert captured.err == ""
+        assert captured.out == ""
 
 
 class TestDisconnectedComponents:

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.compatibility import skew_compatibility
+from repro.core.compatibility import restart_initial_points, skew_compatibility, vector_to_matrix
+from repro.core.energy import (
+    dce_energy,
+    dce_forward,
+    dce_forward_batch,
+    dce_free_gradient,
+    dce_hessian_terms,
+    dce_weights,
+)
 from repro.core.estimators import (
     DCE,
     DCEr,
@@ -17,10 +27,12 @@ from repro.core.estimators import (
     LCE,
     MCE,
 )
-from repro.core.statistics import gold_standard_compatibility
+from repro.core.optimizer import best_outcome, minimize_free_parameters
+from repro.core.statistics import gold_standard_compatibility, observed_statistics
 from repro.eval.metrics import compatibility_l2
 from repro.eval.seeding import stratified_seed_labels
 from repro.graph.generator import generate_graph
+from repro.graph.graph import one_hot_labels
 from repro.utils.matrix import is_doubly_stochastic, is_symmetric
 
 
@@ -229,6 +241,39 @@ class TestDCEr:
         assert np.array_equal(traced.compatibility, untraced.compatibility)
         assert untraced.details["n_evaluations"] == evaluations
 
+    def test_fit_is_bitwise_reproducible_and_reports_every_start(self):
+        # The k=8 draw below leaves three starts in a higher local minimum.
+        graph = planted_graph(8, 8.0)
+        seeds = stratified_seed_labels(graph.labels, fraction=0.02, rng=1)
+        estimator = DCEr(seed=0)
+        records = []
+        previous = obs.configure_tracing(records.append)
+        try:
+            traced = estimator.fit(graph, seeds)
+        finally:
+            obs.configure_tracing(previous)
+        assert any(record["name"] == "estimator.optimize" for record in records)
+        previous = obs.set_enabled(False)
+        try:
+            untraced = estimator.fit(graph, seeds)
+        finally:
+            obs.set_enabled(previous)
+        for other in (untraced, estimator.fit(graph, seeds)):
+            assert np.array_equal(other.compatibility, traced.compatibility)
+            assert other.energy == traced.energy
+            for key in ("restart_energies", "n_evaluations", "n_iterations", "converged"):
+                assert other.details[key] == traced.details[key]
+        # Entry i is start i's own final energy: a start's steps do not
+        # depend on the other starts in the batch.
+        energies = traced.details["restart_energies"]
+        starts = restart_initial_points(8, 10, seed=0)
+        singles = [DCE(initial=start).fit(graph, seeds) for start in starts]
+        assert [single.energy for single in singles] == energies
+        assert max(energies) > min(energies) * (1.0 + 1e-6)
+        winner = int(np.argmin(energies))
+        assert traced.energy == energies[winner]
+        assert np.array_equal(traced.compatibility, singles[winner].compatibility)
+
     def test_winner_has_lowest_energy(self, graph, seed_labels_dense):
         result = DCEr(seed=0, n_restarts=5).fit(graph, seed_labels_dense)
         assert result.energy == pytest.approx(min(result.details["restart_energies"]))
@@ -245,6 +290,77 @@ class TestDCEr:
     def test_restart_validation(self):
         with pytest.raises(ValueError):
             DCEr(n_restarts=0)
+
+
+@lru_cache(maxsize=None)
+def planted_graph(k: int, h: float):
+    return generate_graph(3_000, 30_000, skew_compatibility(k, h=h), seed=0)
+
+
+# (k, h, label fraction, seed draw, whether some start ends in a higher
+# local minimum than the best one)
+ORACLE_CASES = [
+    (2, 3.0, 0.01, 0, False),
+    (2, 3.0, 0.01, 1, False),
+    (3, 3.0, 0.005, 0, True),
+    (3, 3.0, 0.005, 1, True),
+    (5, 3.0, 0.02, 0, False),
+    (5, 3.0, 0.02, 1, False),
+    (8, 8.0, 0.02, 1, True),
+    (8, 8.0, 0.05, 0, False),
+]
+
+
+class TestBatchedSolveOracle:
+    """DCEr's batched Levenberg-Marquardt solve against one SLSQP run per start."""
+
+    @pytest.mark.parametrize("k, h, fraction, draw, local_minimum", ORACLE_CASES)
+    def test_matches_or_beats_slsqp_from_the_same_starts(
+        self, k, h, fraction, draw, local_minimum
+    ):
+        graph = planted_graph(k, h)
+        seeds = stratified_seed_labels(graph.labels, fraction=fraction, rng=draw)
+        result = DCEr(seed=0).fit(graph, seeds)
+        statistics = result.details["observed_statistics"]
+        weights = result.details["weights"]
+        slsqp = best_outcome([
+            minimize_free_parameters(
+                lambda point: dce_energy(vector_to_matrix(point, k), statistics, weights),
+                k,
+                gradient=lambda point: dce_free_gradient(point, k, statistics, weights),
+                initial=start,
+            )
+            for start in restart_initial_points(k, 10, seed=0)
+        ])
+        assert result.energy <= slsqp.energy * (1.0 + 1e-9)
+        np.testing.assert_allclose(result.compatibility, slsqp.matrix, rtol=0, atol=1e-5)
+        energies = result.details["restart_energies"]
+        assert (max(energies) > result.energy * (1.0 + 1e-6)) == local_minimum
+
+    @pytest.mark.parametrize("k, h, fraction, draw, local_minimum", ORACLE_CASES)
+    def test_stacked_passes_match_each_start(self, k, h, fraction, draw, local_minimum):
+        graph = planted_graph(k, h)
+        seeds = stratified_seed_labels(graph.labels, fraction=fraction, rng=draw)
+        statistics = observed_statistics(graph.adjacency, one_hot_labels(seeds, k), 5)
+        weights = dce_weights(5, 10.0)
+        starts = restart_initial_points(k, 10, seed=0)
+        powers, residuals, energies = dce_forward_batch(
+            vector_to_matrix(starts, k), statistics, weights
+        )
+        _, half_gradients, _ = dce_hessian_terms(powers, residuals, weights)
+        for index, start in enumerate(starts):
+            single_powers, single_residuals, single_energy = dce_forward(
+                vector_to_matrix(start, k), statistics, weights
+            )
+            np.testing.assert_allclose(powers[index], single_powers, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(
+                residuals[index], single_residuals, rtol=1e-12, atol=1e-15
+            )
+            assert energies[index] == pytest.approx(single_energy, rel=1e-12)
+            gradient = dce_free_gradient(start, k, statistics, weights)
+            assert np.linalg.norm(2.0 * half_gradients[index] - gradient) <= (
+                1e-10 * np.linalg.norm(gradient)
+            )
 
 
 class TestHoldout:
