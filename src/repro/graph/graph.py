@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.utils.matrix import degree_matrix, degree_vector, to_csr
+from repro.utils.matrix import degree_matrix, degree_vector, rows_over, to_csr
 from repro.utils.validation import check_adjacency, check_labels
 
 __all__ = ["Graph", "one_hot_labels", "labels_from_one_hot"]
@@ -45,10 +45,8 @@ def labels_from_one_hot(beliefs: np.ndarray) -> np.ndarray:
     """
     beliefs = np.asarray(beliefs, dtype=np.float64)
     predicted = np.argmax(beliefs, axis=1).astype(np.int64, copy=False)
-    # A row carries no information iff every entry is exactly zero; the
-    # boolean any-reduce avoids materializing |beliefs| just for this test.
-    no_information = ~beliefs.any(axis=1)
-    predicted[no_information] = -1
+    # A row carries no information iff every entry is exactly zero.
+    predicted[~rows_over(beliefs, 0.0)] = -1
     return predicted
 
 

@@ -43,7 +43,7 @@ from repro.propagation.engine import (
     register_propagator,
 )
 from repro.propagation.push import LinearFixedPoint, LocalizedHint, solve_localized
-from repro.utils.matrix import center_columns, center_matrix, frontier_product
+from repro.utils.matrix import center_columns, center_matrix, frontier_product, rows_over
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -308,7 +308,7 @@ class LinBPPropagator(Propagator):
         echo_modulation = modulation @ modulation if echo else None
 
         # Sweep l of a cold run is zero off the seeds' l-hop ball.
-        seeds = priors.any(axis=1)
+        seeds = rows_over(priors, 0.0)
         reach = seeds if warm_beliefs is None and not echo else None
 
         def step(current: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -92,6 +92,8 @@ class GraphDelta:
                     f"{self.add_weights.shape[0]} weights for "
                     f"{self.add_edges.shape[0]} added edges"
                 )
+            if not np.isfinite(self.add_weights).all():
+                raise ValueError("added edge weights must be finite")
         if self.node_labels is not None:
             self.node_labels = check_integers(self.node_labels, "node_labels").ravel()
             if self.node_labels.shape[0] != self.add_nodes:
@@ -228,21 +230,64 @@ def _undirected_keys(edges: np.ndarray, n_nodes: int) -> np.ndarray:
     return low * np.int64(n_nodes) + high
 
 
+# A spliced segment costs about what scipy's C addition spends on 64 stored
+# nonzeros; a delta with more changes per stored nonzero takes the global sum.
+SPLICE_NNZ_PER_CHANGE = 64
+
+
+def _splice_rows(adjacency: sp.csr_matrix, change: sp.coo_matrix) -> sp.csr_matrix:
+    """``A + ΔW`` for a canonical ``A`` with positive weights, recomputed
+    only on the rows ``ΔW`` touches (by scipy's sparse sum, so each equals
+    its row of the global ``A + ΔW``); the rows between are copied as whole
+    segments.  Equals ``(A + ΔW).tocsr()``, ``eliminate_zeros``, ``sort_indices``.
+    """
+    n = adjacency.shape[0]
+    indptr, indices, data = adjacency.indptr, adjacency.indices, adjacency.data
+    rows, local = np.unique(change.row, return_inverse=True)
+    merged = adjacency[rows] + sp.coo_matrix(
+        (change.data, (local, change.col)), shape=(rows.shape[0], n)
+    ).tocsr()
+    lengths = np.diff(merged.indptr)
+    shifts = np.r_[0, np.cumsum(lengths - (indptr[rows + 1] - indptr[rows]))]
+    new_indptr = indptr.copy()
+    new_indices = np.empty(indptr[n] + shifts[-1], dtype=indices.dtype)
+    new_data = np.empty(new_indices.shape[0], dtype=np.float64)
+    starts = indptr[rows] + shifts[:-1] - merged.indptr[:-1]
+    target = np.repeat(starts, lengths) + np.arange(merged.nnz)
+    new_indices[target] = merged.indices
+    new_data[target] = merged.data
+    # Segment i: the untouched rows before touched row i (or before the end),
+    # shifted by what the touched rows before it grew.
+    first_rows, stop_rows = np.r_[0, rows + 1], np.r_[rows, n]
+    for first_row, stop_row, start, stop, shift in zip(
+        first_rows.tolist(), stop_rows.tolist(), indptr[first_rows].tolist(),
+        indptr[stop_rows].tolist(), shifts.tolist(),
+    ):
+        new_indptr[first_row:stop_row + 1] += shift
+        new_indices[start + shift:stop + shift] = indices[start:stop]
+        new_data[start + shift:stop + shift] = data[start:stop]
+    spliced = sp.csr_matrix((new_data, new_indices, new_indptr), shape=adjacency.shape)
+    spliced.has_canonical_format = True
+    return spliced
+
+
 def apply_delta(
     adjacency: sp.csr_matrix, delta: GraphDelta, strict: bool = True
 ) -> DeltaApplication:
     """Apply one :class:`GraphDelta` to a symmetric CSR adjacency.
 
-    Cost is ``O(nnz + delta)`` — one sparse addition over the existing
-    structure — versus the ``O(m log m)`` coordinate sort of a batch rebuild
-    from the full edge list, and the returned matrix is canonical CSR
+    A delta that is small next to the graph rebuilds only the rows it
+    touches (:func:`_splice_rows`); a larger one, or a non-canonical input,
+    takes one sparse addition over the existing structure.  Either way this
+    beats the ``O(m log m)`` coordinate sort of a batch rebuild from the
+    full edge list, and the returned matrix is canonical CSR
     (sorted indices, no explicit zeros, duplicates summed) so it compares
     bitwise-equal to :meth:`repro.graph.graph.Graph.from_edges` output on
     strict streams.
     """
     n_before = adjacency.shape[0]
     n_after = n_before + delta.add_nodes
-    adjacency = adjacency.tocsr()
+    adjacency = unpadded = adjacency.tocsr()
 
     if delta.add_nodes:
         # Growing the shape only needs the row pointer padded: new rows are
@@ -330,15 +375,22 @@ def apply_delta(
         shape=(n_after, n_after),
     )
     delta_degrees = np.bincount(change.row, weights=change.data, minlength=n_after)
-    if add_edges.shape[0] or n_removed:
+    if not (add_edges.shape[0] or n_removed):
+        new_adjacency = adjacency
+    elif (
+        SPLICE_NNZ_PER_CHANGE * change.nnz <= adjacency.nnz
+        and unpadded.dtype == np.float64
+        and unpadded.has_canonical_format  # cached by scipy, set on our output
+        and unpadded.data.min() > 0  # hence no stored zeros
+    ):
+        new_adjacency = _splice_rows(adjacency, change)
+    else:
         new_adjacency = (adjacency + change.tocsr()).tocsr()
         if n_removed:
             # Exact cancellation leaves explicit zeros only where edges were
             # removed; pure insertions skip the extra O(nnz) pass.
             new_adjacency.eliminate_zeros()
         new_adjacency.sort_indices()
-    else:
-        new_adjacency = adjacency
 
     touched = np.unique(np.concatenate([
         add_edges.ravel(),

@@ -231,6 +231,8 @@ class StreamingSession:
                 )
         self.strict = bool(strict)
         self.spectral_seed = spectral_seed
+        # Deltas reject self-loops: ``n_edges`` needs no diagonal pass per step.
+        self._self_loops = int(np.count_nonzero(graph.adjacency.diagonal()))
         # Sessions are written by one mutator at a time but may be *read*
         # (beliefs/labels) from other threads — the serving layer answers
         # queries while deltas stream in.  Every public entry point takes
@@ -454,7 +456,7 @@ class StreamingSession:
             return self._propagate(force_full)
 
     def _propagate(self, force_full: bool = False) -> StreamStep:
-        n_edges = self.graph.n_edges
+        n_edges = (self.graph.adjacency.nnz - self._self_loops) // 2 + self._self_loops
         delta_fraction = delta_edge_fraction(self._edges_since_anchor, n_edges)
         step_fraction = delta_edge_fraction(self._pending.edges_changed, n_edges)
         previous = self.last_result

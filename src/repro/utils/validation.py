@@ -35,8 +35,8 @@ def check_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
 def check_adjacency(adjacency, require_symmetric: bool = True) -> sp.csr_matrix:
     """Validate an adjacency matrix and return it in CSR format.
 
-    Checks that the matrix is square, has no negative weights and (by
-    default) is symmetric, since the paper works on undirected graphs.
+    Checks that the matrix is square, has only finite, non-negative weights
+    and (by default) is symmetric, since the paper works on undirected graphs.
     """
     if sp.issparse(adjacency):
         csr = adjacency.tocsr().astype(np.float64)
@@ -47,6 +47,8 @@ def check_adjacency(adjacency, require_symmetric: bool = True) -> sp.csr_matrix:
         csr = sp.csr_matrix(dense)
     if csr.shape[0] != csr.shape[1]:
         raise ValueError(f"adjacency must be square, got shape {csr.shape}")
+    if not np.isfinite(csr.data).all():
+        raise ValueError("adjacency must not contain non-finite edge weights")
     if csr.nnz and csr.data.min() < 0:
         raise ValueError("adjacency must not contain negative edge weights")
     if require_symmetric:

@@ -301,6 +301,33 @@ class TestErrorMapping:
             server.close()
             thread.join(timeout=5)
 
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_non_finite_weights_are_400_and_never_logged(
+        self, http_graph, tmp_path, batched
+    ):
+        service = InferenceService(queue_dir=tmp_path / "queues")
+        service.load_graph("g", graph=http_graph.copy(), fraction=0.1, seed=3)
+        batcher = MicroBatcher(service) if batched else None
+        server = make_server(service, port=0, batcher=batcher)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            # json.dumps writes NaN/Infinity, which the handler's parser accepts.
+            for weight in (float("nan"), float("inf")):
+                body = {"add_edges": [[0, 2]], "add_weights": [weight]}
+                status, payload = call(server, "POST", "/graphs/g/delta", body)
+                assert status == 400, body
+                assert "finite" in payload["error"]
+            assert service.queue.replay("g") == []
+            assert service.info("g")["graph_version"] == 0
+            status, payload = call(server, "POST", "/graphs/g/query",
+                                   {"nodes": [0, 2]})
+            assert status == 200
+            assert np.isfinite(np.asarray(payload["beliefs"])).all()
+        finally:
+            server.close()
+            thread.join(timeout=5)
+
     def test_malformed_json_is_400(self, server):
         port = server.server_address[1]
         request = urllib.request.Request(

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
 
+import repro.stream.delta as delta_module
 from repro.graph.graph import Graph
 from repro.stream.delta import (
     GraphDelta,
@@ -50,6 +54,14 @@ class TestGraphDelta:
     def test_mismatched_weights_rejected(self):
         with pytest.raises(ValueError, match="weights"):
             GraphDelta(add_edges=[[0, 1], [1, 2]], add_weights=[1.0])
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weights_rejected(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            GraphDelta(add_edges=[[0, 2]], add_weights=[weight])
+        # The JSON event format parses NaN/Infinity, so the dict path too.
+        with pytest.raises(ValueError, match="finite"):
+            GraphDelta.from_dict({"add_edges": [[0, 2]], "add_weights": [weight]})
 
     def test_mismatched_node_labels_rejected(self):
         with pytest.raises(ValueError, match="node labels"):
@@ -252,3 +264,115 @@ class TestIntraDeltaDuplicates:
             strict=False,
         )
         assert outcome.adjacency[0, 2] == 2.0
+
+
+# Weights whose sums depend on the order of addition, so a summation that
+# strays from the reference's order shows up in the bits.
+WEIGHTS = np.array([0.1, 0.2, 0.3, 0.7, 1.0, 1e-3])
+
+
+def stored_adjacency(rng, n: int, layout: str) -> sp.csr_matrix:
+    """A symmetric weighted CSR on ``n`` nodes, stored in one of four layouts.
+
+    ``canonical`` is scipy's canonical form; ``unsorted`` shuffles each row;
+    ``duplicates`` splits some edges into two stored entries; ``zeros``
+    stores explicit zeros at some absent pairs.
+    """
+    pairs = rng.integers(0, n, size=(2 * n, 2))
+    pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+    weights = rng.choice(WEIGHTS, pairs.shape[0])
+    if layout == "duplicates":
+        split = rng.random(pairs.shape[0]) < 0.4
+        pairs = np.vstack([pairs, pairs[split]])
+        weights = np.concatenate([weights, rng.choice(WEIGHTS, int(split.sum()))])
+    if layout == "zeros":
+        extra = rng.integers(0, n, size=(n, 2))
+        extra = np.sort(extra[extra[:, 0] != extra[:, 1]], axis=1)
+        dense = np.zeros((n, n), dtype=bool)
+        dense[pairs[:, 0], pairs[:, 1]] = True
+        extra = np.unique(extra[~dense[extra[:, 0], extra[:, 1]]], axis=0)
+        pairs = np.vstack([pairs, extra])
+        weights = np.concatenate([weights, np.zeros(extra.shape[0])])
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    data = np.concatenate([weights, weights])
+    within = rng.random(rows.shape[0]) if layout == "unsorted" else cols
+    order = np.lexsort((within, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return sp.csr_matrix(
+        (data[order], cols[order].astype(np.int32), indptr.astype(np.int32)),
+        shape=(n, n),
+    )
+
+
+def random_delta(rng, adjacency, add_nodes: int, strict: bool) -> GraphDelta:
+    """A delta valid in ``strict`` mode, or a noisy one for lenient mode."""
+    n_after = adjacency.shape[0] + add_nodes
+    present = np.zeros((n_after, n_after), dtype=bool)
+    present[: adjacency.shape[0], : adjacency.shape[0]] = adjacency.toarray() != 0
+    upper = np.triu_indices(n_after, k=1)
+    absent = np.flatnonzero(~present[upper])
+    stored = np.flatnonzero(present[upper])
+    if strict:
+        adds = rng.choice(absent, min(absent.shape[0], rng.integers(0, 5)), replace=False)
+        removes = rng.choice(stored, min(stored.shape[0], rng.integers(0, 4)), replace=False)
+    else:
+        # A small pool makes repeated adds (and add-remove overlaps) common.
+        pool = rng.choice(upper[0].shape[0], 3)
+        adds = rng.choice(pool, rng.integers(0, 7))
+        removes = rng.choice(np.r_[pool, stored], rng.integers(0, 5))
+    add_edges = np.column_stack([upper[0][adds], upper[1][adds]])
+    flip = rng.random(add_edges.shape[0]) < 0.5
+    add_edges[flip] = add_edges[flip][:, ::-1]
+    return GraphDelta(
+        add_edges=add_edges,
+        add_weights=rng.choice(WEIGHTS, add_edges.shape[0]) if rng.random() < 0.7 else None,
+        remove_edges=np.column_stack([upper[0][removes], upper[1][removes]]),
+        add_nodes=add_nodes,
+    )
+
+
+def assert_same_csr(actual: sp.csr_matrix, expected: sp.csr_matrix) -> None:
+    assert actual.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestApplyDeltaOracle:
+    """The row splice against ``(A + ΔW)`` + ``eliminate_zeros`` + ``sort_indices``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 12),
+        layout=st.sampled_from(["canonical", "unsorted", "duplicates", "zeros"]),
+        add_nodes=st.integers(0, 2),
+        strict=st.booleans(),
+    )
+    def test_splice_equals_global_sum(self, seed, n, layout, add_nodes, strict):
+        rng = np.random.default_rng(seed)
+        adjacency = stored_adjacency(rng, n, layout)
+        delta = random_delta(rng, adjacency, add_nodes, strict)
+        before = [adjacency.indptr.copy(), adjacency.indices.copy(), adjacency.data.copy()]
+
+        application = apply_delta(adjacency, delta, strict=strict)
+        assume(application.n_added_edges + application.n_removed_edges > 0)
+        # A tiny threshold splices every canonical input, however small.
+        with mock.patch.object(delta_module, "SPLICE_NNZ_PER_CHANGE", 1e-9):
+            spliced = apply_delta(adjacency, delta, strict=strict)
+
+        n_after = n + add_nodes
+        padded = sp.csr_matrix((
+            adjacency.data, adjacency.indices,
+            np.concatenate([adjacency.indptr, np.full(add_nodes, adjacency.indptr[-1])]),
+        ), shape=(n_after, n_after))
+        reference = (padded + application.edge_change.tocsr()).tocsr()
+        reference.eliminate_zeros()
+        reference.sort_indices()
+        assert_same_csr(application.adjacency, reference)
+        assert_same_csr(spliced.adjacency, reference)
+        assert spliced.adjacency.has_canonical_format
+        for original, now in zip(before, (adjacency.indptr, adjacency.indices, adjacency.data)):
+            assert original.tobytes() == now.tobytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.graph.graph import Graph
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import (
     check_adjacency,
@@ -56,6 +57,14 @@ class TestCheckAdjacency:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError, match="negative"):
             check_adjacency(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, weight):
+        dense = np.array([[0.0, weight], [weight, 0.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            check_adjacency(dense)
+        with pytest.raises(ValueError, match="non-finite"):
+            Graph(adjacency=sp.csr_matrix(dense))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
