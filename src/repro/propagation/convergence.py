@@ -12,7 +12,7 @@ Krylov basis to assemble a Ritz vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,11 +23,12 @@ from repro.utils.validation import check_positive
 
 __all__ = [
     "spectral_radius",
+    "cold_radius",
     "linbp_scaling",
     "SpectralState",
     "lanczos_spectral_state",
     "quantize_radius",
-    "radius_ladder_gap",
+    "ladder_rung",
     "RADIUS_LADDER_BITS",
     "COLD_LANCZOS_STEPS",
     "COLD_LANCZOS_TOLERANCE",
@@ -61,24 +62,6 @@ def quantize_radius(radius: float) -> float:
     return math.ceil(radius / rung) * rung
 
 
-def radius_ladder_gap(radius: float) -> float:
-    """Relative distance from ``radius`` to its nearest ladder rung.
-
-    A warm radius estimate whose error could straddle a rung boundary must
-    be refined before it feeds the scaling — otherwise the warm session and
-    a cold solve could snap to different rungs and disagree by a whole grid
-    step.  Callers compare this gap against their estimate's error bound.
-    """
-    radius = float(radius)
-    if radius <= 0.0 or not math.isfinite(radius):
-        return float("inf")
-    exponent = math.frexp(radius)[1] - 1
-    rung = math.ldexp(1.0, exponent - RADIUS_LADDER_BITS)
-    steps = radius / rung
-    fraction = steps - math.floor(steps)
-    return min(fraction, 1.0 - fraction) * rung / radius
-
-
 # The one cold Lanczos setting: the batch radius and a streaming session's
 # anchor solve run it from the same seeded start vector, so the anchor
 # reproduces the batch value bit for bit, ~1e-11 relative to rho(W), far
@@ -99,54 +82,105 @@ def spectral_radius(matrix, seed=0) -> float:
     returned instead.  A dense (``k x k``) matrix takes exact eigenvalues.
     """
     if sp.issparse(matrix):
-        matrix = to_csr(matrix)
-        n = matrix.shape[0]
-        if n == 0:
-            return 0.0
-        start = ensure_rng(seed).standard_normal(n)
-        start /= np.linalg.norm(start)
-        radius, _, _, _, converged = _lanczos(
-            matrix, start, COLD_LANCZOS_STEPS, COLD_LANCZOS_TOLERANCE,
-            keep_basis=False,
-        )
-        if converged:
-            return radius
-        return float(abs(matrix).sum(axis=1).max())
+        return cold_radius(matrix, seed)[0]
     dense = np.asarray(matrix, dtype=np.float64)
     if dense.shape[0] == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(dense))))
 
 
+def ladder_rung(rayleigh: float, residual_sq: float, gap: float) -> float | None:
+    """The ladder rung of ``rho(W)`` when Temple's interval fits one, else None.
+
+    A unit ``v`` with ``rayleigh = v'Wv`` and ``r = Wv - rayleigh v`` puts
+    the top eigenvalue of a symmetric ``W`` in ``[rayleigh, rayleigh +
+    ||r||^2 / gap]`` (Temple), for ``rayleigh - gap`` at or above the second
+    eigenvalue.  It is ``rho(W)`` for a nonnegative ``W`` (Perron-Frobenius).
+    Both ends get 1e-12 (relative) of slack for the rounding of their sums.
+    """
+    if not gap > 0.0 or not rayleigh > 0.0:
+        return None
+    low = quantize_radius(rayleigh * (1.0 - 1e-12))
+    high = quantize_radius((rayleigh + residual_sq / gap) * (1.0 + 1e-12))
+    return low if low == high else None
+
+
+def cold_radius(matrix, seed=0) -> tuple[float, float, int]:
+    """:func:`spectral_radius` of a sparse matrix, with the run's second Ritz
+    value and its step count (= matrix-vector products)."""
+    matrix = to_csr(matrix)
+    n = matrix.shape[0]
+    if n == 0:
+        return 0.0, 0.0, 0
+    start = ensure_rng(seed).standard_normal(n)
+    start /= np.linalg.norm(start)
+    radius, _, n_steps, second, converged = _lanczos(
+        matrix, start, COLD_LANCZOS_STEPS, COLD_LANCZOS_TOLERANCE, keep_basis=False
+    )
+    if not converged:
+        radius = float(abs(matrix).sum(axis=1).max())
+    return radius, second, n_steps
+
+
 @dataclass
 class SpectralState:
-    """Dominant eigenpair estimate of a symmetric matrix.
+    """Dominant eigenpair estimate of a symmetric ``W``, carried under deltas.
 
     Attributes
     ----------
     radius:
         Estimated spectral radius ``|lambda_max|``.
     vector:
-        Unit-norm Ritz vector of the dominant eigenvalue.  Feeding it back
-        as ``v0`` after a small perturbation of the matrix makes the next
-        estimate converge in a handful of matrix-vector products — the warm
-        restart the streaming layer relies on.
+        Unit-norm Ritz vector ``v`` of the dominant eigenvalue, a good
+        ``v0`` for the next run after a small change of ``W``.
+    product:
+        ``Wv``, from the run's own products (the Lanczos relation).
     n_steps:
         Lanczos steps (= matrix-vector products) actually performed.
-    residual_bound:
-        Estimated eigenvalue error of ``radius``: the certified Ritz
-        residual ``beta_k |y_k|`` sharpened by Temple's inequality
-        (``residual^2 / ritz_gap``) when a gap estimate is available.  Lets
-        callers trust a coarse estimate — or detect that it must be
-        refined before a discrete decision (e.g. picking a scaling-ladder
-        rung) depends on it.  Zero for exact states (primed or
-        invariant-subspace exits).
+    second:
+        Second-largest Ritz value of the run (``radius`` if it found only
+        one); Ritz values interlace, so it is at most ``W``'s second
+        eigenvalue.
+    rayleigh, product_sq:
+        ``v'Wv`` and ``||Wv||^2``.  :meth:`advance` moves them and
+        ``product`` to ``W + dW`` on the rows ``dW`` touches.
     """
 
     radius: float
     vector: np.ndarray
+    product: np.ndarray
     n_steps: int
-    residual_bound: float = 0.0
+    second: float
+    rayleigh: float = field(init=False)
+    product_sq: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.rayleigh = float(self.vector @ self.product)
+        self.product_sq = float(self.product @ self.product)
+
+    def advance(self, changes, n_nodes: int) -> None:
+        """Move to ``W`` plus each COO ``dW`` of ``changes``; nodes up to
+        ``n_nodes`` enter with zero entries in ``v`` and ``Wv``."""
+        grow = n_nodes - self.vector.shape[0]
+        if grow > 0:
+            self.vector = np.concatenate((self.vector, np.zeros(grow)))
+            self.product = np.concatenate((self.product, np.zeros(grow)))
+        for change in changes:
+            touched, inverse = np.unique(change.row, return_inverse=True)
+            delta = np.bincount(
+                inverse, weights=change.data * self.vector[change.col],
+                minlength=touched.shape[0],
+            )
+            before = self.product[touched]
+            after = before + delta
+            self.rayleigh += float(self.vector[touched] @ delta)
+            self.product_sq += float(after @ after - before @ before)
+            self.product[touched] = after
+
+    @property
+    def residual_sq(self) -> float:
+        """``||Wv - (v'Wv) v||^2`` (clamped at zero against rounding)."""
+        return max(0.0, self.product_sq - self.rayleigh * self.rayleigh)
 
 
 def lanczos_spectral_state(
@@ -155,6 +189,7 @@ def lanczos_spectral_state(
     max_steps: int = 60,
     tolerance: float = 1e-9,
     seed=0,
+    settled=None,
 ) -> SpectralState:
     """Dominant eigenpair of a *symmetric* matrix via the Lanczos iteration.
 
@@ -164,6 +199,8 @@ def lanczos_spectral_state(
     the previous Ritz vector is an excellent ``v0`` and the iteration
     typically converges in < 15 steps instead of a cold start's 16 to 50.
 
+    ``settled(ritz_value, residual_norm)``, if given, may end it earlier.
+
     The three-term recurrence is run without reorthogonalization — safe
     here because we only ever need the extremal eigenvalue and stop as soon
     as the Ritz value stabilizes to ``tolerance`` (relative).  Symmetry of
@@ -172,7 +209,7 @@ def lanczos_spectral_state(
     check_positive(max_steps, "max_steps")
     n = matrix.shape[0]
     if n == 0:
-        return SpectralState(0.0, np.zeros(0), 0)
+        return SpectralState(0.0, np.zeros(0), np.zeros(0), 0, 0.0)
     if v0 is None:
         v0 = ensure_rng(seed).standard_normal(n)
     vector = np.asarray(v0, dtype=np.float64).ravel()
@@ -184,26 +221,32 @@ def lanczos_spectral_state(
     if norm == 0:
         vector = ensure_rng(seed).standard_normal(n)
         norm = np.linalg.norm(vector)
-    radius, ritz_vector, n_steps, residual_bound, _ = _lanczos(
-        matrix, vector / norm, max_steps, tolerance, keep_basis=True
+    radius, ritz, n_steps, second, _ = _lanczos(
+        matrix, vector / norm, max_steps, tolerance, keep_basis=True,
+        settled=settled,
     )
-    return SpectralState(radius, ritz_vector, n_steps, residual_bound)
+    return SpectralState(radius, *ritz, n_steps, second)
 
 
-def _lanczos(matrix, start, max_steps, tolerance, keep_basis):
+def _lanczos(matrix, start, max_steps, tolerance, keep_basis, settled=None):
     """The Lanczos recurrence from the unit vector ``start``.
 
-    Returns ``(radius, ritz_vector, n_steps, residual_bound, converged)``.
-    ``converged`` is False when the step cap ended the run before the Ritz
-    value met ``tolerance``.  Without ``keep_basis`` only the two vectors
-    the three-term recurrence reads are held, and ``ritz_vector`` is None.
+    Returns ``(radius, ritz, n_steps, second, converged)``.
+    ``converged`` is False when the step cap ended the run first.  ``ritz``
+    is the unit Ritz vector and its product with ``matrix``; without
+    ``keep_basis`` only the two vectors the recurrence reads are held, and
+    ``ritz`` is None.
     """
     basis = [start]
+    if keep_basis:
+        # The outputs are allocated before the basis, so that freeing the
+        # basis leaves no live array above it and the allocator can hand
+        # the space back (a serve worker otherwise keeps it resident).
+        ritz_vector, ritz_product = np.zeros(start.shape[0]), np.empty(start.shape[0])
     alphas: list[float] = []
     betas: list[float] = []
     previous = None
-    radius = 0.0
-    residual_bound = float("inf")
+    radius = second = ritz_value = 0.0
     ritz_weights = np.ones(1)
     converged = True
     for step in range(max_steps):
@@ -219,29 +262,21 @@ def _lanczos(matrix, start, max_steps, tolerance, keep_basis):
             tridiagonal[index + 1, index] = beta
         eigenvalues, eigenvectors = np.linalg.eigh(tridiagonal)
         dominant = int(np.argmax(np.abs(eigenvalues)))
-        radius = float(abs(eigenvalues[dominant]))
+        ritz_value = float(eigenvalues[dominant])
+        radius = abs(ritz_value)
+        second = float(eigenvalues[-2]) if eigenvalues.shape[0] > 1 else radius
         ritz_weights = eigenvectors[:, dominant]
         beta = float(np.linalg.norm(product))
         # Lanczos residual identity: ||A x - theta x|| = beta_{k+1} |y_k|
-        # for the Ritz pair assembled from the current basis.  For the
-        # *eigenvalue* the linear bound is wildly pessimistic — symmetric
-        # Ritz values converge quadratically — so sharpen it with Temple's
-        # inequality, |lambda - theta| <= residual^2 / gap, using the Ritz
-        # spread as the gap estimate once a second Ritz value exists.
-        residual = beta * float(abs(ritz_weights[-1]))
-        residual_bound = residual
-        if eigenvalues.shape[0] > 1:
-            others = np.delete(np.abs(eigenvalues), dominant)
-            gap = float(np.abs(others - radius).min())
-            if gap > residual:
-                residual_bound = residual * residual / gap
+        # for the Ritz pair assembled from the current basis.
+        if settled is not None and settled(radius, beta * float(abs(ritz_weights[-1]))):
+            break
         if previous is not None and abs(radius - previous) <= tolerance * max(
             radius, 1e-300
         ):
             break
         previous = radius
         if beta < 1e-14:
-            residual_bound = 0.0
             break  # invariant subspace: the estimate is exact
         betas.append(beta)
         product /= beta
@@ -250,15 +285,22 @@ def _lanczos(matrix, start, max_steps, tolerance, keep_basis):
             del basis[:-2]
     else:
         converged = False
-    ritz_vector = None
+        product = betas[-1] * basis[-1]  # the residual r_k
+    ritz = None
     if keep_basis:
-        ritz_vector = np.zeros(matrix.shape[0])
+        # A Q y = Q T y + r_k e_k' y = theta Q y + y_k r_k: the Ritz vector's
+        # product with A from the recurrence itself (Paige: the relation
+        # holds to rounding however much orthogonality the basis lost).
         for weight, direction in zip(ritz_weights, basis):
             ritz_vector += weight * direction
+        np.multiply(ritz_vector, ritz_value, out=ritz_product)
+        ritz_product += ritz_weights[-1] * product
         norm = np.linalg.norm(ritz_vector)
         if norm > 0:
             ritz_vector /= norm
-    return radius, ritz_vector, len(alphas), residual_bound, converged
+            ritz_product /= norm
+        ritz = (ritz_vector, ritz_product)
+    return radius, ritz, len(alphas), second, converged
 
 
 def linbp_scaling(

@@ -240,10 +240,9 @@ class Propagator(abc.ABC):
         elif self.needs_compatibility:
             raise ValueError(f"{self.name} requires a compatibility matrix")
 
-        if prior_beliefs is None:
-            if seed_labels is None:
-                raise ValueError("provide seed_labels or prior_beliefs")
-            prior_beliefs = one_hot_labels(seed_labels, n_classes)
+        if prior_beliefs is None and seed_labels is None:
+            raise ValueError("provide seed_labels or prior_beliefs")
+        prior_beliefs = self._priors(prior_beliefs, seed_labels, n_classes)
         if prior_beliefs.shape[0] != n_nodes:
             raise ValueError(
                 f"prior beliefs have {prior_beliefs.shape[0]} rows for a graph "
@@ -257,8 +256,21 @@ class Propagator(abc.ABC):
             )
         return operators, prior_beliefs, seed_labels, n_classes, compatibility
 
-    def _solve(self, path: str, problem: tuple, run) -> PropagationResult:
-        """Time ``run()`` under the ``engine.solve`` span and wrap its outcome."""
+    def _priors(self, prior_beliefs, seed_labels, n_classes: int):
+        """The priors ``_run`` gets: explicit ones, else the sparse one-hot ``X``."""
+        if prior_beliefs is not None:
+            return prior_beliefs
+        return one_hot_labels(seed_labels, n_classes)
+
+    def _solve(
+        self, path: str, problem: tuple, run, previous_labels=None
+    ) -> PropagationResult:
+        """Time ``run()`` under the ``engine.solve`` span and wrap its outcome.
+
+        When the run names in ``details["visited"]`` the only rows whose beliefs
+        can differ from a warm start labelled ``previous_labels`` (same length),
+        the arg-max runs on those rows alone.
+        """
         operators, _, seed_labels, _, _ = problem
         start = time.perf_counter()
         with obs.span(
@@ -269,7 +281,12 @@ class Propagator(abc.ABC):
         elapsed = time.perf_counter() - start
         self._record_solve(path, converged, elapsed)
 
-        labels = labels_from_one_hot(beliefs)
+        visited = details.pop("visited", None)
+        if visited is None or previous_labels is None or len(previous_labels) != len(beliefs):
+            labels = labels_from_one_hot(beliefs)
+        else:
+            labels = previous_labels.copy()
+            labels[visited] = labels_from_one_hot(np.take(beliefs, visited, axis=0))
         if seed_labels is not None:
             seeded = seed_labels >= 0
             labels[seeded] = seed_labels[seeded]

@@ -165,8 +165,9 @@ class LinBPPropagator(Propagator):
             return self._solve("cold", problem, lambda: self._run(*problem))
         if isinstance(warm_start, PropagationResult):
             beliefs, details = warm_start.beliefs, warm_start.details
+            labels = warm_start.labels
         else:
-            beliefs, details = warm_start, {}
+            beliefs, details, labels = warm_start, {}, None
         beliefs = np.asarray(beliefs)
         if beliefs.shape != (operators.n_nodes, n_classes):
             # Callers that grew the graph pad the previous beliefs
@@ -183,36 +184,43 @@ class LinBPPropagator(Propagator):
                     *problem, beliefs, details.get("scaling"), hint,
                     details.get("residual"),
                 ),
+                previous_labels=labels,
             )
         return self._solve(
             "warm", problem, lambda: self._run(*problem, warm_beliefs=beliefs)
         )
 
-    def _system_terms(
-        self, operators: GraphOperators, prior_beliefs, compatibility
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Shared prep: (possibly centered) priors, modulation and epsilon."""
-        explicit = self._dense(prior_beliefs)
+    def _priors(self, prior_beliefs, seed_labels, n_classes: int) -> np.ndarray:
+        """LinBP's dense ``B``: the (centered) priors, built directly from labels."""
+        if prior_beliefs is not None:
+            priors = self._dense(prior_beliefs)
+            return center_columns(priors) if self.center else priors
+        # center_columns of the one-hot, bit for bit, without building it.
+        priors = np.zeros((seed_labels.shape[0], n_classes))
+        seeded = np.flatnonzero(seed_labels >= 0)
         if self.center:
-            priors = center_columns(explicit)
-            modulation = center_matrix(compatibility)
+            priors[seeded] = -1.0 / n_classes
+            priors[seeded, seed_labels[seeded]] = 1.0 - 1.0 / n_classes
         else:
-            priors = explicit
-            modulation = np.asarray(compatibility, dtype=np.float64)
+            priors[seeded, seed_labels[seeded]] = 1.0
+        return priors
 
+    def _system_terms(self, operators: GraphOperators, compatibility) -> tuple:
+        """Shared prep: the (possibly centered) modulation and epsilon."""
+        modulation = center_matrix(compatibility) if self.center else np.asarray(
+            compatibility, dtype=np.float64
+        )
         scaling = self.scaling
         if scaling is None:
             centered = modulation if self.center else center_matrix(compatibility)
             scaling = operators.linbp_scaling(centered, safety=self.safety)
-        return priors, modulation, float(scaling)
+        return modulation, float(scaling)
 
     def linear_system(
-        self, operators: GraphOperators, prior_beliefs, compatibility
+        self, operators: GraphOperators, priors: np.ndarray, compatibility
     ) -> LinearFixedPoint:
         """The (echo-free) fixed point as ``F = B + W F C`` for the push solver."""
-        priors, modulation, scaling = self._system_terms(
-            operators, prior_beliefs, compatibility
-        )
+        modulation, scaling = self._system_terms(operators, compatibility)
         return LinearFixedPoint(
             adjacency=operators.cast_adjacency(np.float64),
             coupling=np.asarray(scaling * modulation, dtype=np.float64),
@@ -241,6 +249,7 @@ class LinBPPropagator(Propagator):
         spec = self.linear_system(operators, prior_beliefs, compatibility)
         initial = np.array(warm_beliefs, dtype=np.float64, copy=True)
         scaling = spec.details["scaling"]
+        drift = 0.0
         if previous_scaling and scaling:
             drift = float(scaling) / float(previous_scaling) - 1.0
             if drift != 0.0:
@@ -282,10 +291,15 @@ class LinBPPropagator(Propagator):
         # hinted solve resumes from it, so sub-tolerance leftovers cannot
         # pile up across steps.  Only a drained push leaves every row within
         # the tolerance, the premise of a hint.
+        # stats["visited"] names every row the push may have changed; a
+        # drift correction or a dense seeding moves rows outside it, so
+        # then the labels are recomputed on every row.
         details = dict(spec.details)
         details.update(stats)
         if not converged:
             del details["residual"]
+        if drift != 0.0 or hint is None:
+            del details["visited"]
         return beliefs, rounds, converged, residuals, details
 
     def _run(
@@ -297,11 +311,9 @@ class LinBPPropagator(Propagator):
         compatibility: np.ndarray,
         warm_beliefs: np.ndarray | None = None,
     ) -> tuple[np.ndarray, int, bool, list[float], dict]:
-        priors, modulation, scaling = self._system_terms(
-            operators, prior_beliefs, compatibility
-        )
+        modulation, scaling = self._system_terms(operators, compatibility)
         modulation = np.asarray(scaling * modulation, dtype=self.dtype)
-        priors = np.asarray(priors, dtype=self.dtype)
+        priors = np.asarray(prior_beliefs, dtype=self.dtype)
         adjacency = operators.cast_adjacency(self.dtype)
         echo = self.echo_cancellation
         degrees = operators.degrees.astype(self.dtype) if echo else None

@@ -81,10 +81,13 @@ class LocalizedHint:
     their neighbors, revealed nodes, added nodes).  When the previous
     solve's residual is carried in, those off-hint rows are *known* (they
     keep their exact value); without it they are trusted and seeded as
-    zero.
+    zero.  ``rows`` may repeat ids; the hint keeps them sorted and unique.
     """
 
     rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.rows = np.unique(np.asarray(self.rows, dtype=np.int64).ravel())
 
 
 def _neighbor_positions(indptr, rows):
@@ -143,7 +146,7 @@ DENSE_ROUND_NNZ_MULTIPLE = 4
 
 
 def push_rounds(matrix, coupling, beliefs, residual, frontier, epsilon,
-                max_rounds, history) -> tuple[int, bool, int, int]:
+                max_rounds, history, visited) -> tuple[int, bool, int, int]:
     """Run epsilon-gated residual-push rounds; mutates beliefs/residual.
 
     Each round pushes the whole frontier at once (exact by linearity of the
@@ -159,7 +162,9 @@ def push_rounds(matrix, coupling, beliefs, residual, frontier, epsilon,
     dense iteration.
 
     ``history[r]`` records round ``r``'s max pushed residual (the analogue
-    of the dense sweep's per-iteration max-norm change).  Returns
+    of the dense sweep's per-iteration max-norm change), and ``visited``
+    (a boolean row mask) marks every frontier row: the only rows whose
+    beliefs a round changes.  Returns
     ``(rounds, converged, touched_nnz, max_frontier)``.
     """
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
@@ -188,6 +193,7 @@ def push_rounds(matrix, coupling, beliefs, residual, frontier, epsilon,
         absorbed += pushed
         np.put(belief_rows, frontier, absorbed.view(row_item).ravel())
         np.put(residual_rows, frontier, zero_row)
+        visited[frontier] = True
         pushed = pushed @ coupling
         sub_indptr = np.zeros(frontier.shape[0] + 1, dtype=indptr.dtype)
         np.cumsum(indptr[frontier + 1] - indptr[frontier], out=sub_indptr[1:])
@@ -257,15 +263,11 @@ def solve_localized(
     ``stats`` reporting frontier-size / touched-nnz figures
     (``touched_nnz`` counts stored nonzeros visited across residual seeding
     and all push rounds — the number a dense solve would put at
-    ``iterations * nnz``) and ``residual``, the final ``n x k`` residual.
+    ``iterations * nnz``), ``residual``, the final ``n x k`` residual, and
+    ``visited``, the rows the hint seeded or a push absorbed.
     """
-    adjacency = spec.adjacency
-    n_nodes = adjacency.shape[0]
-    matrix = sp.csr_matrix(
-        (np.ascontiguousarray(adjacency.data, dtype=np.float64),
-         adjacency.indices, adjacency.indptr),
-        shape=adjacency.shape,
-    )
+    matrix = spec.adjacency
+    n_nodes = matrix.shape[0]
     beliefs = np.ascontiguousarray(initial, dtype=np.float64)
     if beliefs.shape[0] != n_nodes:
         raise ValueError(
@@ -276,22 +278,26 @@ def solve_localized(
     coupling = np.ascontiguousarray(spec.coupling, dtype=np.float64)
     epsilon = float(epsilon)
     max_rounds = max(1, int(max_rounds))
+    # Rows the solve may change: the seeded hint rows and every frontier.
+    visited = np.zeros(n_nodes, dtype=bool)
 
     if hint is not None:
-        rows = np.unique(np.asarray(hint.rows, dtype=np.int64).ravel())
-        rows = rows[(rows >= 0) & (rows < n_nodes)]
-        carried = residual
-        residual = np.zeros_like(beliefs)
-        if carried is not None:
-            residual[: carried.shape[0]] = carried
+        rows = hint.rows
+        rows = rows[np.searchsorted(rows, 0):np.searchsorted(rows, n_nodes)]
+        if residual is None:
+            residual = np.zeros_like(beliefs)
+        else:  # one copy, zero-padded for nodes added since
+            grow = np.zeros((n_nodes - residual.shape[0], beliefs.shape[1]))
+            residual = np.concatenate((residual, grow))
         seeded_nnz = seed_residual_rows(
             matrix, coupling, offset, beliefs, rows, residual
         )
+        visited[rows] = True
         candidates = rows
         seed_rows = int(rows.shape[0])
     else:
         residual = full_residual(matrix, coupling, offset, beliefs)
-        seeded_nnz = int(adjacency.nnz)
+        seeded_nnz = int(matrix.nnz)
         candidates = np.arange(n_nodes, dtype=np.int64)
         seed_rows = n_nodes
 
@@ -304,7 +310,7 @@ def solve_localized(
     history = np.zeros(max_rounds, dtype=np.float64)
     rounds, converged, pushed_nnz, max_frontier = push_rounds(
         matrix, coupling, beliefs, residual, frontier, epsilon, max_rounds,
-        history,
+        history, visited,
     )
     stats = {
         "localized": True,
@@ -313,5 +319,6 @@ def solve_localized(
         "max_frontier": int(max_frontier),
         "touched_nnz": int(seeded_nnz) + int(pushed_nnz),
         "residual": residual,
+        "visited": np.flatnonzero(visited),
     }
     return beliefs, int(rounds), bool(converged), history[:rounds].tolist(), stats

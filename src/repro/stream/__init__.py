@@ -8,11 +8,11 @@ the labels *now*?" without re-paying the full pipeline:
   nodes, reveal labels), its JSONL event format, and ``O(nnz + delta)``
   application onto a canonical CSR adjacency;
 * :mod:`repro.stream.incremental` — :class:`IncrementalPropagator`, the
-  warm-restart wrapper around LinBP with the full-solve fallback policy
-  (huge delta, spectral-radius drift);
+  warm / localized / full decision policy around LinBP, with its
+  full-solve fallbacks (huge delta, spectral-radius drift);
 * :mod:`repro.stream.session` — :class:`StreamingSession`, owning the
-  mutable graph plus all warm state: evolved operator caches, the Lanczos
-  dominant-eigenpair estimate behind LinBP's convergence scaling, the
+  mutable graph plus all warm state: evolved operator caches, the carried
+  dominant Ritz pair that settles LinBP's convergence scaling, the
   compatibility matrix, visible seeds and the last beliefs;
 * :mod:`repro.stream.replay` — :func:`replay_events`, the evaluation
   scenario scoring accuracy/latency per event and verifying incremental

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 
 from repro.propagation.engine import PropagationResult
 from repro.propagation.linbp import LinBPPropagator
-from repro.propagation.push import LocalizedHint
 
 __all__ = ["IncrementalDecision", "IncrementalPropagator", "delta_edge_fraction"]
 
@@ -91,7 +90,7 @@ class IncrementalDecision:
 
 
 class IncrementalPropagator:
-    """Delta-aware wrapper around one :class:`LinBPPropagator` instance.
+    """The per-delta decision policy around one :class:`LinBPPropagator`.
 
     Parameters
     ----------
@@ -184,43 +183,3 @@ class IncrementalPropagator:
             radius_drift=radius_drift,
             step_fraction=float(step_fraction),
         )
-
-    def propagate(
-        self,
-        graph,
-        seed_labels,
-        compatibility,
-        *,
-        previous: PropagationResult | None = None,
-        delta_fraction: float = 0.0,
-        radius_drift: float | None = None,
-        force_full: bool = False,
-        n_classes: int | None = None,
-        localized_hint: LocalizedHint | None = None,
-        step_fraction: float | None = None,
-    ) -> tuple[PropagationResult, IncrementalDecision]:
-        """Run warm, localized, or cold according to the policy.
-
-        ``graph`` may be a :class:`~repro.graph.graph.Graph`, a raw
-        adjacency or a primed
-        :class:`~repro.graph.operators.GraphOperators` instance — exactly
-        what the wrapped propagator accepts.  ``localized_hint`` narrows a
-        localized solve's residual seeding to the delta-affected rows; it
-        is only consulted when the decision lands on ``"localized"``.
-        """
-        decision = self.decide(
-            previous, delta_fraction, radius_drift, force_full, step_fraction
-        )
-        warm_start = previous if decision.mode in ("incremental", "localized") else None
-        localized = None
-        if decision.mode == "localized":
-            localized = localized_hint if localized_hint is not None else True
-        result = self.propagator.propagate(
-            graph,
-            seed_labels,
-            compatibility=compatibility,
-            n_classes=n_classes,
-            warm_start=warm_start,
-            localized=localized,
-        )
-        return result, decision

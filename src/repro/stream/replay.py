@@ -107,6 +107,8 @@ class ReplayStepRecord:
     n_edges: int
     n_seeds: int
     touched_nnz: int = 0
+    # Products with W the spectral refresh ran (0: the rung settled without).
+    spectral_products: int = 0
     # Edge fraction this step changed: what the localized ceiling reads.
     step_fraction: float = 0.0
     accuracy: float | None = None
@@ -129,6 +131,7 @@ class ReplayStepRecord:
             "n_edges": self.n_edges,
             "n_seeds": self.n_seeds,
             "touched_nnz": self.touched_nnz,
+            "spectral_products": self.spectral_products,
             "step_fraction": self.step_fraction,
             "accuracy": self.accuracy,
             "full_seconds": self.full_seconds,
@@ -319,6 +322,7 @@ def replay_events(
             n_edges=step.n_edges,
             n_seeds=int(np.sum(session.seed_labels >= 0)),
             touched_nnz=step.touched_nnz,
+            spectral_products=step.spectral_products,
             step_fraction=step.decision.step_fraction,
             accuracy=accuracy,
         )

@@ -8,10 +8,11 @@ a batch pipeline would rebuild from scratch after every change:
 * the operator cache (:class:`~repro.graph.operators.GraphOperators`),
   evolved with incrementally updated degrees and explicitly invalidated on
   the graph object so no stale normalization can leak,
-* a warm dominant-eigenpair estimate of the adjacency, advanced by a
-  Lanczos restart from the previous Ritz vector (a handful of matrix-vector
-  products, versus a cold Lanczos run from a random vector) whenever
-  LinBP's convergence scaling depends on ``rho(W)`` (no pinned epsilon),
+* the last Ritz vector ``v`` of ``W`` with ``Wv`` and ``v'Wv``, moved over
+  each delta's ``dW`` on the touched rows only: LinBP's epsilon needs just
+  the rung of ``rho(W)`` on the scaling ladder, which Temple's interval
+  around ``v'Wv`` settles with no product with ``W`` when it fits one rung
+  (else a warm Lanczos restart from ``v`` runs until its interval does),
 * the compatibility matrix and the visible seed labels,
 * the paper's neighbor label counts ``M = X^T W X`` over the seed-labeled
   subgraph, advanced exactly by every delta
@@ -28,10 +29,9 @@ timed :class:`StreamStep`.
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,8 +42,9 @@ from repro.propagation.convergence import (
     COLD_LANCZOS_STEPS,
     COLD_LANCZOS_TOLERANCE,
     SpectralState,
+    cold_radius,
     lanczos_spectral_state,
-    radius_ladder_gap,
+    ladder_rung,
 )
 from repro.propagation.engine import PropagationResult
 from repro.propagation.linbp import LinBPPropagator
@@ -64,22 +65,21 @@ __all__ = ["StreamStep", "StreamingSession"]
 # on the (by default process-global) registry.
 _SESSION_IDS = itertools.count()
 
-# Warm Lanczos restarts: few steps, tight Ritz tolerance — the estimate must
-# track the batch (cold) value to ~1e-9 relative so that warm and full
-# solves agree on LinBP's epsilon far below the belief tolerance.
+# Warm Lanczos restarts, run when the carried Ritz pair cannot settle the
+# rung, stop once their own Temple interval would fit one rung at
+# REFRESH_HEADROOM times its width (so the deltas after them settle without
+# a product for longer), or at the latest once the Ritz value is stable to
+# WARM_LANCZOS_TOLERANCE (relative), far below a rung.
 WARM_LANCZOS_STEPS = 60
 WARM_LANCZOS_TOLERANCE = 2e-8
-# Spectral refresh ahead of a *localized* solve: the scaling only consumes
-# the radius through the coarse ladder (repro.propagation.convergence), so
-# a handful of warm steps at a loose Ritz tolerance almost always resolves
-# the rung.  The refresh is re-run at full warm quality only when the
-# coarse estimate sits within LADDER_REFINE_GUARD (relative) of a rung
-# boundary — or when its certified residual bound says the estimate itself
-# cannot be trusted to that guard — so the expensive tight restart is paid
-# on the rare boundary-straddling step, not on every delta.
-LOCALIZED_LANCZOS_STEPS = 20
-LOCALIZED_LANCZOS_TOLERANCE = 1e-5
-LADDER_REFINE_GUARD = 2.5e-4
+REFRESH_HEADROOM = 4.0
+# Temple's interval needs a value between the second eigenvalue and the
+# Rayleigh quotient theta.  The session takes the midpoint of theta and the
+# second Ritz value theta_2 of the last cold Lanczos run, so the interval
+# holds while the second eigenvalue rises by less than half of
+# theta - theta_2 after the anchor (interlacing already puts theta_2 at or
+# below it).  A fixed constant, not a tuning knob.
+TEMPLE_GAP_SHARE = 0.5
 
 
 @dataclass
@@ -87,9 +87,12 @@ class StreamStep:
     """Timed outcome of one applied-and-propagated delta.
 
     ``apply_seconds`` covers the CSR mutation and label bookkeeping,
-    ``spectral_seconds`` the warm Lanczos restart (zero when LinBP's
-    epsilon is pinned), ``propagate_seconds`` the warm or full solve
-    itself.
+    ``spectral_seconds`` settling the rung of ``rho(W)`` (zero when LinBP's
+    epsilon is pinned), ``propagate_seconds`` the localized hint and the
+    warm or full solve itself.  ``spectral_products`` counts the products
+    with ``W`` the spectral refresh ran: 0 when the carried Ritz pair
+    settled the rung, else the steps of a warm (or, for a full solve, the
+    cold) Lanczos run.
     """
 
     index: int
@@ -104,6 +107,7 @@ class StreamStep:
     # Stored nonzeros the solve actually visited: the localized solver's
     # exact count, or ``iterations * nnz`` for dense sweeps.
     touched_nnz: int = 0
+    spectral_products: int = 0
 
     @property
     def mode(self) -> str:
@@ -120,34 +124,25 @@ class StreamStep:
 class _PendingDelta:
     """Delta effects applied to the graph but not yet propagated.
 
-    Besides the summary counts, it accumulates the *identities* the
-    localized solver needs: structurally touched nodes and revealed nodes.
+    Besides the counts it keeps each delta's ``dW`` as applied (the spectral
+    refresh and the localized hint read it) and the revealed nodes.
     """
 
     edges_changed: int = 0
     nodes_added: int = 0
     labels_revealed: int = 0
     deltas: int = 0
-    touched: list = field(default_factory=list)
     revealed: list = field(default_factory=list)
+    changes: list = field(default_factory=list)
 
-    def absorb(self, delta: GraphDelta, touched_nodes: np.ndarray) -> None:
+    def absorb(self, delta: GraphDelta, change) -> None:
         self.edges_changed += delta.n_changed_edges
         self.nodes_added += delta.add_nodes
         self.labels_revealed += int(delta.reveal_nodes.shape[0])
         self.deltas += 1
-        if touched_nodes.shape[0]:
-            self.touched.append(np.asarray(touched_nodes, dtype=np.int64))
         if delta.reveal_nodes.shape[0]:
             self.revealed.append(np.asarray(delta.reveal_nodes, dtype=np.int64))
-
-    def clear(self) -> None:
-        self.edges_changed = 0
-        self.nodes_added = 0
-        self.labels_revealed = 0
-        self.deltas = 0
-        self.touched = []
-        self.revealed = []
+        self.changes.append(change)
 
 
 class StreamingSession:
@@ -244,6 +239,7 @@ class StreamingSession:
         self.n_steps = 0
         self._pending = _PendingDelta()
         self._spectral: SpectralState | None = None
+        self._second = 0.0  # theta_2 of the last cold Lanczos run
         self._anchor_radius: float | None = None
         self._edges_since_anchor = 0
         # Lifetime counts are plain session state, so they keep counting
@@ -379,72 +375,61 @@ class StreamingSession:
         if quality is not None:
             quality.refresh_drift(self.counts, self.compatibility)
 
-        self._pending.absorb(delta, application.touched_nodes)
+        self._pending.absorb(delta, application.edge_change)
         self._edges_since_anchor += delta.n_changed_edges
         return time.perf_counter() - start
 
     # -------------------------------------------------------------- propagate
-    def _refresh_spectral(
-        self, budget_steps: int | None = None, coarse: bool = False
-    ) -> tuple[float, float | None]:
-        """Advance the warm eigenpair estimate; returns (seconds, drift).
+    def _refresh_spectral(self, anchor: bool) -> tuple[float | None, int]:
+        """Settle ``rho(W)``'s ladder rung and prime it; returns (drift, products).
 
-        ``budget_steps`` caps the warm restart's Lanczos steps and
-        ``coarse`` loosens its Ritz tolerance (the localized path passes
-        both); a coarse estimate is automatically refined at full warm
-        quality when it lands too close to a scaling-ladder rung boundary
-        for its certified error bound.  Anchor solves always run at full
-        quality.
+        An ``anchor`` reruns the cold seeded Lanczos, so a full solve's
+        epsilon is the batch epsilon bit for bit, and takes its second Ritz
+        value as ``theta_2``.  Otherwise the carried Ritz pair (already
+        moved over the pending ``dW``) is read: when Temple's interval
+        ``[theta', theta' + ||r'||^2 / g]``, ``g = TEMPLE_GAP_SHARE *
+        (theta' - theta_2)``, fits one rung, ``theta'`` is primed with no
+        product, else a warm Lanczos from ``v`` runs until its own interval
+        (same ``g``) fits one with ``REFRESH_HEADROOM`` to spare.
         """
-        if self.propagator.scaling is not None:
-            # A pinned epsilon does not depend on rho(W).
-            return 0.0, None
-        start = time.perf_counter()
-        if self._spectral is None:
+        adjacency = self.graph.adjacency
+        state = self._spectral
+        if state is None:
+            # The first anchor keeps the cold run's basis for a Ritz vector.
             state = lanczos_spectral_state(
-                self.graph.adjacency,
+                adjacency,
                 max_steps=COLD_LANCZOS_STEPS,
                 tolerance=COLD_LANCZOS_TOLERANCE,
                 seed=self.spectral_seed,
             )
+            radius, self._second, products = state.radius, state.second, state.n_steps
+        elif anchor:
+            # Later anchors run the cold recurrence on two vectors and keep
+            # carrying the pair.
+            radius, self._second, products = cold_radius(adjacency, self.spectral_seed)
         else:
-            vector = self._spectral.vector
-            if vector.shape[0] < self.graph.n_nodes:
-                # Nodes appended since the last estimate start with a tiny
-                # uniform component so the Ritz vector can rotate onto them.
-                grown = np.full(
-                    self.graph.n_nodes, 1.0 / max(1, self.graph.n_nodes)
+            radius, products = state.rayleigh, 0
+            gap = TEMPLE_GAP_SHARE * (radius - self._second)
+            if ladder_rung(radius, state.residual_sq, gap) is None:
+                state = lanczos_spectral_state(
+                    adjacency,
+                    v0=state.vector,
+                    max_steps=WARM_LANCZOS_STEPS,
+                    tolerance=WARM_LANCZOS_TOLERANCE,
+                    settled=lambda theta, residual: ladder_rung(
+                        theta, REFRESH_HEADROOM * residual * residual, gap
+                    ) is not None,
                 )
-                grown[: vector.shape[0]] += vector
-                vector = grown
-            state = lanczos_spectral_state(
-                self.graph.adjacency,
-                v0=vector,
-                max_steps=budget_steps or WARM_LANCZOS_STEPS,
-                tolerance=(
-                    LOCALIZED_LANCZOS_TOLERANCE if coarse
-                    else WARM_LANCZOS_TOLERANCE
-                ),
-            )
-            if coarse and state.radius > 0:
-                relative_error = state.residual_bound / state.radius
-                near_rung = (
-                    radius_ladder_gap(state.radius) < LADDER_REFINE_GUARD
-                    or relative_error > 0.25 * LADDER_REFINE_GUARD
-                )
-                if near_rung:
-                    state = lanczos_spectral_state(
-                        self.graph.adjacency,
-                        v0=state.vector,
-                        max_steps=WARM_LANCZOS_STEPS,
-                        tolerance=WARM_LANCZOS_TOLERANCE,
-                    )
+                radius, products = state.radius, state.n_steps
         self._spectral = state
-        self.graph.operators.prime_spectral_radius(state.radius)
+        self.graph.operators.prime_spectral_radius(radius)
         drift = None
         if self._anchor_radius:
-            drift = abs(state.radius - self._anchor_radius) / self._anchor_radius
-        return time.perf_counter() - start, drift
+            drift = abs(radius - self._anchor_radius) / self._anchor_radius
+        if anchor:
+            # Re-anchor: the drift budget restarts from the cold radius.
+            self._anchor_radius = radius
+        return drift, products
 
     def propagate(self, force_full: bool = False) -> StreamStep:
         """Advance the beliefs over everything applied since the last solve.
@@ -463,52 +448,42 @@ class StreamingSession:
         if previous is not None:
             previous = self._pad_previous(previous)
 
-        # A localized candidate step caps the warm Lanczos budget — the
-        # refresh would otherwise dominate the whole localized solve.  When
-        # the decision then lands anywhere *but* localized, pay for the
-        # full-quality refresh before solving: the cheaper estimate is only
-        # good enough because a tiny delta barely moves the spectrum.  A
-        # step about to re-anchor (accumulated delta over the full-solve
-        # budget) skips the coarse refresh it would only have to redo.
-        want_localized = (
-            not force_full
-            and self.incremental.localized
-            and previous is not None
-            and math.isfinite(delta_fraction)
-            and delta_fraction <= self.incremental.full_solve_edge_fraction
-            and step_fraction <= self.incremental.localized_edge_fraction
-        )
-        spectral_seconds, drift = self._refresh_spectral(
-            budget_steps=LOCALIZED_LANCZOS_STEPS if want_localized else None,
-            coarse=want_localized,
-        )
-        preview = self.incremental.decide(
-            previous, delta_fraction, drift, force_full, step_fraction
-        )
-        if want_localized and preview.mode != "localized":
-            extra_seconds, drift = self._refresh_spectral()
-            spectral_seconds += extra_seconds
-            preview = self.incremental.decide(
+        def decide(drift):
+            return self.incremental.decide(
                 previous, delta_fraction, drift, force_full, step_fraction
             )
 
-        localized_hint = None
-        if preview.mode == "localized":
-            localized_hint = self._localized_hint(previous)
+        # A pinned epsilon does not depend on rho(W).  Otherwise a step
+        # headed for a full solve by its delta budget (or a first or forced
+        # solve) anchors the spectral state cold, the others refresh the
+        # carried state, and a drift past the tolerance re-anchors.
+        drift, spectral_products, spectral_seconds = None, 0, 0.0
+        if self.propagator.scaling is None:
+            start = time.perf_counter()
+            if self._spectral is not None:
+                self._spectral.advance(self._pending.changes, self.graph.n_nodes)
+            anchor = decide(None).mode == "full"
+            drift, spectral_products = self._refresh_spectral(anchor)
+            if not anchor and decide(drift).mode == "full":
+                spectral_products += self._refresh_spectral(anchor=True)[1]
+            spectral_seconds = time.perf_counter() - start
+        decision = decide(drift)
 
         start = time.perf_counter()
         with obs.span("stream.propagate", graph=self.graph.name) as solve_span:
-            result, decision = self.incremental.propagate(
+            # A localized step without a hint (the previous solve did not
+            # converge) seeds its residual densely.
+            localized_hint = localized = None
+            if decision.mode == "localized":
+                localized_hint = self._localized_hint(previous)
+                localized = localized_hint or True
+            result = self.propagator.propagate(
                 self.graph,
                 self.seed_labels,
-                self.compatibility,
-                previous=previous,
-                delta_fraction=delta_fraction,
-                radius_drift=drift,
-                force_full=force_full,
+                compatibility=self.compatibility,
                 n_classes=self.graph.n_classes,
-                localized_hint=localized_hint,
-                step_fraction=step_fraction,
+                warm_start=None if decision.mode == "full" else previous,
+                localized=localized,
             )
             solve_span.annotate(mode=decision.mode, reason=decision.reason)
         propagate_seconds = time.perf_counter() - start
@@ -529,10 +504,8 @@ class StreamingSession:
             )
 
         if decision.mode == "full":
-            # Re-anchor: the drift and delta budgets restart here.
-            self._anchor_radius = (
-                self._spectral.radius if self._spectral is not None else None
-            )
+            # Re-anchor: the delta budget restarts here (the drift budget
+            # restarted with the cold spectral refresh).
             self._edges_since_anchor = 0
 
         if result.details.get("localized"):
@@ -559,10 +532,11 @@ class StreamingSession:
             n_nodes=self.graph.n_nodes,
             n_edges=n_edges,
             touched_nnz=touched_nnz,
+            spectral_products=spectral_products,
         )
         self.last_result = result
         self.n_steps += 1
-        self._pending.clear()
+        self._pending = _PendingDelta()
         return step
 
     def step(self, delta: GraphDelta, force_full: bool = False) -> StreamStep:
@@ -613,28 +587,19 @@ class StreamingSession:
 
         The hint is a *trust* statement — every row off it must provably
         still satisfy the residual tolerance — so it is only built when the
-        previous solve converged.  It covers structurally touched nodes
-        plus their current neighbors, and revealed nodes.
+        previous solve converged.  It covers the endpoints of every changed
+        edge plus their current neighbors, and revealed nodes (an added node
+        without edges keeps a zero residual).
         """
         if previous is None or not previous.converged:
             return None
         adjacency = self.graph.adjacency
-        n_nodes = adjacency.shape[0]
-        parts: list[np.ndarray] = []
-        if self._pending.touched:
-            touched = np.unique(np.concatenate(self._pending.touched))
-            touched = touched[(touched >= 0) & (touched < n_nodes)]
-            parts.append(touched)
+        parts = [np.empty(0, dtype=np.int64), *self._pending.revealed]
+        if self._pending.changes:
+            touched = np.unique(np.concatenate([c.row for c in self._pending.changes]))
             positions, _, _ = _neighbor_positions(adjacency.indptr, touched)
-            parts.append(adjacency.indices[positions].astype(np.int64))
-        if self._pending.revealed:
-            parts.append(np.concatenate(self._pending.revealed))
-        if parts:
-            rows = np.unique(np.concatenate(parts))
-            rows = rows[(rows >= 0) & (rows < n_nodes)]
-        else:
-            rows = np.empty(0, dtype=np.int64)
-        return LocalizedHint(rows=rows)
+            parts += [touched, adjacency.indices[positions]]
+        return LocalizedHint(rows=np.concatenate(parts))
 
     def decision_stats(self) -> dict:
         """Cumulative per-mode solve counts and touched-nnz totals."""
@@ -654,22 +619,15 @@ class StreamingSession:
             return self.quality.summary()
 
     def _pad_previous(self, previous: PropagationResult) -> PropagationResult:
-        """Zero-pad a previous result's beliefs for nodes added since."""
-        n_nodes = self.graph.n_nodes
-        beliefs = previous.beliefs
-        if beliefs.shape[0] == n_nodes:
+        """Pad a previous result for nodes added since: zero beliefs, label -1."""
+        beliefs, labels = previous.beliefs, previous.labels
+        grow = self.graph.n_nodes - beliefs.shape[0]
+        if grow == 0:
             return previous
-        padded = np.zeros((n_nodes, beliefs.shape[1]), dtype=beliefs.dtype)
-        padded[: beliefs.shape[0]] = beliefs
-        return PropagationResult(
-            beliefs=padded,
-            labels=previous.labels,
-            n_iterations=previous.n_iterations,
-            converged=previous.converged,
-            residuals=previous.residuals,
-            elapsed_seconds=previous.elapsed_seconds,
-            propagator=previous.propagator,
-            details=previous.details,
+        return replace(
+            previous,
+            beliefs=np.concatenate((beliefs, np.zeros((grow, beliefs.shape[1]), beliefs.dtype))),
+            labels=np.concatenate((labels, np.full(grow, -1, labels.dtype))),
         )
 
     def beliefs(self) -> np.ndarray | None:

@@ -31,7 +31,7 @@ from repro.utils.matrix import rows_over
 
 
 def reference_push_rounds(matrix, coupling, beliefs, residual, frontier, epsilon,
-                          max_rounds, history):
+                          max_rounds, history, visited):
     """The push rounds with 2-D fancy indexing and scipy's row slicing."""
     indptr = matrix.indptr
     n = indptr.shape[0] - 1
@@ -49,6 +49,7 @@ def reference_push_rounds(matrix, coupling, beliefs, residual, frontier, epsilon
         history[rounds] = float(np.abs(pushed).max())
         beliefs[frontier] += pushed
         residual[frontier] = 0.0
+        visited[frontier] = True
         pushed = pushed @ coupling
         sub_nnz = int((indptr[frontier + 1] - indptr[frontier]).sum())
         rounds += 1
@@ -143,6 +144,7 @@ class TestPushRoundsOracle:
         assert (rounds, converged, history) == expected[1:4]
         for key in ("touched_nnz", "max_frontier", "initial_frontier", "seed_rows"):
             assert stats[key] == expected[4][key], key
+        np.testing.assert_array_equal(stats["visited"], expected[4]["visited"])
         assert converged and rounds > 0
         if mode != "dense":
             # Hinted solves run narrow rounds: far less than a sweep per round.

@@ -223,17 +223,28 @@ class TestSessionStateManagement:
             np.asarray(np.abs(session.graph.adjacency).sum(axis=1)).ravel(),
         )
 
-    def test_primed_radius_matches_batch(
+    def test_primed_radius_gives_the_batch_epsilon(
         self, stream_graph, compatibility, seed_labels
     ):
-        from repro.propagation.convergence import spectral_radius
+        """The session promises the batch epsilon, not the batch radius: the
+        primed radius lies between the carried Rayleigh quotient and rho."""
+        from repro.propagation.convergence import linbp_scaling
+        from repro.utils.matrix import center_matrix
 
         session = make_session(stream_graph, compatibility, seed_labels, "linbp")
         session.propagate()
-        session.step(GraphDelta(add_edges=fresh_edges(stream_graph, 6, seed=8)))
-        warm = session.graph.operators.spectral_radius()
-        exact = spectral_radius(session.graph.adjacency, seed=0)
-        assert warm == pytest.approx(exact, rel=1e-7)
+        carried = session._spectral.vector.copy()
+        step = session.step(
+            GraphDelta(add_edges=fresh_edges(stream_graph, 6, seed=8))
+        )
+        adjacency = session.graph.adjacency
+        batch = linbp_scaling(adjacency, center_matrix(compatibility))
+        assert step.result.details["scaling"] == batch
+
+        primed = session.graph.operators.spectral_radius()
+        rayleigh = float(carried @ (adjacency @ carried))
+        rho = float(np.linalg.eigvalsh(adjacency.toarray())[-1])
+        assert rayleigh * (1 - 1e-12) <= primed <= rho * (1 + 1e-12)
 
     def test_missing_compatibility_rejected(self, stream_graph, seed_labels):
         with pytest.raises(ValueError, match="compatibility"):
