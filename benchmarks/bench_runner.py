@@ -1,4 +1,4 @@
-"""Micro-benchmark: runner fan-out, cache-replay, sharding and store backends.
+"""Micro-benchmark: runner fan-out, cache-replay, sharding and store appends.
 
 Measures, on the same grid (graphs x {MCE, DCEr} x two label fractions x
 repetitions):
@@ -10,11 +10,11 @@ repetitions):
 * **cached replay** — the parallel store re-executed, which must touch zero
   runs and is therefore a pure measure of store/hashing overhead;
 * **sharded** — the grid split with ``GridSpec.shard`` across 2 and 4
-  concurrent single-worker processes appending into one shared SQLite
-  store (the distributed-execution topology, measured on one machine), the
-  merged records asserted identical to the serial run;
-* **backend appends** — raw append throughput (records/second) of the
-  JSONL and SQLite backends.
+  concurrent single-worker processes appending into one shared store
+  directory (the distributed-execution topology, measured on one machine),
+  the shared store's records asserted identical to the serial run;
+* **store appends** — raw append throughput (records/second) of the JSONL
+  result store.
 
 Writes ``BENCH_runner.json`` next to the repository root (or to
 ``--output``), extending the performance trajectory started by
@@ -65,7 +65,6 @@ def _run_shard(grid_payload: dict, store_path: str, index: int, n_shards: int) -
     grid = GridSpec.from_dict(grid_payload)
     store = ResultStore(store_path)
     execute_grid(grid.shard(index, n_shards), store=store, n_workers=1)
-    store.close()
 
 
 def bench_shards(grid: GridSpec, store_path: Path, n_shards: int) -> float:
@@ -88,8 +87,8 @@ def bench_shards(grid: GridSpec, store_path: Path, n_shards: int) -> float:
     return time.perf_counter() - start
 
 
-def bench_backend_appends(n_records: int = 2_000) -> dict:
-    """Raw append throughput (records/second) per backend."""
+def bench_store_appends(n_records: int = 2_000) -> dict:
+    """Raw append throughput (records/second) of the JSONL store."""
     record_template = {
         "spec": {"estimator": "MCE", "label_fraction": 0.1,
                  "graph": {"kind": "generate", "name": "bench"}},
@@ -98,24 +97,19 @@ def bench_backend_appends(n_records: int = 2_000) -> dict:
                    "compatibility": [[0.1, 0.6, 0.3]] * 3},
         "timing": {"total_seconds": 0.01},
     }
-    throughput = {}
     with tempfile.TemporaryDirectory(prefix="bench-append-") as tmp:
-        for backend, path in (
-            ("jsonl", Path(tmp) / "jsonl-store"),
-            ("sqlite", Path(tmp) / "store.db"),
-        ):
-            store = ResultStore(path, backend=backend)
-            start = time.perf_counter()
-            for index in range(n_records):
-                store.append(dict(record_template, hash=f"h{index:08d}"))
-            elapsed = time.perf_counter() - start
-            store.close()
-            throughput[backend] = {
-                "n_records": n_records,
-                "seconds": elapsed,
-                "records_per_second": n_records / max(elapsed, 1e-12),
-            }
-    return throughput
+        store = ResultStore(Path(tmp) / "jsonl-store")
+        start = time.perf_counter()
+        for index in range(n_records):
+            store.append(dict(record_template, hash=f"h{index:08d}"))
+        elapsed = time.perf_counter() - start
+    return {
+        "jsonl": {
+            "n_records": n_records,
+            "seconds": elapsed,
+            "records_per_second": n_records / max(elapsed, 1e-12),
+        }
+    }
 
 
 def bench_runner(n_nodes: int, n_edges: int, n_repetitions: int, n_workers: int) -> dict:
@@ -157,13 +151,12 @@ def bench_runner(n_nodes: int, n_edges: int, n_repetitions: int, n_workers: int)
         ]
         shard_results = {}
         for n_shards in (2, 4):
-            shard_store = Path(tmp) / f"sharded-{n_shards}.db"
+            shard_store = Path(tmp) / f"sharded-{n_shards}"
             shard_seconds = bench_shards(grid, shard_store, n_shards)
             merged = ResultStore(shard_store)
             shard_mismatch = serial_payloads != [
                 (record["hash"], record["result"]) for record in merged.records()
             ]
-            merged.close()
             shard_results[f"{n_shards}_shards"] = {
                 "seconds": shard_seconds,
                 "speedup_vs_serial": serial_seconds / max(shard_seconds, 1e-12),
@@ -181,7 +174,7 @@ def bench_runner(n_nodes: int, n_edges: int, n_repetitions: int, n_workers: int)
             "cached_replay_executed": replay.n_executed,
             "replay_speedup": serial_seconds / max(replay_seconds, 1e-12),
             "sharded": shard_results,
-            "backend_append_throughput": bench_backend_appends(),
+            "backend_append_throughput": bench_store_appends(),
         }
     )
     print(
@@ -197,11 +190,11 @@ def bench_runner(n_nodes: int, n_edges: int, n_repetitions: int, n_workers: int)
             f"({shard['speedup_vs_serial']:.2f}x vs serial, "
             f"mismatch={shard['records_mismatch']})"
         )
-    for backend, stats in results["backend_append_throughput"].items():
-        print(
-            f"  {backend} appends: {stats['records_per_second']:,.0f} records/s "
-            f"({stats['n_records']} in {stats['seconds']:.3f}s)"
-        )
+    stats = results["backend_append_throughput"]["jsonl"]
+    print(
+        f"  appends: {stats['records_per_second']:,.0f} records/s "
+        f"({stats['n_records']} in {stats['seconds']:.3f}s)"
+    )
     return results
 
 

@@ -6,7 +6,7 @@ Every OTHER store must hold exactly the reference store's records — same
 hashes, same deterministic ``result`` payloads — and, when both sides have
 a manifest, the same manifest ``records`` entries.  This is the acceptance
 check behind sharded execution: running a grid as ``--shard 0/2`` +
-``--shard 1/2`` into a shared store (and merging it into another backend)
+``--shard 1/2`` into a shared store (and merging it into another store)
 must be indistinguishable from the unsharded run.
 """
 
@@ -45,7 +45,7 @@ def main(argv: list[str]) -> int:
             print(f"{path}: manifest differs from {argv[0]}", file=sys.stderr)
             return 1
         print(
-            f"{path} [{other.backend_name}]: {len(other)} records, "
+            f"{path}: {len(other)} records, "
             f"identical to {argv[0]}"
         )
     return 0

@@ -18,8 +18,7 @@ Fourteen subcommands cover the end-to-end workflow without writing Python:
 * ``repro list``       — print the registered propagators and estimators
 
 Graphs are exchanged as ``.npz`` bundles (see :mod:`repro.graph.io`).
-Result stores are JSONL directories or SQLite files (``--backend``, or just
-point ``--store`` at a ``.db`` path).
+Result stores are directories of JSONL records.
 
 Examples
 --------
@@ -28,9 +27,9 @@ Examples
     repro experiment graph.npz --method DCEr --fraction 0.01 --json result.json
     repro experiment graph.npz --method DCEr --propagator harmonic
     repro run grid.json --store runs/grid --workers 4
-    repro run grid.json --store runs/grid.db --shard 0/2   # one of two shards
+    repro run grid.json --store runs/grid --shard 0/2   # one of two shards
     repro report runs/grid
-    repro merge runs/merged runs/shard-a runs/shard-b.db
+    repro merge runs/merged runs/shard-a runs/shard-b
     repro gc runs/grid --drop-failed
     repro stream graph.npz events.jsonl --verify-every 5 --json replay.json
     repro stream ab12ef --from-store runs/grid     # replay a stored run's graph
@@ -88,7 +87,6 @@ from repro.runner import (
     render_store_report,
     summarize_report,
 )
-from repro.runner.backends import backend_names
 
 __all__ = ["main", "build_parser", "CLIError"]
 
@@ -165,10 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("spec", help="grid spec JSON file (see `repro.runner.GridSpec`)")
     run.add_argument("--store", default=None,
-                     help="result store: a directory (JSONL backend) or a "
-                          ".db/.sqlite file (default: runs/<spec name>)")
-    run.add_argument("--backend", default=None, choices=backend_names(),
-                     help="store backend (default: inferred from the store path)")
+                     help="result store directory (default: runs/<spec name>)")
     run.add_argument("--shard", default=None, metavar="I/N",
                      help="execute only shard I of N (e.g. 0/2); shards are "
                           "disjoint, deterministic, and union to the full grid")
@@ -186,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     report = subparsers.add_parser(
         "report", help="summarize a runner result store as a table"
     )
-    report.add_argument("store", help="result store (directory or .db file) "
-                                      "written by `repro run`")
+    report.add_argument("store", help="result store directory written by "
+                                      "`repro run`")
     report.add_argument("--metric", default="accuracy",
                         choices=["accuracy", "l2_to_gold", "estimation_seconds",
                                  "propagation_seconds"])
@@ -197,20 +192,17 @@ def build_parser() -> argparse.ArgumentParser:
                       "latest-wins)"
     )
     merge.add_argument("destination",
-                       help="destination store (created if absent; directory "
-                            "or .db file)")
+                       help="destination store directory (created if "
+                            "absent)")
     merge.add_argument("sources", nargs="+",
                        help="source stores, applied in order (later sources "
                             "win on conflicting hashes)")
-    merge.add_argument("--backend", default=None, choices=backend_names(),
-                       help="destination backend (default: inferred from "
-                            "the path)")
 
     gc = subparsers.add_parser(
         "gc", help="compact a result store: drop superseded duplicate records"
     )
-    gc.add_argument("store", help="result store (directory or .db file) "
-                                  "written by `repro run`")
+    gc.add_argument("store", help="result store directory written by "
+                                  "`repro run`")
     gc.add_argument("--drop-failed", action="store_true",
                     help="also drop error/timeout records so those runs retry")
     gc.add_argument("--dry-run", action="store_true",
@@ -433,16 +425,16 @@ def _load_graph(path) -> "object":
         raise CLIError(f"could not read graph file {path}: {exc}") from exc
 
 
-def _open_store(path, backend: str | None = None, must_exist: bool = True) -> ResultStore:
-    """Open a result store (either backend) or fail with a clean error."""
+def _open_store(path, must_exist: bool = True) -> ResultStore:
+    """Open a result store or fail with a clean error."""
     path = Path(path)
     if must_exist and not path.exists():
         raise CLIError(f"result store not found: {path}")
     try:
-        return ResultStore(path, backend=backend)
+        return ResultStore(path)
     except (StoreCorruptionError, ValueError) as exc:
-        # ValueError: backend/path-shape mismatch (e.g. --backend jsonl
-        # pointed at a regular file) or an unknown backend name.
+        # ValueError: the path is a regular file (e.g. a leftover SQLite
+        # store), not a store directory.
         raise CLIError(str(exc)) from exc
 
 
@@ -575,7 +567,7 @@ def _command_run(args: argparse.Namespace) -> int:
 
     shard = _parse_shard(args.shard)
     store_path = args.store or os.path.join("runs", grid.name)
-    store = _open_store(store_path, backend=args.backend, must_exist=False)
+    store = _open_store(store_path, must_exist=False)
     if args.serial:
         n_workers = 1
     elif args.workers is not None:
@@ -593,7 +585,6 @@ def _command_run(args: argparse.Namespace) -> int:
         runs = grid.shard(index, n_shards)
         scope = f"shard {index}/{n_shards}: {len(runs)} of {grid.n_runs} runs"
     print(f"grid {grid.name!r}: {scope} -> {store.results_path} "
-          f"[{store.backend_name}] "
           f"({n_workers} worker{'s' if n_workers != 1 else ''})")
     progress = ProgressPrinter(len(runs), enabled=not args.quiet)
     report = execute_grid(
@@ -620,11 +611,10 @@ def _command_report(args: argparse.Namespace) -> int:
 
 def _command_merge(args: argparse.Namespace) -> int:
     sources = [_open_store(path) for path in args.sources]
-    destination = _open_store(args.destination, backend=args.backend,
-                              must_exist=False)
+    destination = _open_store(args.destination, must_exist=False)
     stats = merge_stores(destination, sources)
     print(f"merged {stats['n_sources']} store(s) into "
-          f"{destination.results_path} [{destination.backend_name}]: "
+          f"{destination.results_path}: "
           f"{stats['n_added']} added, {stats['n_identical']} identical, "
           f"{stats['n_conflicts']} conflict(s) overwritten "
           f"({len(destination)} records total)")
@@ -1142,7 +1132,7 @@ def main(argv: list[str] | None = None) -> int:
         return COMMANDS[args.command](args)
     except (CLIError, StoreCorruptionError) as error:
         # StoreCorruptionError can surface after a store was opened cleanly
-        # (write_manifest/compact re-read the backend, which a sibling
+        # (write_manifest/compact re-read the store, which a sibling
         # writer's crash may have damaged meanwhile) — same clean one-line
         # contract as corruption detected at open time.
         print(f"repro: error: {error}", file=sys.stderr)

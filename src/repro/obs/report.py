@@ -27,7 +27,7 @@ class TraceReadError(ValueError):
 def read_trace(path) -> list[dict]:
     """Parse a span JSONL file.
 
-    Same contract as the JSONL store backends: a truncated *final* line
+    Same contract as the runner's result store: a truncated *final* line
     (the writer was killed mid-append) is tolerated and dropped, but a
     malformed line anywhere earlier is corruption and raises
     :class:`TraceReadError` naming the line — silently skipping it would

@@ -10,9 +10,8 @@ declarative, cacheable, parallel executions:
   fan-out with per-graph batching, per-run timeouts, error capture and
   hash-derived deterministic RNG (parallel == serial, bitwise).
 * :mod:`repro.runner.store` — :class:`ResultStore`: content-hash-keyed
-  records over pluggable backends (JSONL directory or WAL-mode SQLite
-  file, see :mod:`repro.runner.backends`), giving skip-if-cached resume,
-  safe concurrent shard writers, and :func:`merge_stores` unions.
+  records in a JSONL directory, giving skip-if-cached resume, safe
+  concurrent shard writers, and :func:`merge_stores` unions.
 * :mod:`repro.runner.progress` — live progress lines and store reports
   rendered through :mod:`repro.eval.reporting`.
 

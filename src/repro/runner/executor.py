@@ -437,9 +437,9 @@ def execute_grid(
             obs.metrics().merge_snapshot(metrics_delta)
         if store is not None:
             # One batched append per finished worker batch: a single locked
-            # write (JSONL) or transaction (SQLite) instead of one
-            # round-trip per run.  Persist before reporting progress so a
-            # crash mid-callback never claims more than the store holds.
+            # write instead of one round-trip per run.  Persist before
+            # reporting progress so a crash mid-callback never claims more
+            # than the store holds.
             store.append_many(
                 [outcome.to_record() for _, outcome in indexed_outcomes]
             )

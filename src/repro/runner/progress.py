@@ -149,7 +149,7 @@ def render_store_report(store: ResultStore, metric: str = "accuracy") -> str:
         f"{counts[status]} {status}" for status in sorted(counts)
     ) or "empty"
     lines = [
-        f"store: {store.path} [{store.backend_name}]",
+        f"store: {store.path}",
         f"records: {len(store)} ({count_text})",
     ]
     sweep = store_to_sweep(store)

@@ -49,7 +49,10 @@ def resolve_store_record(store: ResultStore | str | Path, run_hash: str) -> dict
         path = Path(store)
         if not path.exists():
             raise GraphSourceError(f"result store not found: {path}")
-        store = ResultStore(path)
+        try:
+            store = ResultStore(path)
+        except ValueError as exc:  # a regular file, not a store directory
+            raise GraphSourceError(str(exc)) from exc
     run_hash = str(run_hash)
     if not run_hash:
         raise GraphSourceError("empty run hash")

@@ -441,7 +441,7 @@ class TestGcCommand:
 
     def test_gc_compacts_store(self, tmp_path, capsys):
         store = self.make_store(tmp_path)
-        exit_code = main(["gc", str(store.directory)])
+        exit_code = main(["gc", str(store.path)])
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "kept 2 of 3" in output
@@ -450,7 +450,7 @@ class TestGcCommand:
 
     def test_gc_drop_failed(self, tmp_path, capsys):
         store = self.make_store(tmp_path)
-        exit_code = main(["gc", str(store.directory), "--drop-failed"])
+        exit_code = main(["gc", str(store.path), "--drop-failed"])
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "kept 0 of 3" in output
@@ -458,7 +458,7 @@ class TestGcCommand:
     def test_gc_dry_run_leaves_store_untouched(self, tmp_path, capsys):
         store = self.make_store(tmp_path)
         before = store.results_path.read_text(encoding="utf-8")
-        exit_code = main(["gc", str(store.directory), "--dry-run", "--drop-failed"])
+        exit_code = main(["gc", str(store.path), "--dry-run", "--drop-failed"])
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "would drop" in output
@@ -492,13 +492,12 @@ class TestShardedRunAndMerge:
         unsharded = tmp_path / "unsharded"
         assert main(["run", str(spec_file), "--store", str(unsharded),
                      "--serial", "--quiet"]) == 0
-        shared = tmp_path / "shared.db"
+        shared = tmp_path / "shared"
         for index in range(2):
             assert main(["run", str(spec_file), "--store", str(shared),
                          "--shard", f"{index}/2", "--serial", "--quiet"]) == 0
         output = capsys.readouterr().out
         assert "shard 0/2" in output and "shard 1/2" in output
-        assert "[sqlite]" in output
 
         full = ResultStore(unsharded)
         merged = ResultStore(shared)
@@ -511,7 +510,7 @@ class TestShardedRunAndMerge:
     def test_merge_command_unions_shard_stores(self, spec_file, tmp_path, capsys):
         from repro.runner.store import ResultStore
 
-        stores = [tmp_path / "shard-a", tmp_path / "shard-b.db"]
+        stores = [tmp_path / "shard-a", tmp_path / "shard-b"]
         for index, store in enumerate(stores):
             assert main(["run", str(spec_file), "--store", str(store),
                          "--shard", f"{index}/2", "--serial", "--quiet"]) == 0
@@ -525,26 +524,28 @@ class TestShardedRunAndMerge:
         assert main(["report", str(destination)]) == 0
         assert "records: 8 (8 ok)" in capsys.readouterr().out
 
-    def test_explicit_backend_flag(self, spec_file, tmp_path, capsys):
-        from repro.runner.store import ResultStore
-
-        store = tmp_path / "flat-file"
-        assert main(["run", str(spec_file), "--store", str(store),
-                     "--backend", "sqlite", "--serial", "--quiet"]) == 0
-        assert store.is_file()
-        assert ResultStore(store).backend_name == "sqlite"
-
-    def test_report_and_gc_work_on_sqlite_store(self, spec_file, tmp_path, capsys):
-        store = tmp_path / "store.db"
-        assert main(["run", str(spec_file), "--store", str(store),
-                     "--serial", "--quiet"]) == 0
-        capsys.readouterr()
-        assert main(["report", str(store)]) == 0
-        assert "[sqlite]" in capsys.readouterr().out
-        assert main(["gc", str(store), "--dry-run"]) == 0
-        assert "would drop" in capsys.readouterr().out
-        assert main(["gc", str(store)]) == 0
-        assert "manifest rewritten" in capsys.readouterr().out
+    def test_leftover_sqlite_file_exits_cleanly(self, spec_file, tmp_path, capsys):
+        # Single-file SQLite stores were removed: every command reading a
+        # store, pointed at a regular file, exits 2 with one line naming the
+        # conversion command, and leaves the file alone.
+        leftover = tmp_path / "old-store.db"
+        leftover.write_bytes(b"SQLite format 3\x00")
+        source = tmp_path / "source"
+        source.mkdir()
+        for argv in (
+            ["run", str(spec_file), "--store", str(leftover), "--serial"],
+            ["report", str(leftover)],
+            ["gc", str(leftover)],
+            ["merge", str(tmp_path / "merged"), str(leftover)],
+            ["merge", str(leftover), str(source)],
+            ["stream", "ffffffff", "--from-store", str(leftover)],
+        ):
+            assert main(argv) == 2, argv
+            error = capsys.readouterr().err
+            assert error.count("\n") == 1, error
+            assert "SQLite stores were removed" in error
+            assert f"repro merge <dir> {leftover}" in error
+        assert leftover.read_bytes() == b"SQLite format 3\x00"
 
     def test_invalid_shard_values_exit_cleanly(self, spec_file, tmp_path, capsys):
         # ("-1/2" is rejected by argparse itself: it looks like an option.)

@@ -130,7 +130,7 @@ class TestJsonlSink:
         assert json.loads(lines[0])["name"] == "alpha"
 
     def test_read_trace_tolerates_truncated_final_line(self, tmp_path):
-        # The store-backend contract: a torn final append (writer killed
+        # The result-store contract: a torn final append (writer killed
         # mid-line) is dropped, everything before it parses normally.
         path = tmp_path / "trace.jsonl"
         path.write_text(

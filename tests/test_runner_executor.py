@@ -380,7 +380,7 @@ class TestTimeoutSignalHygiene:
 
 
 class TestBackendEquivalence:
-    """Acceptance: both backends and sharded execution are record-identical."""
+    """Acceptance: sharded execution is record-identical to unsharded."""
 
     @staticmethod
     def _payloads(store: ResultStore) -> list[tuple[str, dict]]:
@@ -388,41 +388,49 @@ class TestBackendEquivalence:
         # (timing and worker pids legitimately differ between executions).
         return [(record["hash"], record["result"]) for record in store.records()]
 
-    def test_jsonl_and_sqlite_records_identical(self, grid, tmp_path):
-        jsonl_store = ResultStore(tmp_path / "jsonl-store")
-        sqlite_store = ResultStore(tmp_path / "sqlite-store.db")
-        assert jsonl_store.backend_name == "jsonl"
-        assert sqlite_store.backend_name == "sqlite"
-        execute_grid(grid, store=jsonl_store, n_workers=1)
-        execute_grid(grid, store=sqlite_store, n_workers=1)
-        assert self._payloads(jsonl_store) == self._payloads(sqlite_store)
-        # Statuses and specs round-trip identically too.
-        for a, b in zip(jsonl_store.records(), sqlite_store.records()):
-            assert a["status"] == b["status"] == "ok"
-            assert a["spec"] == b["spec"]
-
-    @pytest.mark.parametrize("backend_path", ["shared", "shared.db"])
+    @pytest.mark.parametrize("concurrent", [False, True])
     def test_two_shard_run_record_identical_to_unsharded(
-        self, grid, tmp_path, backend_path
+        self, grid, tmp_path, concurrent
     ):
+        import threading
+
         unsharded = ResultStore(tmp_path / "unsharded")
         execute_grid(grid, store=unsharded, n_workers=1)
 
-        shared = ResultStore(tmp_path / backend_path)
-        for index in range(2):
+        shared = ResultStore(tmp_path / "shared")
+        reports = {}
+
+        def run_shard(index):
             # Separate handles, as separate shard processes would hold.
-            shard_store = ResultStore(tmp_path / backend_path)
-            report = execute_grid(
+            shard_store = ResultStore(tmp_path / "shared")
+            reports[index] = execute_grid(
                 grid.shard(index, 2), store=shard_store, n_workers=1
             )
-            assert report.n_errors == 0
+
+        if concurrent:
+            threads = [
+                threading.Thread(target=run_shard, args=(index,))
+                for index in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        else:
+            for index in range(2):
+                run_shard(index)
+        assert sorted(reports) == [0, 1]
+        assert all(report.n_errors == 0 for report in reports.values())
         shared.refresh()
         assert self._payloads(shared) == self._payloads(unsharded)
+        # The last shard's manifest covers both shards' records.
+        assert shared.read_manifest()["records"] == \
+            unsharded.read_manifest()["records"]
 
     def test_shard_resume_skips_other_shards_results(self, grid, tmp_path):
         # After both shards ran into one store, re-running the FULL grid
         # against it is 100% cache hits: sharding left no gaps.
-        store = ResultStore(tmp_path / "store.db")
+        store = ResultStore(tmp_path / "store")
         for index in range(2):
             execute_grid(grid.shard(index, 2), store=store, n_workers=1)
         store.refresh()

@@ -1,10 +1,8 @@
-"""Unit tests for the content-addressed result store and its backends.
+"""Unit tests for the content-addressed JSONL result store.
 
-The ``TestResultStore``/``TestCompaction`` suites run identically against
-the JSONL and SQLite backends (the ``store_factory`` fixture is
-parametrized), so any semantic drift between the two persistence layers
-fails the same assertion twice.  Backend-specific physical properties
-(line-level corruption, atomic rename, upsert-in-place) get their own
+The ``TestResultStore``/``TestCompaction`` suites exercise the store's
+semantics through the ``store_factory`` fixture; physical properties
+(line-level corruption, atomic rename, concurrent writers) get their own
 classes below.
 """
 
@@ -15,7 +13,6 @@ import multiprocessing
 
 import pytest
 
-from repro.runner.backends import backend_names, resolve_backend_name
 from repro.runner.store import ResultStore, StoreCorruptionError, merge_stores
 
 
@@ -39,52 +36,18 @@ def make_record(key: str, status: str = "ok", **spec_overrides) -> dict:
     }
 
 
-@pytest.fixture(params=["jsonl", "sqlite"])
-def store_factory(request, tmp_path):
-    """Open (or re-open) a named store on the parametrized backend."""
+@pytest.fixture(params=["jsonl"])
+def store_factory(tmp_path):
+    """Open (or re-open) a named store directory."""
 
     def factory(name: str = "store") -> ResultStore:
-        if request.param == "sqlite":
-            return ResultStore(tmp_path / f"{name}.db", backend="sqlite")
         return ResultStore(tmp_path / name)
 
-    factory.backend = request.param
     return factory
 
 
-class TestBackendSelection:
-    def test_registered_backends(self):
-        assert backend_names() == ["jsonl", "sqlite"]
-
-    def test_db_suffix_selects_sqlite(self, tmp_path):
-        assert resolve_backend_name(tmp_path / "store.db") == "sqlite"
-        assert resolve_backend_name(tmp_path / "store.sqlite") == "sqlite"
-        assert resolve_backend_name(tmp_path / "store.sqlite3") == "sqlite"
-
-    def test_directory_and_fresh_path_select_jsonl(self, tmp_path):
-        assert resolve_backend_name(tmp_path) == "jsonl"
-        assert resolve_backend_name(tmp_path / "fresh") == "jsonl"
-
-    def test_existing_file_selects_sqlite(self, tmp_path):
-        store = ResultStore(tmp_path / "data", backend="sqlite")
-        store.append(make_record("aaa"))
-        store.close()
-        # No recognized suffix, but the path is a regular file on disk.
-        reopened = ResultStore(tmp_path / "data")
-        assert reopened.backend_name == "sqlite"
-        assert "aaa" in reopened
-
-    def test_explicit_backend_overrides_path_shape(self, tmp_path):
-        store = ResultStore(tmp_path / "flat.db", backend="sqlite")
-        assert store.backend_name == "sqlite"
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown store backend"):
-            ResultStore(tmp_path / "store", backend="parquet")
-
-
 class TestResultStore:
-    """Semantics shared by every backend (parametrized fixture)."""
+    """Index, manifest and refresh semantics."""
 
     def test_append_and_lookup(self, store_factory):
         store = store_factory()
@@ -134,7 +97,6 @@ class TestResultStore:
         assert manifest["n_records"] == 2
         assert manifest["status_counts"] == {"ok": 1, "error": 1}
         assert manifest["grid"] == "demo"
-        assert manifest["backend"] == store.backend_name
         entries = {entry["hash"]: entry for entry in manifest["records"]}
         assert entries["aaa"]["label_fraction"] == 0.05
         assert entries["aaa"]["graph"] == "store-test"
@@ -151,7 +113,7 @@ class TestResultStore:
         theirs.append(make_record("bbb"))
         assert "bbb" not in ours  # stale in-memory index ...
         ours.refresh()
-        assert "bbb" in ours  # ... until refreshed from the backend
+        assert "bbb" in ours  # ... until refreshed from disk
 
     def test_manifest_covers_other_writers_records(self, store_factory):
         ours = store_factory()
@@ -218,7 +180,7 @@ class TestCompaction:
         assert stats["n_lines_before"] == 0
 
     def test_jsonl_superseded_line_accounting(self, tmp_path):
-        # JSONL keeps every appended line until compaction ...
+        # The file keeps every appended line until compaction.
         store = ResultStore(tmp_path / "jstore")
         store.append(make_record("aaa", status="error"))
         store.append(make_record("aaa"))
@@ -231,17 +193,6 @@ class TestCompaction:
             "n_dropped_superseded": 1,
             "n_dropped_failed": 0,
         }
-
-    def test_sqlite_upserts_leave_no_superseded_rows(self, tmp_path):
-        # ... while SQLite upserts replace the row at append time.
-        store = ResultStore(tmp_path / "store.db")
-        store.append(make_record("aaa", status="error"))
-        store.append(make_record("aaa"))
-        store.append(make_record("bbb"))
-        assert store.n_physical_records() == 2
-        stats = store.compact()
-        assert stats["n_dropped_superseded"] == 0
-        assert stats["n_kept"] == 2
 
     def test_compacted_jsonl_is_valid(self, tmp_path):
         store = ResultStore(tmp_path / "jstore")
@@ -263,7 +214,7 @@ class TestJSONLCorruption:
         store.append(make_record("aaa"))
         with store.results_path.open("a", encoding="utf-8") as handle:
             handle.write('{"hash": "bbb", "status": "o')  # killed mid-write
-        reloaded = ResultStore(store.directory)
+        reloaded = ResultStore(store.path)
         assert len(reloaded) == 1
         assert "aaa" in reloaded
 
@@ -272,11 +223,11 @@ class TestJSONLCorruption:
         store.append(make_record("aaa"))
         with store.results_path.open("a", encoding="utf-8") as handle:
             handle.write('{"hash": "bbb", "status": "o')
-        recovered = ResultStore(store.directory)
+        recovered = ResultStore(store.path)
         recovered.append(make_record("ccc"))
         # The partial line was truncated away, not extended: every line in
         # the file decodes and a fresh load sees exactly the good records.
-        final = ResultStore(store.directory)
+        final = ResultStore(store.path)
         assert final.hashes() == ["aaa", "ccc"]
         assert final.n_physical_records() == 2
 
@@ -287,7 +238,7 @@ class TestJSONLCorruption:
             handle.write('{"hash": "bbb", "status": "o\n')  # damaged
         store.append(make_record("ccc"))  # valid line AFTER the damage
         with pytest.raises(StoreCorruptionError, match="line 2"):
-            ResultStore(store.directory)
+            ResultStore(store.path)
 
     def test_corrupted_fixture_names_file_and_line(self, tmp_path):
         directory = tmp_path / "fixture"
@@ -313,12 +264,6 @@ class TestJSONLCorruption:
         with pytest.raises(StoreCorruptionError, match="not an object"):
             ResultStore(directory)
 
-    def test_garbage_sqlite_file_raises(self, tmp_path):
-        path = tmp_path / "store.db"
-        path.write_bytes(b"definitely not a sqlite database, " * 32)
-        with pytest.raises(StoreCorruptionError, match="SQLite"):
-            ResultStore(path)
-
 
 class TestAtomicWrites:
     def test_manifest_write_leaves_no_temp_file(self, store_factory):
@@ -338,12 +283,12 @@ class TestAtomicWrites:
         store.write_manifest()
         before = store.manifest_path.read_text(encoding="utf-8")
 
-        import repro.runner.backends as backends
+        import repro.runner.store as store_module
 
         def exploding_replace(src, dst):
             raise OSError("simulated crash between write and rename")
 
-        monkeypatch.setattr(backends.os, "replace", exploding_replace)
+        monkeypatch.setattr(store_module.os, "replace", exploding_replace)
         store.append(make_record("bbb"))
         with pytest.raises(OSError, match="simulated crash"):
             store.write_manifest()
@@ -353,16 +298,16 @@ class TestAtomicWrites:
         assert json.loads(before)["n_records"] == 1
 
 
-def _append_worker(path: str, backend: str, prefix: str, n_records: int) -> None:
-    """Child-process entry point for the concurrent append smoke test."""
-    store = ResultStore(path, backend=backend)
+def _append_worker(path: str, prefix: str, n_records: int) -> None:
+    """Child-process entry point for the concurrent append tests."""
+    store = ResultStore(path)
     for index in range(n_records):
         store.append(make_record(f"{prefix}{index:04d}"))
-    store.close()
 
 
 class TestConcurrentAppends:
     N_RECORDS = 50
+    N_RACING = 300
 
     def test_two_process_append_smoke(self, store_factory, tmp_path):
         store = store_factory()
@@ -370,7 +315,7 @@ class TestConcurrentAppends:
         workers = [
             context.Process(
                 target=_append_worker,
-                args=(str(store.path), store.backend_name, prefix, self.N_RECORDS),
+                args=(str(store.path), prefix, self.N_RECORDS),
             )
             for prefix in ("left-", "right-")
         ]
@@ -389,10 +334,30 @@ class TestConcurrentAppends:
                 assert record["status"] == "ok"
 
 
+    def test_compaction_racing_appenders_keeps_every_record(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        context = multiprocessing.get_context()
+        workers = [
+            context.Process(
+                target=_append_worker,
+                args=(str(store.path), prefix, self.N_RACING),
+            )
+            for prefix in ("left-", "right-")
+        ]
+        for worker in workers:
+            worker.start()
+        while any(worker.is_alive() for worker in workers):
+            store.compact()
+        for worker in workers:
+            worker.join(timeout=60)
+            assert worker.exitcode == 0
+        assert len(ResultStore(store.path)) == 2 * self.N_RACING
+
+
 class TestMergeStores:
     def test_disjoint_union(self, tmp_path):
         a = ResultStore(tmp_path / "a")
-        b = ResultStore(tmp_path / "b.db")
+        b = ResultStore(tmp_path / "b")
         a.append(make_record("aaa"))
         b.append(make_record("bbb"))
         destination = ResultStore(tmp_path / "merged")
@@ -439,21 +404,10 @@ class TestMergeStores:
     def test_merge_writes_manifest(self, tmp_path):
         source = ResultStore(tmp_path / "src")
         source.append(make_record("aaa"))
-        destination = ResultStore(tmp_path / "merged.db")
+        destination = ResultStore(tmp_path / "merged")
         merge_stores(destination, [source])
         manifest = destination.read_manifest()
         assert manifest["n_records"] == 1
-        assert manifest["backend"] == "sqlite"
-
-    def test_cross_backend_merge_round_trip(self, tmp_path):
-        jsonl = ResultStore(tmp_path / "jsonl")
-        for key in ("aaa", "bbb", "ccc"):
-            jsonl.append(make_record(key))
-        sqlite = ResultStore(tmp_path / "copy.db")
-        merge_stores(sqlite, [jsonl])
-        back = ResultStore(tmp_path / "back")
-        merge_stores(back, [sqlite])
-        assert back.records() == jsonl.records()
 
 
 class TestReviewRegressions:
@@ -474,10 +428,13 @@ class TestReviewRegressions:
         assert destination.get("aaa")["worker_pid"] == 11  # first copy kept
 
     def test_jsonl_backend_on_regular_file_fails_cleanly(self, tmp_path):
+        # A leftover single-file (SQLite) store is not a store directory:
+        # refuse it with the conversion hint instead of creating anything.
         target = tmp_path / "store.db"
-        ResultStore(target, backend="sqlite").close()
-        with pytest.raises(ValueError, match="regular file"):
-            ResultStore(target, backend="jsonl")
+        target.write_bytes(b"SQLite format 3\x00")
+        with pytest.raises(ValueError, match="regular file.*repro merge"):
+            ResultStore(target)
+        assert target.read_bytes() == b"SQLite format 3\x00"
 
     def test_compact_preserves_concurrent_writers_records(self, store_factory):
         ours = store_factory()
@@ -519,20 +476,49 @@ class TestReviewRegressions:
         reloaded = ResultStore(tmp_path / "store")
         assert len(reloaded) == 20
 
-    def test_sqlite_compact_keeps_records_appended_after_load(
+    def test_compact_keeps_records_appended_after_load(
         self, tmp_path, monkeypatch
     ):
-        # The delete-only SQLite compaction must not destroy a record a
-        # sibling committed after this process's (re)load — simulated by
-        # disabling refresh so the compacting handle never sees it.
-        ours = ResultStore(tmp_path / "store.db")
+        # Compaction must not destroy a record a sibling committed after
+        # this process's (re)load — simulated by disabling refresh so the
+        # compacting handle never sees it before the rewrite.
+        ours = ResultStore(tmp_path / "store")
         ours.append(make_record("aaa", status="error"))
-        ResultStore(tmp_path / "store.db").append(make_record("rrr"))
+        ResultStore(tmp_path / "store").append(make_record("rrr"))
         monkeypatch.setattr(ours, "refresh", lambda: None)
         ours.compact(drop_failed=True)
-        survivors = ResultStore(tmp_path / "store.db")
+        survivors = ResultStore(tmp_path / "store")
         assert "rrr" in survivors  # sibling's record survived
         assert "aaa" not in survivors  # the dropped hash is gone
+        assert "rrr" in ours  # ... and the compacting handle serves it
+
+    def test_append_racing_a_compaction_reopens_the_new_file(
+        self, tmp_path, monkeypatch
+    ):
+        # An appender that opened results.jsonl just before a compaction
+        # renamed a rewritten file over it wakes up holding a lock on the
+        # old inode; it must reopen the path, or its record is lost.
+        import repro.runner.store as store_module
+
+        store = ResultStore(tmp_path / "store")
+        store.append(make_record("aaa"))
+        store.append(make_record("aaa"))
+        compactor = ResultStore(tmp_path / "store")
+        real_flock = store_module.fcntl.flock
+        raced = []
+
+        def flock(descriptor, operation):
+            if operation == store_module.fcntl.LOCK_SH and not raced:
+                raced.append(True)
+                compactor.compact()  # replaces the file `descriptor` opened
+            real_flock(descriptor, operation)
+
+        monkeypatch.setattr(store_module.fcntl, "flock", flock)
+        store.append(make_record("bbb"))
+        assert raced
+        final = ResultStore(tmp_path / "store")
+        assert final.hashes() == ["aaa", "bbb"]
+        assert final.n_physical_records() == 2
 
     def test_corrupt_manifest_reads_as_absent(self, store_factory):
         store = store_factory()
@@ -545,7 +531,7 @@ class TestReviewRegressions:
 
 
 class TestAppendMany:
-    """Batched appends: one backend write for N records, same semantics."""
+    """Batched appends: one write for N records, same semantics."""
 
     def test_batch_persists_and_indexes(self, store_factory):
         store = store_factory()
