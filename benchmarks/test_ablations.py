@@ -5,7 +5,6 @@ text; these benches quantify them on the same synthetic workloads:
 
 * non-backtracking vs. plain path statistics inside DCE (Section 4.5),
 * dropping the echo-cancellation term in LinBP (Section 2.3),
-* the closed-form projection vs. SLSQP solver for MCE (Section 4.3),
 * loopy BP vs. LinBP propagation cost (Section 2.2 motivation).
 """
 
@@ -16,7 +15,7 @@ import time
 import numpy as np
 
 from repro.core.compatibility import skew_compatibility
-from repro.core.estimators import DCEr, MCE
+from repro.core.estimators import DCEr
 from repro.core.statistics import gold_standard_compatibility
 from repro.eval.experiment import run_experiment
 from repro.eval.metrics import compatibility_l2, macro_accuracy
@@ -84,28 +83,6 @@ def test_ablation_echo_cancellation(benchmark, paper_graph_10k):
     without_echo, with_echo = rows[0], rows[1]
     # The paper's observation: dropping EC does not consistently lose accuracy.
     assert without_echo[1] >= with_echo[1] - 0.05
-
-
-def test_ablation_mce_solver(benchmark, paper_graph_10k):
-    """Closed-form projection vs. SLSQP give the same MCE estimate; projection is cheaper."""
-
-    def run():
-        seed_labels = stratified_seed_labels(paper_graph_10k.labels, fraction=0.1, rng=0)
-        rows = []
-        estimates = {}
-        for solver in ("projection", "slsqp"):
-            result = MCE(solver=solver).fit(paper_graph_10k, seed_labels)
-            estimates[solver] = result.compatibility
-            rows.append([solver, result.elapsed_seconds])
-        difference = float(
-            np.max(np.abs(estimates["projection"] - estimates["slsqp"]))
-        )
-        return rows, difference
-
-    (rows, difference) = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_table("Ablation: MCE solver", ["solver", "time [s]"], rows)
-    print(f"max entry difference between solvers: {difference:.2e}")
-    assert difference < 1e-3
 
 
 def test_ablation_bp_vs_linbp_cost(benchmark):

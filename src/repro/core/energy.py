@@ -7,7 +7,9 @@ parameters ``h`` of the compatibility matrix (Section 4):
 * MCE  — ``E(H) = ||H - P̂||^2``                           (Eq. 12)
 * DCE  — ``E(H) = sum_l w_l ||H^l - P̂^(l)||^2``           (Eq. 13 / 14)
 
-The DCE gradient with respect to the *full* matrix is Proposition 4.7's
+LCE's and MCE's energies are quadratic in ``H`` and their estimators
+minimize them in closed form, so only DCE needs gradients.  The DCE
+gradient with respect to the *full* matrix is Proposition 4.7's
 
     ``G = 2 sum_l w_l ( l H^(2l-1) - sum_{r=0}^{l-1} H^r P̂^(l) H^(l-r-1) )``
 
@@ -40,11 +42,9 @@ __all__ = [
     "free_parameter_gradient",
     "dce_free_gradient",
     "mce_energy",
-    "mce_matrix_gradient",
     "LCETerms",
     "lce_terms",
     "lce_energy",
-    "lce_matrix_gradient",
 ]
 
 
@@ -244,11 +244,6 @@ def mce_energy(matrix: np.ndarray, observed: np.ndarray) -> float:
     return float(np.sum(difference * difference))
 
 
-def mce_matrix_gradient(matrix: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """Gradient of the myopic energy with respect to the full matrix."""
-    return 2.0 * (np.asarray(matrix, dtype=np.float64) - np.asarray(observed))
-
-
 # --------------------------------------------------------------------------- LCE
 class LCETerms:
     """Precomputed sufficient statistics of the LCE energy (Eq. 8).
@@ -258,7 +253,7 @@ class LCETerms:
         ``||X - A H||^2 = ||X||^2 - 2 tr(H^T A^T X) + tr(H^T A^T A H)``
 
     so only the two ``k x k`` matrices ``A^T A`` and ``A^T X`` and the scalar
-    ``||X||^2`` are needed during optimization — the same "summarize first,
+    ``||X||^2`` are needed to minimize it — the same "summarize first,
     optimize later" trick DCE uses, applied to the convex LCE objective.
     """
 
@@ -289,9 +284,3 @@ def lce_energy(matrix: np.ndarray, terms: LCETerms) -> float:
     quadratic = float(np.trace(matrix.T @ terms.gram @ matrix))
     linear = float(np.trace(matrix.T @ terms.cross))
     return terms.label_norm - 2.0 * linear + quadratic
-
-
-def lce_matrix_gradient(matrix: np.ndarray, terms: LCETerms) -> np.ndarray:
-    """Gradient of the LCE energy with respect to the full matrix."""
-    matrix = check_square(matrix, "compatibility")
-    return 2.0 * (terms.gram @ matrix - terms.cross)

@@ -16,7 +16,6 @@ import scipy.sparse as sp
 
 from repro.core.compatibility import uniform_vector, vector_to_matrix
 from repro.core.estimators.base import BaseEstimator
-from repro.core.optimizer import minimize_free_parameters
 from repro.graph.graph import Graph
 from repro.propagation.linbp import propagate_and_label
 from repro.utils.rng import ensure_rng
@@ -87,6 +86,9 @@ class HoldoutEstimator(BaseEstimator):
         explicit_beliefs: sp.csr_matrix,
     ) -> tuple[np.ndarray, float | None, dict]:
         n_classes = graph.n_classes
+        if n_classes == 1:
+            # H = [[1]] has no free parameter to search over.
+            return np.ones((1, 1)), None, {"n_splits": self.n_splits}
         rng = ensure_rng(self.seed)
         labeled_indices = np.flatnonzero(seed_labels >= 0)
         partitions = self._make_partitions(labeled_indices, rng)
@@ -112,17 +114,19 @@ class HoldoutEstimator(BaseEstimator):
                 total_accuracy += float(np.mean(correct))
             return -total_accuracy
 
-        outcome = minimize_free_parameters(
+        # Imported here so that only Holdout pays for scipy.optimize.
+        from scipy.optimize import minimize
+
+        outcome = minimize(
             negative_compound_accuracy,
-            n_classes,
-            gradient=None,
-            initial=uniform_vector(n_classes),
+            uniform_vector(n_classes),
             method="Nelder-Mead",
-            max_iterations=self.max_evaluations,
+            tol=1e-9,
+            options={"maxiter": self.max_evaluations},
         )
         details = {
             "n_splits": self.n_splits,
             "n_objective_evaluations": evaluation_count,
-            "converged": outcome.converged,
+            "converged": bool(outcome.success),
         }
-        return outcome.matrix, outcome.energy, details
+        return vector_to_matrix(outcome.x, n_classes), float(outcome.fun), details

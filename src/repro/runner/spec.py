@@ -11,8 +11,8 @@ that grid into data:
   equal — the key of the content-addressed result store.
 * :class:`GridSpec` — the declarative grid.  :meth:`GridSpec.expand`
   enumerates every :class:`RunSpec` in a deterministic order; construction
-  validates estimator/propagator names against the registries up front so a
-  typo fails before any work is scheduled.
+  validates estimator/propagator names and kwarg names against the
+  registries up front so a typo fails before any work is scheduled.
 * :func:`build_graph` — materialize the graph described by a graph config
   dict (synthetic generator, dataset stand-in, or an ``.npz`` file).
 
@@ -26,6 +26,7 @@ serial execution and cached results trustworthy.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -158,6 +159,14 @@ def _normalize_algorithm(entry, registry: dict, registry_label: str) -> tuple[st
         raise ValueError(
             f"unknown {registry_label} {name!r}; registered: {sorted(registry)}"
         )
+    parameters = inspect.signature(registry[name]).parameters
+    if not any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
+        unknown = sorted(set(kwargs) - set(parameters))
+        if unknown:
+            raise ValueError(
+                f"{registry_label} {name!r} takes no argument {unknown[0]!r}; "
+                f"accepted: {', '.join(sorted(parameters)) or 'none'}"
+            )
     return name, kwargs
 
 

@@ -234,6 +234,20 @@ class TestErrorPaths:
         error = capsys.readouterr().err
         assert "unknown estimator 'nope'" in error
 
+    def test_run_unknown_estimator_kwarg_in_spec(self, tmp_path, capsys):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({
+            "graphs": [{"kind": "generate", "n_nodes": 50, "n_edges": 100}],
+            "estimators": [{"name": "DCEr", "kwargs": {"n_restart": 3}}],
+            "label_fractions": [0.1],
+        }))
+        store = tmp_path / "store"
+        assert main(["run", str(spec), "--store", str(store)]) == 2
+        error = capsys.readouterr().err
+        assert "'DCEr' takes no argument 'n_restart'" in error
+        assert "n_restarts" in error
+        assert not store.exists()
+
     def test_report_missing_store(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "no-store")]) == 2
         assert "not found" in capsys.readouterr().err

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.compatibility import skew_compatibility
-from repro.core.estimators import DCE, DCEr, LCE, MCE
+from repro.core.estimators import DCE, DCEr, HoldoutEstimator, LCE, MCE
 from repro.core.statistics import neighbor_statistics, observed_statistics
 from repro.eval.experiment import run_experiment
 from repro.eval.metrics import macro_accuracy
@@ -141,8 +141,8 @@ class TestWeightedAndTinyGraphs:
 
     @pytest.mark.parametrize(
         "estimator",
-        [DCE(), DCEr(seed=0), LCE(), MCE(solver="slsqp")],
-        ids=["DCE", "DCEr", "LCE", "MCE-slsqp"],
+        [DCE(), DCEr(seed=0), LCE(), MCE(), HoldoutEstimator(seed=0)],
+        ids=["DCE", "DCEr", "LCE", "MCE", "Holdout"],
     )
     def test_single_class_fit_skips_the_optimizer(self, estimator, capfd):
         # k=1 leaves no free parameter; handing LAPACK an empty vector made

@@ -6,16 +6,27 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from repro import obs
-from repro.core.compatibility import restart_initial_points, skew_compatibility, vector_to_matrix
+from repro.core.compatibility import (
+    restart_initial_points,
+    skew_compatibility,
+    uniform_vector,
+    vector_to_matrix,
+)
 from repro.core.energy import (
     dce_energy,
     dce_forward,
     dce_forward_batch,
     dce_free_gradient,
     dce_hessian_terms,
+    dce_matrix_gradient,
     dce_weights,
+    free_parameter_gradient,
+    lce_energy,
+    lce_terms,
+    mce_energy,
 )
 from repro.core.estimators import (
     DCE,
@@ -27,13 +38,32 @@ from repro.core.estimators import (
     LCE,
     MCE,
 )
-from repro.core.optimizer import best_outcome, minimize_free_parameters
 from repro.core.statistics import gold_standard_compatibility, observed_statistics
 from repro.eval.metrics import compatibility_l2
 from repro.eval.seeding import stratified_seed_labels
 from repro.graph.generator import generate_graph
 from repro.graph.graph import one_hot_labels
 from repro.utils.matrix import is_doubly_stochastic, is_symmetric
+
+
+def slsqp_reference(energy, matrix_gradient, k, start=None):
+    """SLSQP's minimum of an energy of ``H`` over the free parameters, as ``(H, energy)``.
+
+    The reference the closed-form and batched solvers are checked against:
+    ``matrix_gradient`` is the gradient in the full matrix, chained through
+    Eq. 6 by :func:`free_parameter_gradient`.
+    """
+    outcome = minimize(
+        lambda point: energy(vector_to_matrix(point, k)),
+        uniform_vector(k) if start is None else start,
+        jac=lambda point: free_parameter_gradient(
+            matrix_gradient(vector_to_matrix(point, k)), k
+        ),
+        method="SLSQP",
+        tol=1e-9,
+        options={"maxiter": 500},
+    )
+    return vector_to_matrix(outcome.x, k), float(outcome.fun)
 
 
 @pytest.fixture(scope="module")
@@ -109,11 +139,14 @@ class TestMCE:
         assert is_doubly_stochastic(result.compatibility, tol=1e-6)
 
     def test_projection_and_slsqp_agree(self, graph, seed_labels_dense):
-        projected = MCE(solver="projection").fit(graph, seed_labels_dense)
-        optimized = MCE(solver="slsqp").fit(graph, seed_labels_dense)
-        np.testing.assert_allclose(
-            projected.compatibility, optimized.compatibility, atol=1e-4
+        projected = MCE().fit(graph, seed_labels_dense)
+        observed = projected.details["observed_statistics"]
+        optimized, _ = slsqp_reference(
+            lambda matrix: mce_energy(matrix, observed),
+            lambda matrix: 2.0 * (matrix - observed),
+            3,
         )
+        np.testing.assert_allclose(projected.compatibility, optimized, atol=1e-4)
 
     @pytest.mark.parametrize("variant", [1, 2, 3])
     def test_all_variants_run(self, graph, seed_labels_dense, variant):
@@ -123,10 +156,6 @@ class TestMCE:
     def test_variant_validation(self):
         with pytest.raises(ValueError):
             MCE(variant=0)
-
-    def test_solver_validation(self):
-        with pytest.raises(ValueError):
-            MCE(solver="adam")
 
     def test_poor_in_sparse_regime(self, graph, gold, seed_labels_sparse):
         # With ~10 labeled nodes MCE has almost no labeled edges to learn from.
@@ -159,6 +188,24 @@ class TestLCE:
 
     def test_energy_reported(self, graph, seed_labels_dense):
         assert LCE().fit(graph, seed_labels_dense).energy >= 0
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_closed_form_matches_slsqp(self, k):
+        graph = planted_graph(k, 3.0)
+        seeds = stratified_seed_labels(graph.labels, fraction=0.02, rng=0)
+        result = LCE().fit(graph, seeds)
+        terms = lce_terms(graph.adjacency, one_hot_labels(seeds, k))
+        slsqp_matrix, slsqp_energy = slsqp_reference(
+            lambda matrix: lce_energy(matrix, terms),
+            lambda matrix: 2.0 * (terms.gram @ matrix - terms.cross),
+            k,
+        )
+        assert result.energy <= slsqp_energy * (1.0 + 1e-9)
+        np.testing.assert_allclose(result.compatibility, slsqp_matrix, rtol=0, atol=1e-5)
+        gradient = free_parameter_gradient(
+            2.0 * (terms.gram @ result.compatibility - terms.cross), k
+        )
+        assert np.abs(gradient).max() <= 1e-8 * np.abs(2.0 * terms.cross).max()
 
 
 class TestDCE:
@@ -323,17 +370,20 @@ class TestBatchedSolveOracle:
         result = DCEr(seed=0).fit(graph, seeds)
         statistics = result.details["observed_statistics"]
         weights = result.details["weights"]
-        slsqp = best_outcome([
-            minimize_free_parameters(
-                lambda point: dce_energy(vector_to_matrix(point, k), statistics, weights),
-                k,
-                gradient=lambda point: dce_free_gradient(point, k, statistics, weights),
-                initial=start,
-            )
-            for start in restart_initial_points(k, 10, seed=0)
-        ])
-        assert result.energy <= slsqp.energy * (1.0 + 1e-9)
-        np.testing.assert_allclose(result.compatibility, slsqp.matrix, rtol=0, atol=1e-5)
+        slsqp_matrix, slsqp_energy = min(
+            (
+                slsqp_reference(
+                    lambda matrix: dce_energy(matrix, statistics, weights),
+                    lambda matrix: dce_matrix_gradient(matrix, statistics, weights),
+                    k,
+                    start,
+                )
+                for start in restart_initial_points(k, 10, seed=0)
+            ),
+            key=lambda reference: reference[1],
+        )
+        assert result.energy <= slsqp_energy * (1.0 + 1e-9)
+        np.testing.assert_allclose(result.compatibility, slsqp_matrix, rtol=0, atol=1e-5)
         energies = result.details["restart_energies"]
         assert (max(energies) > result.energy * (1.0 + 1e-6)) == local_minimum
 

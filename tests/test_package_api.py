@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,20 @@ class TestTopLevelApi:
     def test_module_docstring_mentions_paper(self):
         assert "Factorized" in repro.__doc__
         assert "SIGMOD" in repro.__doc__
+
+
+def test_entry_points_do_not_import_scipy_optimize():
+    # Only the Holdout baseline needs scipy.optimize (~27 MiB resident), and
+    # it imports it when it fits; sessions and serve workers never do.
+    script = (
+        "import sys, repro, repro.cli, repro.serve, repro.stream, repro.runner\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    completed = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert completed.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("module_name", SUBPACKAGES)

@@ -212,19 +212,21 @@ class TestProposition47:
     """The analytic gradient finds the planted optimum."""
 
     def test_gradient_descent_reaches_global_optimum_from_truth_statistics(self):
-        from repro.core.compatibility import matrix_to_vector, uniform_vector
+        from scipy.optimize import minimize
+
+        from repro.core.compatibility import uniform_vector, vector_to_matrix
         from repro.core.energy import dce_free_gradient
-        from repro.core.optimizer import minimize_free_parameters
-        from repro.core.compatibility import vector_to_matrix
 
         target = skew_compatibility(3, h=8.0)
         statistics = matrix_powers(target, 5)
         weights = dce_weights(5, 10.0)
 
-        outcome = minimize_free_parameters(
+        outcome = minimize(
             lambda h: dce_energy(vector_to_matrix(h, 3), statistics, weights),
-            3,
-            gradient=lambda h: dce_free_gradient(h, 3, statistics, weights),
-            initial=uniform_vector(3) + np.array([0.05, -0.05, 0.05]),
+            uniform_vector(3) + np.array([0.05, -0.05, 0.05]),
+            jac=lambda h: dce_free_gradient(h, 3, statistics, weights),
+            method="SLSQP",
+            tol=1e-9,
+            options={"maxiter": 500},
         )
-        np.testing.assert_allclose(outcome.matrix, target, atol=1e-3)
+        np.testing.assert_allclose(vector_to_matrix(outcome.x, 3), target, atol=1e-3)
