@@ -1,20 +1,31 @@
-"""Micro-benchmark: micro-batched serving vs. one-request-per-call.
+"""Micro-benchmark: micro-batched deltas vs. one-request-per-call.
 
 A closed-loop load generator drives the :class:`~repro.serve.InferenceService`
 with N concurrent client threads.  Each client loops: ``queries_per_delta``
 belief queries (random node sets, top-k ranking), then one single-edge
-:class:`~repro.stream.delta.GraphDelta`.  The same workload runs twice:
+:class:`~repro.stream.delta.GraphDelta`.  The same workload runs in two
+modes:
 
 * **unbatched** — every client calls ``service.query`` /
-  ``service.apply_delta`` directly: one lock round-trip per query and one
-  full incremental propagation per delta (the one-request-per-call path);
-* **batched** — every client goes through the :class:`~repro.serve.MicroBatcher`:
-  concurrent queries coalesce into one vectorized belief gather, concurrent
-  deltas into a *single* propagation per flush.
+  ``service.apply_delta`` directly: one full incremental propagation per
+  delta (the one-request-per-call path);
+* **batched** — the path ``repro serve`` runs: queries still go straight
+  to the service on the client's thread, deltas go through the
+  :class:`~repro.serve.MicroBatcher`, which coalesces the deltas arriving
+  within its latency budget into a *single* propagation per flush.
 
-Reported per mode: queries/sec, query latency p50/p99, delta count and how
-many propagations actually ran.  The batched/unbatched queries-per-second
-ratio is the headline number (target: >= 3x at 8 clients).
+Each mode runs twice, with two client schedules:
+
+* **aligned** — every client starts at step 0 after a shared barrier, so
+  all of them send their delta on the same step;
+* **staggered** — client ``i`` of ``N`` starts at step
+  ``queries_per_delta * i // N``, so deltas arrive spread over the loop.
+
+Reported per phase: queries/sec, query latency p50/p99, delta count, how
+many propagations actually ran and the deltas per propagation.  The
+batched/unbatched queries-per-second ratios are the headline numbers:
+``speedup_queries_per_second`` (aligned) and
+``speedup_queries_per_second_staggered``.
 
 A separate correctness phase applies a label-reveal delta mid-load and
 checks the next query reflects it: the belief row changes, the belief
@@ -82,12 +93,15 @@ def run_load(
     nodes_per_query: int,
     n_nodes: int,
     seed: int,
+    staggered: bool = False,
 ) -> dict:
     """Drive one closed-loop load phase; returns its measurement record.
 
     ``frontend`` is the object the clients call (the service itself for the
     unbatched mode, the micro-batcher for the batched one) — both expose
     ``query(name, nodes, top_k)`` and ``apply_delta(name, delta)``.
+    ``staggered`` offsets client ``i``'s first step by
+    ``queries_per_delta * i // n_clients`` (see the module docstring).
     """
     before = service.info(GRAPH_NAME)
     barrier = threading.Barrier(n_clients + 1)
@@ -104,7 +118,7 @@ def run_load(
         mine_q = query_latencies[index]
         mine_d = delta_latencies[index]
         barrier.wait()
-        step = 0
+        step = queries_per_delta * index // n_clients if staggered else 0
         try:
             while time.perf_counter() < stop_at[0]:
                 step += 1
@@ -139,6 +153,7 @@ def run_load(
     after = service.info(GRAPH_NAME)
     all_queries = [lat for client_lats in query_latencies for lat in client_lats]
     all_deltas = [lat for client_lats in delta_latencies for lat in client_lats]
+    n_propagations = after["n_solves"] - before["n_solves"]
     return {
         "n_clients": n_clients,
         "elapsed_seconds": elapsed,
@@ -149,7 +164,10 @@ def run_load(
         "query_p99_ms": percentile_ms(all_queries, 99),
         "delta_p50_ms": percentile_ms(all_deltas, 50),
         "delta_p99_ms": percentile_ms(all_deltas, 99),
-        "n_propagations": after["n_solves"] - before["n_solves"],
+        "n_propagations": n_propagations,
+        "deltas_per_propagation": (
+            len(all_deltas) / n_propagations if n_propagations else 0.0
+        ),
         "errors": errors,
     }
 
@@ -321,7 +339,7 @@ def run_worker_sweep(args, graph) -> dict:
                         worker_args=worker_args,
                         spawn_timeout=300.0) as router:
                 for session in sessions:
-                    status, body, _ = router.handle_load({
+                    status, body = router.handle_load({
                         "name": session, "path": str(graph_path),
                         "fraction": args.fraction, "seed": args.seed,
                         "iterations": args.iterations,
@@ -398,29 +416,37 @@ def main(argv=None) -> int:
     print(f"serving {info['n_nodes']} nodes / {info['n_edges']} edges, "
           f"{info['n_seeds']} seeds, propagator {info['propagator']}")
 
-    phases = {}
-    print(f"\nunbatched: {args.clients} clients x {args.duration:.0f}s "
-          f"(1 delta per {args.queries_per_delta} queries) ...")
-    phases["unbatched"] = run_load(
-        service, service, args.clients, args.duration,
-        args.queries_per_delta, args.nodes_per_query, args.nodes, args.seed,
-    )
-
-    print(f"batched:   same workload through the micro-batcher ...")
-    with MicroBatcher(
-        service, max_batch=args.max_batch, max_latency_seconds=args.max_latency
-    ) as batcher:
-        phases["batched"] = run_load(
-            batcher, service, args.clients, args.duration,
-            args.queries_per_delta, args.nodes_per_query, args.nodes,
-            args.seed + 1000,
+    def batcher() -> MicroBatcher:
+        return MicroBatcher(
+            service, max_batch=args.max_batch,
+            max_latency_seconds=args.max_latency,
         )
-        phases["batched"]["batcher"] = batcher.stats()
-        delta_check = check_delta_mid_load(batcher, service, graph)
 
-    for mode in ("unbatched", "batched"):
-        record = phases[mode]
-        print(f"  {mode:10s} {record['queries_per_second']:9.0f} q/s   "
+    phases = {}
+    print(f"\n{args.clients} clients x {args.duration:.0f}s per phase "
+          f"(1 delta per {args.queries_per_delta} queries)")
+    load = (args.clients, args.duration, args.queries_per_delta,
+            args.nodes_per_query, args.nodes)
+    for suffix, staggered in (("", False), ("_staggered", True)):
+        seed = args.seed + (2000 if staggered else 0)
+        print(f"  {'staggered' if staggered else 'aligned'} clients ...")
+        phases["unbatched" + suffix] = run_load(
+            service, service, *load, seed, staggered
+        )
+        with batcher() as frontend:
+            record = run_load(frontend, service, *load, seed + 1000, staggered)
+            record["batcher"] = frontend.stats()
+        phases["batched" + suffix] = record
+    with batcher() as frontend:
+        delta_check = check_delta_mid_load(frontend, service, graph)
+
+    def speedup_of(suffix: str) -> float:
+        unbatched = phases["unbatched" + suffix]["queries_per_second"]
+        batched = phases["batched" + suffix]["queries_per_second"]
+        return batched / unbatched if unbatched else 0.0
+
+    for name, record in phases.items():
+        print(f"  {name:19s} {record['queries_per_second']:9.0f} q/s   "
               f"p50 {record['query_p50_ms']:6.2f} ms  "
               f"p99 {record['query_p99_ms']:6.2f} ms   "
               f"{record['n_deltas']} deltas -> "
@@ -428,14 +454,10 @@ def main(argv=None) -> int:
         if record["errors"]:
             print(f"    errors: {record['errors'][:3]}")
 
-    speedup = (
-        phases["batched"]["queries_per_second"]
-        / phases["unbatched"]["queries_per_second"]
-        if phases["unbatched"]["queries_per_second"]
-        else 0.0
-    )
-    print(f"\nmicro-batching speedup: {speedup:.2f}x queries/sec "
-          f"at {args.clients} clients (target >= 3x)")
+    speedup, staggered_speedup = speedup_of(""), speedup_of("_staggered")
+    print(f"\nmicro-batching speedup at {args.clients} clients: "
+          f"{speedup:.2f}x queries/sec aligned, "
+          f"{staggered_speedup:.2f}x staggered (target >= 3x)")
     print(f"delta mid-load: reflected={delta_check['reflected']} "
           f"staleness_reset={delta_check['staleness_reset']} "
           f"(belief change {delta_check['belief_change']:.2e}, "
@@ -466,9 +488,9 @@ def main(argv=None) -> int:
             "max_batch": args.max_batch,
             "max_latency_seconds": args.max_latency,
         },
-        "unbatched": phases["unbatched"],
-        "batched": phases["batched"],
+        **phases,
         "speedup_queries_per_second": speedup,
+        "speedup_queries_per_second_staggered": staggered_speedup,
         "meets_3x_target": bool(speedup >= 3.0),
         "delta_mid_load": delta_check,
     }

@@ -283,14 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="opt the preloaded graph's session into "
                             "residual-push localized solves for small deltas")
     serve.add_argument("--max-batch", type=int, default=128, dest="max_batch",
-                       help="flush a micro-batch once this many requests wait")
+                       help="flush a delta micro-batch once this many deltas "
+                            "wait (queries are answered directly)")
     serve.add_argument("--max-latency", type=float, default=0.002,
                        dest="max_latency", metavar="SECONDS",
-                       help="flush a micro-batch at the latest this long "
-                            "after its oldest request arrived")
-    serve.add_argument("--no-batching", action="store_true",
-                       help="answer every request individually (debugging / "
-                            "baseline measurements)")
+                       help="flush a delta micro-batch this long after its "
+                            "oldest delta arrived, so deltas arriving within "
+                            "the budget share one propagation")
     serve.add_argument("--lenient", action="store_true",
                        help="tolerate duplicate edge adds / absent removals "
                             "in served deltas")
@@ -818,8 +817,6 @@ def _serve_router(args: argparse.Namespace) -> int:
     ]
     if args.lenient:
         worker_args.append("--lenient")
-    if args.no_batching:
-        worker_args.append("--no-batching")
     if args.max_sessions is not None:
         worker_args += ["--max-sessions", str(args.max_sessions)]
     if args.slo:
@@ -864,7 +861,7 @@ def _serve_router(args: argparse.Namespace) -> int:
                 if not Path(args.graph).exists():
                     raise CLIError(f"graph file not found: {args.graph}")
                 payload["path"] = args.graph
-            status, body, _ = router.handle_load(payload)
+            status, body = router.handle_load(payload)
             if status != 201:
                 raise CLIError(f"preload failed ({status}): "
                                f"{body.decode('utf-8', 'replace')}")
@@ -947,31 +944,25 @@ def _command_serve(args: argparse.Namespace) -> int:
         raise CLIError("--from-store needs a record hash as the GRAPH argument")
 
     recorder = _make_slo_recorder(args, service)
-    batcher = None
-    if not args.no_batching:
-        batcher = MicroBatcher(
-            service,
-            max_batch=args.max_batch,
-            max_latency_seconds=args.max_latency,
-        )
+    batcher = MicroBatcher(
+        service,
+        max_batch=args.max_batch,
+        max_latency_seconds=args.max_latency,
+    )
     try:
         server = make_server(
             service, host=args.host, port=args.port, batcher=batcher,
             log_json=args.log_json, recorder=recorder,
         )
     except OSError as exc:
-        if batcher is not None:
-            batcher.close()
+        batcher.close()
         raise CLIError(f"could not bind {args.host}:{args.port}: {exc}") from exc
     if recorder is not None:
         recorder.start()
     _write_port_file(args.port_file, server.server_address[1])
-    mode = "unbatched" if batcher is None else (
-        f"micro-batched (<= {args.max_batch}/flush, "
-        f"{args.max_latency * 1e3:g} ms budget)"
-    )
     print(f"serving on http://{args.host}:{server.server_address[1]} "
-          f"[{mode}] — Ctrl-C to stop")
+          f"[deltas micro-batched (<= {args.max_batch}/flush, "
+          f"{args.max_latency * 1e3:g} ms budget)] — Ctrl-C to stop")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -7,7 +7,7 @@ plumbing.  Two extra entry points cover the places where work moves
 between threads:
 
 * :func:`capture_context` — grab the caller's current context (e.g. in
-  ``MicroBatcher.submit``, on the HTTP handler thread);
+  ``MicroBatcher.submit_delta``, on the HTTP handler thread);
 * :func:`emit_span` — record an already-measured region against an
   explicit parent context (e.g. in the batcher's flush loop, on the
   worker thread), so the span tree survives the queue hop.

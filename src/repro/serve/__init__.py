@@ -1,4 +1,4 @@
-"""Online inference service: micro-batched queries over warm streaming sessions.
+"""Online inference service: belief queries over warm streaming sessions.
 
 The fourth subsystem of the reproduction, closing the loop from batch
 experiments to *serving*:
@@ -8,8 +8,8 @@ experiments to *serving*:
   belief queries with staleness metadata and absorbing
   :class:`~repro.stream.delta.GraphDelta` batches with one propagation each;
 * :mod:`repro.serve.batcher` — :class:`MicroBatcher`, the bounded queue
-  that coalesces concurrent queries into one vectorized lookup and
-  concurrent deltas into one incremental propagation (max-latency flush);
+  that coalesces concurrent deltas into one incremental propagation
+  (max-latency flush); queries skip it and run on the caller's thread;
 * :mod:`repro.serve.http` — the stdlib ``ThreadingHTTPServer`` JSON API
   behind ``repro serve``;
 * :mod:`repro.serve.loader` — graph loading from ``.npz`` bundles or
@@ -30,9 +30,10 @@ Quickstart::
     result = service.query("demo", nodes=[0, 17, 42], top_k=2)
     print(result.labels, result.staleness)
 
-    with MicroBatcher(service) as batcher:      # coalescing front-end
-        futures = [batcher.submit_query("demo", [n]) for n in range(64)]
-        answers = [future.result() for future in futures]
+    with MicroBatcher(service) as batcher:      # delta coalescing
+        futures = [batcher.submit_delta("demo", {"add_edges": [[n, n + 1]]})
+                   for n in range(64)]
+        acks = [future.result() for future in futures]   # one propagation
 
 The CLI equivalent is ``repro serve graph.npz --port 8151``.
 """

@@ -1,27 +1,29 @@
-"""Micro-batching front-end: coalesce concurrent queries and deltas.
+"""Micro-batching front-end: coalesce concurrent deltas into one propagation.
 
-Serving traffic arrives one request at a time, but the service's cheapest
-unit of work is a *batch*: :meth:`InferenceService.query_many` answers N
-queries with one vectorized belief gather, and
-:meth:`InferenceService.apply_deltas` absorbs N deltas with a single
-incremental propagation.  :class:`MicroBatcher` bridges the two — callers
-submit individual requests and get futures; a single worker thread drains
-the queue and hands the service coalesced batches.
+Queries do not pass through here: :meth:`InferenceService.query` answers
+on the caller's thread, because a belief gather (~0.2 ms) costs less than
+handing the request to another thread and back.  Deltas are where
+batching pays: :meth:`InferenceService.apply_deltas` absorbs N deltas
+with a single incremental propagation.  :class:`MicroBatcher` bridges the
+two — callers submit individual deltas and get futures; a single worker
+thread drains the queue and hands the service coalesced batches.
 
 Flush policy (the classic request-batching trade-off):
 
-* a flush happens at the latest ``max_latency_seconds`` after the oldest
-  pending item arrived — an isolated request is never delayed longer than
-  the latency budget;
-* a flush happens immediately once ``max_batch`` items are pending — heavy
-  load degrades into back-to-back full batches, never unbounded queues.
+* a flush waits out ``max_latency_seconds`` from the oldest pending delta,
+  so deltas that arrive staggered within the budget share one
+  propagation — an isolated delta is delayed by the full budget;
+* a flush happens immediately once ``max_batch`` deltas are pending —
+  heavy load degrades into back-to-back full batches, never unbounded
+  queues.
 
-Ordering/consistency: within one flush, **deltas are applied before any
-query is answered**.  A query therefore reflects every delta acknowledged
-before it was submitted (monotonic reads — it sat behind them in the queue
-or they were already flushed) and *may* additionally reflect deltas
-submitted concurrently with it (fresh reads).  What can never happen is a
-query being answered from beliefs older than its submission point.
+Freshness contract: a delta's future resolves only after a flush applied
+it (and, for ``ack="propagated"``, after the coalesced belief refresh).
+A query issued after that acknowledgement reflects the delta — it runs
+under the same session lock, and a deferred refresh is propagated lazily
+before the gather (read-your-writes).  A query that races a delta still
+waiting here answers from the beliefs before it: that delta has not been
+acknowledged yet.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro import obs
 from repro.serve.service import InferenceService, QueryResult, ServeError
@@ -40,31 +42,33 @@ __all__ = ["MicroBatcher"]
 
 @dataclass
 class _Pending:
-    kind: str  # "query" | "delta"
     graph: str
-    # query: (nodes, top_k, min_version); delta: (delta, ack, delta_id)
-    payload: tuple
+    delta: object
+    ack: str
+    delta_id: str | None
     future: Future
     # Submitter's trace context, captured on the caller's thread so the
     # flush (on the worker thread) can parent its span to the request.
     ctx: object = None
+    arrived: float = field(default_factory=time.monotonic)
 
 
 class MicroBatcher:
-    """Bounded-queue request coalescer in front of one :class:`InferenceService`.
+    """Bounded-queue delta coalescer in front of one :class:`InferenceService`.
 
     Parameters
     ----------
     service:
         The service every flushed batch is executed against.
     max_batch:
-        Flush as soon as this many requests are pending.
+        Flush as soon as this many deltas are pending.
     max_latency_seconds:
-        Flush at the latest this long after the oldest pending request
-        arrived — the worst-case queueing delay added by batching.
+        Flush this long after the oldest pending delta arrived — the
+        queueing delay batching adds to a delta that fills no batch.
     max_queue:
-        Backpressure bound: ``submit_*`` raises once this many requests
-        are waiting (a stalled propagation must not buffer unbounded work).
+        Backpressure bound: :meth:`submit_delta` raises once this many
+        deltas are waiting (a stalled propagation must not buffer
+        unbounded work).
     start:
         Start the worker thread immediately.  Tests pass ``False`` and
         drive :meth:`flush_pending` by hand to make coalescing
@@ -93,16 +97,14 @@ class MicroBatcher:
         self._worker: threading.Thread | None = None
         # Tallies (updated only by the flushing thread).
         self.n_flushes = 0
-        self.n_queries = 0
         self.n_deltas = 0
-        self.n_query_batches = 0
         self.n_delta_batches = 0
         self.largest_batch = 0
         # Registry mirrors of the flush behavior (the tallies above stay
         # authoritative for stats(); these feed /metrics).
         registry = service.registry
         self._g_queue_depth = registry.gauge(
-            "repro_batcher_queue_depth", "Requests waiting in the batcher queue."
+            "repro_batcher_queue_depth", "Deltas waiting in the batcher queue."
         )
         self._c_flushes = registry.counter(
             "repro_batcher_flushes_total", "Batcher flush cycles executed."
@@ -149,37 +151,6 @@ class MicroBatcher:
         self.close()
 
     # ------------------------------------------------------------ submission
-    def _submit(self, kind: str, graph: str, payload: tuple) -> Future:
-        future: Future = Future()
-        # Captured on the submitting thread: the flush runs on the worker
-        # thread, where the contextvar chain back to this request is gone.
-        ctx = obs.capture_context() if obs.tracing_active() else None
-        with self._condition:
-            if self._stopped:
-                raise ServeError("batcher is closed", status=503)
-            if len(self._queue) >= self.max_queue:
-                raise ServeError(
-                    f"batcher queue is full ({self.max_queue} pending)",
-                    status=503,
-                )
-            self._queue.append(_Pending(kind, graph, payload, future, ctx))
-            depth = len(self._queue)
-            self._condition.notify()
-        self._g_queue_depth.set(depth)
-        return future
-
-    def submit_query(
-        self, graph: str, nodes, top_k: int | None = None,
-        min_version: int | None = None,
-    ) -> Future:
-        """Enqueue a query; the future resolves to a :class:`QueryResult`.
-
-        ``min_version`` is a read-your-writes token from an earlier delta
-        acknowledgement: the answer reflects at least that graph version
-        (or fails with status 412 when the token outruns the session).
-        """
-        return self._submit("query", graph, (nodes, top_k, min_version))
-
     def submit_delta(
         self, graph: str, delta, ack: str = "propagated",
         delta_id: str | None = None,
@@ -203,16 +174,23 @@ class MicroBatcher:
             raise ServeError(
                 f"ack must be 'propagated' or 'applied', got {ack!r}"
             )
-        return self._submit("delta", graph, (delta, ack, delta_id))
-
-    def query(
-        self, graph: str, nodes, top_k: int | None = None,
-        min_version: int | None = None, timeout: float | None = 30.0,
-    ) -> QueryResult:
-        """Submit a query and wait for its micro-batched answer."""
-        return self.submit_query(
-            graph, nodes, top_k, min_version
-        ).result(timeout=timeout)
+        future: Future = Future()
+        # Captured on the submitting thread: the flush runs on the worker
+        # thread, where the contextvar chain back to this request is gone.
+        ctx = obs.capture_context() if obs.tracing_active() else None
+        with self._condition:
+            if self._stopped:
+                raise ServeError("batcher is closed", status=503)
+            if len(self._queue) >= self.max_queue:
+                raise ServeError(
+                    f"batcher queue is full ({self.max_queue} pending)",
+                    status=503,
+                )
+            self._queue.append(_Pending(graph, delta, ack, delta_id, future, ctx))
+            depth = len(self._queue)
+            self._condition.notify()
+        self._g_queue_depth.set(depth)
+        return future
 
     def apply_delta(
         self, graph: str, delta, ack: str = "propagated",
@@ -223,6 +201,17 @@ class MicroBatcher:
             graph, delta, ack=ack, delta_id=delta_id
         ).result(timeout=timeout)
 
+    def query(
+        self, graph: str, nodes, top_k: int | None = None,
+        min_version: int | None = None,
+    ) -> QueryResult:
+        """Answer a query on the caller's thread (see the module docstring).
+
+        Lets a batcher stand in for its service wherever a caller drives
+        both verbs through one front-end.
+        """
+        return self.service.query(graph, nodes, top_k, min_version)
+
     # -------------------------------------------------------------- flushing
     def _run(self) -> None:
         while True:
@@ -231,34 +220,16 @@ class MicroBatcher:
                     self._condition.wait()
                 if not self._queue and self._stopped:
                     return
-                # Linger so concurrent callers can pile on, but only while
-                # the queue is actually growing: closed-loop clients all
-                # submit within microseconds of their previous answers, so
-                # once a settle slice passes with no new arrivals the batch
-                # is as big as it is going to get and waiting out the full
-                # latency budget would just cap throughput at
-                # clients/budget.  The budget stays the hard bound for
-                # staggered arrivals.
-                deadline = time.monotonic() + self.max_latency_seconds
-                # A settle slice only needs to cover the submit-after-wakeup
-                # gap of a closed-loop client (tens of microseconds), not a
-                # fraction of the latency budget.
-                settle = min(2.5e-4, self.max_latency_seconds / 4.0)
-                while (
-                    len(self._queue) < self.max_batch
-                    and not self._stopped
-                ):
+                deadline = self._queue[0].arrived + self.max_latency_seconds
+                while len(self._queue) < self.max_batch and not self._stopped:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break
-                    size_before = len(self._queue)
-                    self._condition.wait(timeout=min(settle, remaining))
-                    if len(self._queue) == size_before:
-                        break
+                    self._condition.wait(timeout=remaining)
             self.flush_pending()
 
     def flush_pending(self) -> int:
-        """Drain and execute everything currently queued; returns the count.
+        """Drain and apply up to ``max_batch`` queued deltas; returns the count.
 
         Public so tests (and the benchmark's calibration path) can drive
         batching synchronously with ``start=False``.
@@ -275,15 +246,12 @@ class MicroBatcher:
         self._c_flushes.inc()
         self._g_queue_depth.set(len(self._queue))
 
-        # Per graph: all deltas first (one propagation), then all queries
-        # (one vectorized gather) — the freshness contract documented above.
-        deltas: dict[str, list[_Pending]] = {}
-        queries: dict[str, list[_Pending]] = {}
+        # One apply_deltas call (one propagation) per graph.
+        by_graph: dict[str, list[_Pending]] = {}
         for pending in batch:
-            group = deltas if pending.kind == "delta" else queries
-            group.setdefault(pending.graph, []).append(pending)
+            by_graph.setdefault(pending.graph, []).append(pending)
 
-        for graph, pendings in deltas.items():
+        for graph, pendings in by_graph.items():
             self.n_deltas += len(pendings)
             self.n_delta_batches += 1
             call_start = time.perf_counter()
@@ -291,20 +259,17 @@ class MicroBatcher:
                 # One deferred-mode sibling cannot hold eager callers back:
                 # the flush propagates if ANY caller asked for a propagated
                 # ack, and defers only when every sibling opted out.
-                propagate = any(
-                    pending.payload[1] == "propagated" for pending in pendings
-                )
                 outcome = self.service.apply_deltas(
                     graph,
-                    [pending.payload[0] for pending in pendings],
-                    propagate=propagate,
-                    delta_ids=[pending.payload[2] for pending in pendings],
+                    [pending.delta for pending in pendings],
+                    propagate=any(p.ack == "propagated" for p in pendings),
+                    delta_ids=[pending.delta_id for pending in pendings],
                 )
             except Exception as exc:
                 for pending in pendings:
                     pending.future.set_exception(exc)
                 continue
-            self._emit_flush_spans("delta", graph, pendings, call_start)
+            self._emit_flush_spans(graph, pendings, call_start)
             for position, pending in enumerate(pendings):
                 error = outcome.errors[position]
                 if error is None:
@@ -318,35 +283,13 @@ class MicroBatcher:
                     pending.future.set_exception(
                         ServeError(f"delta rejected: {error}")
                     )
-
-        for graph, pendings in queries.items():
-            self.n_queries += len(pendings)
-            self.n_query_batches += 1
-            call_start = time.perf_counter()
-            try:
-                results = self.service.query_many(
-                    graph,
-                    [(pending.payload[0], pending.payload[1],
-                      pending.payload[2])
-                     for pending in pendings],
-                )
-            except Exception as exc:
-                for pending in pendings:
-                    pending.future.set_exception(exc)
-                continue
-            self._emit_flush_spans("query", graph, pendings, call_start)
-            for pending, result in zip(pendings, results):
-                if isinstance(result, Exception):
-                    pending.future.set_exception(result)
-                else:
-                    pending.future.set_result(result)
         return len(batch)
 
     @staticmethod
-    def _emit_flush_spans(kind: str, graph: str, pendings, call_start: float) -> None:
+    def _emit_flush_spans(graph: str, pendings, call_start: float) -> None:
         """Attribute the coalesced service call to each submitter's trace.
 
-        Every caller whose request shared this flush gets one span, parented
+        Every caller whose delta shared this flush gets one span, parented
         to the context captured at submit time — this is the hop that keeps
         request trees intact across the queue -> worker-thread boundary.
         """
@@ -355,7 +298,7 @@ class MicroBatcher:
         seconds = time.perf_counter() - call_start
         for pending in pendings:
             obs.emit_span(
-                f"batcher.flush_{kind}", seconds, parent=pending.ctx,
+                "batcher.flush_delta", seconds, parent=pending.ctx,
                 graph=graph, coalesced=len(pendings),
             )
 
@@ -372,15 +315,12 @@ class MicroBatcher:
 
     def stats(self) -> dict:
         """Coalescing tallies for the ``/stats`` endpoint."""
-        flushes = max(1, self.n_flushes)
         return {
             "n_flushes": self.n_flushes,
-            "n_queries": self.n_queries,
             "n_deltas": self.n_deltas,
-            "n_query_batches": self.n_query_batches,
             "n_delta_batches": self.n_delta_batches,
             "largest_batch": self.largest_batch,
-            "mean_batch_size": (self.n_queries + self.n_deltas) / flushes,
+            "mean_batch_size": self.n_deltas / max(1, self.n_flushes),
             "propagations_saved": self.n_deltas - self.n_delta_batches,
             "pending": len(self._queue),
             "max_batch": self.max_batch,

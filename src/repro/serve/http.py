@@ -20,11 +20,11 @@ dependencies) exposing:
   format of :meth:`repro.stream.delta.GraphDelta.from_dict`);
 * ``POST /graphs/<name>/query`` — ``{"nodes": [...], "top_k": 2}`` →
   beliefs/labels/top-k plus staleness metadata;
-* ``GET /stats`` — service- and batcher-wide counters;
+* ``GET /stats`` — service-wide counters plus the batcher's delta tallies;
 * ``GET /metrics`` — the :mod:`repro.obs` registries in Prometheus text
   exposition format (the service registry plus the process-global one);
 * ``GET /healthz`` — *real* health, not a constant: per-graph session
-  liveness (anchoring solve completed), batcher queue saturation, and the
+  liveness (anchoring solve completed), batcher delta-queue saturation, and the
   attached SLO rules — 200 while everything holds, 503 naming the
   problems while anything is degraded (so a load balancer drains exactly
   the workers that are actually in trouble);
@@ -34,14 +34,18 @@ dependencies) exposing:
 
 Every response carries an ``X-Repro-Trace`` header with the request's trace
 id; when tracing is configured (``repro serve --trace``), the request span
-and everything it caused — batcher flushes, engine solves — share that id,
-so one header value greps the whole request tree out of the trace file.
+and everything it caused — the query gather, batcher flushes, engine solves
+— share that id, so one header value greps the whole request tree out of
+the trace file.  A well-formed inbound ``X-Repro-Trace`` (16 lowercase hex
+digits, as a router forwards it) is adopted as the request's trace id;
+anything else is replaced by a fresh one.
 With ``log_json`` enabled the handler emits one JSON object per request to
 stderr (method, path, status, duration_ms, trace).
 
-Queries and deltas are routed through the :class:`MicroBatcher` (when one
-is attached), so concurrent HTTP clients are coalesced exactly like
-in-process callers.  Every response is a JSON object; failures carry
+Queries are answered on the handler thread; deltas go through the
+server's :class:`MicroBatcher` (one is built when none is passed), so
+concurrent HTTP deltas share a propagation exactly like in-process
+callers.  Every response is a JSON object; failures carry
 ``{"error": ...}`` with the mapped status code, never a traceback page.
 
 Worker and router share one response path, :class:`JsonHandler`: every
@@ -57,6 +61,7 @@ than one segment (``/metrics``, large queries).
 from __future__ import annotations
 
 import json
+import re
 import sys
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -68,6 +73,19 @@ from repro.serve.service import InferenceService, ServeError
 __all__ = ["InferenceHTTPServer", "JsonHandler", "ServeHandler", "make_server"]
 
 MAX_BODY_BYTES = 64 * 1024 * 1024  # a delta with millions of edges is a bug
+
+# The shape obs.new_trace_id() mints; an inbound X-Repro-Trace is adopted
+# only when it matches, so a client cannot inject arbitrary text into
+# trace files, logs or response headers.
+TRACE_ID = re.compile(r"[0-9a-f]{16}")
+
+
+def inbound_trace_id(headers) -> str:
+    """The request's well-formed ``X-Repro-Trace``, or a fresh trace id."""
+    candidate = headers.get("X-Repro-Trace")
+    if candidate is not None and TRACE_ID.fullmatch(candidate):
+        return candidate
+    return obs.new_trace_id()
 
 
 class InferenceHTTPServer(ThreadingHTTPServer):
@@ -90,7 +108,7 @@ class InferenceHTTPServer(ThreadingHTTPServer):
     ) -> None:
         super().__init__(address, ServeHandler)
         self.service = service
-        self.batcher = batcher
+        self.batcher = batcher if batcher is not None else MicroBatcher(service)
         self.log_json = log_json
         # A TimeSeriesRecorder (usually with an SloSpec attached) backing
         # /healthz degradation and /alerts; owned by whoever built it.
@@ -100,8 +118,7 @@ class InferenceHTTPServer(ThreadingHTTPServer):
         """Shut down the listener, the batcher, and the SLO recorder."""
         self.shutdown()
         self.server_close()
-        if self.batcher is not None:
-            self.batcher.close()
+        self.batcher.close()
         if self.recorder is not None:
             self.recorder.stop()
 
@@ -112,15 +129,13 @@ class InferenceHTTPServer(ThreadingHTTPServer):
         for name, state in sorted(graphs.items()):
             if not state["live"]:
                 problems.append(f"graph {name!r} has no belief snapshot yet")
-        payload: dict = {"graphs": graphs}
-        if self.batcher is not None:
-            queue = self.batcher.saturation()
-            payload["batcher"] = queue
-            if queue["saturation"] >= self.queue_degraded_fraction:
-                problems.append(
-                    f"batcher queue saturated "
-                    f"({queue['queue_depth']}/{queue['max_queue']})"
-                )
+        queue = self.batcher.saturation()
+        payload: dict = {"graphs": graphs, "batcher": queue}
+        if queue["saturation"] >= self.queue_degraded_fraction:
+            problems.append(
+                f"batcher queue saturated "
+                f"({queue['queue_depth']}/{queue['max_queue']})"
+            )
         if self.recorder is not None:
             firing = self.recorder.firing()
             payload["slo"] = {
@@ -238,7 +253,7 @@ class ServeHandler(JsonHandler):
     server: InferenceHTTPServer
 
     def _route(self, method: str) -> None:
-        self._trace_id = obs.new_trace_id()
+        self._trace_id = inbound_trace_id(self.headers)
         self._status = 0
         start = time.perf_counter()
         path = self.path.split("?")[0]
@@ -296,8 +311,7 @@ class ServeHandler(JsonHandler):
                 return True
             if parts == ["stats"]:
                 stats = service.stats()
-                if self.server.batcher is not None:
-                    stats["batcher"] = self.server.batcher.stats()
+                stats["batcher"] = self.server.batcher.stats()
                 self._send_json(stats)
                 return True
             if parts == ["metrics"]:
@@ -385,44 +399,24 @@ class ServeHandler(JsonHandler):
         # before GraphDelta.from_dict sees the payload: "ack" selects the
         # acknowledgement mode ("propagated" default, "applied" = ack as
         # soon as durable+applied), "id" is the client's idempotency key.
+        # The batcher validates "ack" before queueing the delta.
         ack = payload.pop("ack", "propagated")
-        if ack not in ("propagated", "applied"):
-            raise ServeError(
-                f"ack must be 'propagated' or 'applied', got {ack!r}"
-            )
         delta_id = payload.pop("id", None)
         if delta_id is not None:
             delta_id = str(delta_id)
-        batcher = self.server.batcher
-        if batcher is not None:
-            outcome = batcher.apply_delta(
-                name, payload, ack=ack, delta_id=delta_id
-            )
-        else:
-            from repro.stream.delta import GraphDelta
-
-            try:
-                delta = GraphDelta.from_dict(payload)
-            except (TypeError, ValueError) as exc:
-                raise ServeError(f"invalid delta: {exc}") from exc
-            outcome = self.server.service.apply_delta(
-                name, delta, propagate=(ack == "propagated"),
-                delta_id=delta_id,
-            )
+        outcome = self.server.batcher.apply_delta(
+            name, payload, ack=ack, delta_id=delta_id
+        )
         self._send_json(outcome.to_dict())
 
     def _handle_query(self, name: str, payload: dict) -> None:
         unknown = set(payload) - {"nodes", "top_k", "min_version"}
         if unknown:
             raise ServeError(f"unknown query fields: {sorted(unknown)}")
-        nodes = payload.get("nodes")
-        top_k = payload.get("top_k")
-        min_version = payload.get("min_version")
-        batcher = self.server.batcher
-        if batcher is not None:
-            result = batcher.query(name, nodes, top_k, min_version)
-        else:
-            result = self.server.service.query(name, nodes, top_k, min_version)
+        result = self.server.service.query(
+            name, payload.get("nodes"), payload.get("top_k"),
+            payload.get("min_version"),
+        )
         self._send_json(result.to_dict())
 
 

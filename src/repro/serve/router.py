@@ -54,7 +54,7 @@ from repro.obs.scrape import (
     label_snapshot,
     parse_prometheus,
 )
-from repro.serve.http import JsonHandler
+from repro.serve.http import JsonHandler, inbound_trace_id
 from repro.serve.service import ServeError
 from repro.utils.placement import place
 
@@ -281,7 +281,7 @@ class Router:
                     f"(exit code {handle.process.returncode})", status=502,
                 )
             try:
-                status, _, _ = self._raw_request(
+                status, _ = self._raw_request(
                     handle, "GET", "/healthz", None, timeout=2.0, fresh=True
                 )
                 if status == 200:
@@ -346,7 +346,7 @@ class Router:
                 body = dict(payload)
                 body["recover"] = True
                 body["replace"] = True
-                status, _, _ = self._raw_request(
+                status, _ = self._raw_request(
                     handle, "POST", "/graphs",
                     json.dumps(body).encode("utf-8"), fresh=True,
                 )
@@ -389,19 +389,26 @@ class Router:
     def _raw_request(
         self, handle: WorkerHandle, method: str, path: str,
         body: bytes | None, timeout: float | None = None, fresh: bool = False,
-    ) -> tuple[int, bytes, str | None]:
-        """``(status, body, X-Repro-Trace)`` of one request to ``handle``."""
+        trace_id: str | None = None,
+    ) -> tuple[int, bytes]:
+        """``(status, body)`` of one request to ``handle``.
+
+        ``trace_id`` rides along as ``X-Repro-Trace``; the worker adopts
+        it, so its spans for this request carry the router's trace id.
+        """
         conn = self._connection(handle, fresh)
         if timeout is not None:
             conn.timeout = timeout
         headers = {"Content-Type": "application/json"}
         if body is not None:
             headers["Content-Length"] = str(len(body))
+        if trace_id is not None:
+            headers["X-Repro-Trace"] = trace_id
         try:
             conn.request(method, path, body=body, headers=headers)
             response = conn.getresponse()
             payload = response.read()
-            return response.status, payload, response.getheader("X-Repro-Trace")
+            return response.status, payload
         except (OSError, http.client.HTTPException):
             # Poison the cached connection so the next attempt dials fresh.
             conn.close()
@@ -411,7 +418,8 @@ class Router:
 
     def forward(
         self, method: str, path: str, name: str, body: bytes | None,
-    ) -> tuple[int, bytes, str | None]:
+        trace_id: str | None = None,
+    ) -> tuple[int, bytes]:
         """Proxy one ``/graphs/*`` request to the owner of ``name``.
 
         A connection failure means the worker died mid-request: trigger
@@ -426,27 +434,34 @@ class Router:
         self._c_proxied.inc()
         generation = handle.generation
         try:
-            return self._raw_request(handle, method, path, body)
+            return self._raw_request(
+                handle, method, path, body, trace_id=trace_id
+            )
         except (OSError, http.client.HTTPException):
             self.recover(handle.index, generation)
             with self._tallies_lock:
                 self.retries += 1
             try:
-                return self._raw_request(handle, method, path, body, fresh=True)
+                return self._raw_request(
+                    handle, method, path, body, fresh=True, trace_id=trace_id
+                )
             except (OSError, http.client.HTTPException) as exc:
                 raise ServeError(
                     f"worker {handle.index} unreachable after recovery: {exc}",
                     status=502,
                 ) from exc
 
-    def handle_load(self, payload: dict) -> tuple[int, bytes, str | None]:
+    def handle_load(
+        self, payload: dict, trace_id: str | None = None,
+    ) -> tuple[int, bytes]:
         """Place and proxy a load; record the recipe for future recovery."""
         name = payload.get("name")
         if not isinstance(name, str) or not name:
             raise ServeError("load needs a non-empty 'name'")
         handle = self.worker_for(name)
         reply = self.forward(
-            "POST", "/graphs", name, json.dumps(payload).encode("utf-8")
+            "POST", "/graphs", name, json.dumps(payload).encode("utf-8"),
+            trace_id=trace_id,
         )
         if reply[0] == 201:
             recipe = dict(payload)
@@ -454,9 +469,13 @@ class Router:
             handle.loads[name] = recipe
         return reply
 
-    def handle_unload(self, name: str) -> tuple[int, bytes, str | None]:
+    def handle_unload(
+        self, name: str, trace_id: str | None = None,
+    ) -> tuple[int, bytes]:
         handle = self.worker_for(name)
-        reply = self.forward("DELETE", f"/graphs/{name}", name, None)
+        reply = self.forward(
+            "DELETE", f"/graphs/{name}", name, None, trace_id=trace_id
+        )
         if reply[0] == 200:
             handle.loads.pop(name, None)
         return reply
@@ -499,7 +518,7 @@ class Router:
                 state["healthz"] = None
             else:
                 try:
-                    status, body, _ = self._raw_request(
+                    status, body = self._raw_request(
                         handle, "GET", "/healthz", None, timeout=2.0
                     )
                     state["healthz"] = json.loads(body.decode("utf-8"))
@@ -539,7 +558,7 @@ class Router:
             if not handle.alive:
                 continue
             try:
-                _, body, _ = self._raw_request(
+                _, body = self._raw_request(
                     handle, "GET", "/metrics", None, timeout=2.0
                 )
                 snapshot = parse_prometheus(body.decode("utf-8"))
@@ -566,7 +585,7 @@ class Router:
             state = {"index": handle.index, "alive": handle.alive}
             if handle.alive:
                 try:
-                    _, body, _ = self._raw_request(
+                    _, body = self._raw_request(
                         handle, "GET", "/quality", None, timeout=5.0
                     )
                     payload = json.loads(body.decode("utf-8"))
@@ -602,7 +621,7 @@ class Router:
             state = handle.describe()
             if handle.alive:
                 try:
-                    _, body, _ = self._raw_request(
+                    _, body = self._raw_request(
                         handle, "GET", "/stats", None, timeout=5.0
                     )
                     state["stats"] = json.loads(body.decode("utf-8"))
@@ -645,19 +664,21 @@ class RouterHTTPServer(ThreadingHTTPServer):
 class RouterHandler(JsonHandler):
     """Same JSON surface as a worker, plus ``/fleet``.
 
-    A proxied response relays the worker's ``X-Repro-Trace`` header, so a
-    client behind the router can still grep its request out of the
-    worker's trace file.
+    Every request gets a trace id: a well-formed inbound ``X-Repro-Trace``
+    is adopted, anything else replaced by a fresh id.  A proxied request
+    forwards it to the worker, which adopts it for its own spans, so a
+    client behind the router can grep its request out of the worker's
+    trace file by the id it sent or was answered with.
     """
 
     server: RouterHTTPServer
 
     def _route(self, method: str) -> None:
-        self._trace_id = None  # set by _relay from the worker's reply
+        self._trace_id = inbound_trace_id(self.headers)
         super()._route(method)
 
-    def _relay(self, reply: tuple[int, bytes, str | None]) -> None:
-        status, body, self._trace_id = reply
+    def _relay(self, reply: tuple[int, bytes]) -> None:
+        status, body = reply
         self._send_body(body, "application/json", status)
 
     def _dispatch(self, method: str) -> bool:
@@ -684,25 +705,33 @@ class RouterHandler(JsonHandler):
                 )
                 return True
             if len(parts) >= 2 and parts[0] == "graphs":
-                self._relay(router.forward("GET", self.path, parts[1], None))
+                self._relay(router.forward(
+                    "GET", self.path, parts[1], None, trace_id=self._trace_id
+                ))
                 return True
             return False
         if method == "DELETE":
             if len(parts) == 2 and parts[0] == "graphs":
-                self._relay(router.handle_unload(parts[1]))
+                self._relay(
+                    router.handle_unload(parts[1], trace_id=self._trace_id)
+                )
                 return True
             return False
         if method != "POST":
             return False
         if parts == ["graphs"]:
-            self._relay(router.handle_load(self._read_json()))
+            self._relay(
+                router.handle_load(self._read_json(), trace_id=self._trace_id)
+            )
             return True
         if len(parts) == 3 and parts[0] == "graphs":
             name, verb = parts[1], parts[2]
             body = self._read_body()
             if verb == "delta":
                 body = router.stamp_delta_id(body)
-            self._relay(router.forward("POST", self.path, name, body))
+            self._relay(router.forward(
+                "POST", self.path, name, body, trace_id=self._trace_id
+            ))
             return True
         return False
 

@@ -831,10 +831,10 @@ class InferenceService:
         ``requests`` is a list of ``(nodes, top_k)`` pairs or
         ``(nodes, top_k, min_version)`` triples.  All valid requests are
         gathered from the belief matrix in a single fancy-index and (when
-        any request wants a ranking) a single arg-sort — the vectorization
-        the micro-batcher banks on.  Returns one :class:`QueryResult`
-        **or** :class:`ServeError` per request, in order; per-request
-        failures never poison their batch siblings.
+        any request wants a ranking) a single arg-sort, so a caller holding
+        many node sets pays one lock round-trip.  Returns one
+        :class:`QueryResult` **or** :class:`ServeError` per request, in
+        order; per-request failures never poison their batch siblings.
 
         Read-your-writes: deltas acknowledged in deferred mode may leave
         the belief snapshot behind the graph — queries trigger the lazy

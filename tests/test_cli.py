@@ -651,12 +651,12 @@ class TestServeCommand:
     def test_parser_accepts_serve(self):
         args = build_parser().parse_args([
             "serve", "graph.npz", "--port", "9000", "--max-batch", "32",
-            "--max-latency", "0.01", "--no-batching",
+            "--max-latency", "0.01",
         ])
         assert args.command == "serve"
         assert args.port == 9000
         assert args.max_batch == 32
-        assert args.no_batching
+        assert args.max_latency == 0.01
 
     def test_serve_missing_graph_file(self, capsys):
         exit_code = main(["serve", "missing.npz", "--port", "0"])

@@ -90,6 +90,24 @@ class TestMetricsEndpoint:
         _, other, _ = fetch(server, "/healthz")
         assert other["X-Repro-Trace"] != headers["X-Repro-Trace"]
 
+    @pytest.mark.parametrize("sent, adopted", [
+        ("00112233aabbccdd", True), ("abc", False),
+        ("00112233aabbccdd0", False), ("00112233AABBCCDD", False),
+        ("../x", False),
+    ])
+    def test_inbound_trace_header_adopted_only_when_wellformed(
+        self, server, sent, adopted
+    ):
+        port = server.server_address[1]
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/healthz",
+            headers={"X-Repro-Trace": sent},
+        )
+        with urllib.request.urlopen(request, timeout=10) as response:
+            echoed = response.headers["X-Repro-Trace"]
+        assert (echoed == sent) is adopted
+        assert re.fullmatch(r"[0-9a-f]{16}", echoed)
+
     def test_graph_stats_json_shape_unchanged(self, server):
         fetch(server, "/graphs/g/query", {"nodes": [5], "top_k": 1})
         _, _, body = fetch(server, "/graphs/g/stats")
@@ -112,16 +130,16 @@ class TestBatcherSpanHop:
         records: list[dict] = []
         previous = obs.configure_tracing(records.append)
         try:
-            with obs.span("client.request") as root:
-                batcher.query("g", [1, 2, 3], top_k=2)
+            with obs.span("client.request"):
+                batcher.apply_delta("g", {"reveal": [[1, 0]]})
         finally:
             obs.configure_tracing(previous)
             batcher.close()
         by_name = {}
         for record in records:
             by_name.setdefault(record["name"], record)
-        assert "batcher.flush_query" in by_name
-        flush = by_name["batcher.flush_query"]
+        assert "batcher.flush_delta" in by_name
+        flush = by_name["batcher.flush_delta"]
         client = by_name["client.request"]
         # The flush ran on the batcher worker thread, yet its span is
         # parented to the submitting client's span in the same trace.

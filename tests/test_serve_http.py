@@ -5,6 +5,7 @@ from __future__ import annotations
 import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -162,13 +163,90 @@ class TestEndpoints:
         assert status == 404
 
     def test_stats_includes_batcher(self, server):
+        call(server, "POST", "/graphs/g/delta", {"add_edges": [[3, 297]]})
         call(server, "POST", "/graphs/g/query", {"nodes": [3]})
         status, stats = call(server, "GET", "/stats")
         assert status == 200
         assert stats["n_graphs"] == 1
-        assert stats["n_queries"] >= 1
-        assert stats["batcher"]["n_flushes"] >= 1
+        assert stats["n_queries"] == 1
+        batcher = stats["batcher"]
+        assert batcher["n_flushes"] == batcher["n_deltas"] == 1
+        # Queries are answered on the handler thread, never queued.
+        assert "n_queries" not in batcher
         assert "g" in stats["graphs"]
+
+    def test_query_answers_while_a_delta_waits_in_the_batcher(
+        self, http_graph
+    ):
+        service = InferenceService()
+        service.load_graph("g", graph=http_graph.copy(), fraction=0.1, seed=3)
+        server = make_server(
+            service, port=0,
+            batcher=MicroBatcher(service, max_latency_seconds=1.0),
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        delta_reply: list = []
+
+        def send_delta():
+            start = time.perf_counter()
+            reply = call(server, "POST", "/graphs/g/delta",
+                         {"add_edges": [[4, 296]]})
+            delta_reply.append((reply, time.perf_counter() - start))
+
+        writer = threading.Thread(target=send_delta)
+        try:
+            writer.start()
+            deadline = time.monotonic() + 5.0
+            while (server.batcher.saturation()["queue_depth"] == 0
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            start = time.perf_counter()
+            status, payload = call(server, "POST", "/graphs/g/query",
+                                   {"nodes": [4]})
+            elapsed = time.perf_counter() - start
+            assert status == 200
+            # The delta is still pending, so the answer predates it.
+            assert server.batcher.saturation()["queue_depth"] == 1
+            assert payload["graph_version"] == 0
+            assert elapsed < 0.5
+            writer.join(timeout=10.0)
+            (status, ack), delta_seconds = delta_reply[0]
+            assert status == 200 and ack["graph_version"] == 1
+            assert delta_seconds >= 0.9  # the delta waited out its budget
+            _, payload = call(server, "POST", "/graphs/g/query", {"nodes": [4]})
+            assert payload["graph_version"] == 1
+        finally:
+            writer.join(timeout=10.0)
+            server.close()
+            thread.join(timeout=5)
+
+    def test_query_span_is_a_child_of_its_request_span(self, server):
+        from repro import obs
+
+        records: list[dict] = []
+        previous = obs.configure_tracing(records.append)
+        try:
+            port = server.server_address[1]
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{port}/graphs/g/query", method="POST",
+                data=json.dumps({"nodes": [1, 2]}).encode("utf-8"),
+            )
+            with urllib.request.urlopen(request, timeout=10) as response:
+                trace = response.headers["X-Repro-Trace"]
+            # The request span closes just after the response is written.
+            deadline = time.monotonic() + 5.0
+            while (not any(r["name"] == "http.request" for r in records)
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+        finally:
+            obs.configure_tracing(previous)
+        requests = [r for r in records if r["name"] == "http.request"]
+        queries = [r for r in records if r["name"] == "serve.query"]
+        assert len(requests) == 1 and len(queries) == 1
+        assert requests[0]["trace"] == queries[0]["trace"] == trace
+        assert queries[0]["parent"] == requests[0]["span"]
+        assert queries[0]["thread"] == requests[0]["thread"]
 
 
 class TestKeepAlive:
@@ -272,13 +350,14 @@ class TestErrorMapping:
         assert status == 400
         assert "0..299" in payload["error"]
 
-    @pytest.mark.parametrize("batched", [True, False])
+    # [True]: the caller passes a batcher; [False]: the server builds one.
+    @pytest.mark.parametrize("explicit_batcher", [True, False])
     def test_non_integer_ids_are_400_and_never_logged(
-        self, http_graph, tmp_path, batched
+        self, http_graph, tmp_path, explicit_batcher
     ):
         service = InferenceService(queue_dir=tmp_path / "queues")
         service.load_graph("g", graph=http_graph.copy(), fraction=0.1, seed=3)
-        batcher = MicroBatcher(service) if batched else None
+        batcher = MicroBatcher(service) if explicit_batcher else None
         server = make_server(service, port=0, batcher=batcher)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -301,13 +380,14 @@ class TestErrorMapping:
             server.close()
             thread.join(timeout=5)
 
-    @pytest.mark.parametrize("batched", [True, False])
+    # [True]: the caller passes a batcher; [False]: the server builds one.
+    @pytest.mark.parametrize("explicit_batcher", [True, False])
     def test_non_finite_weights_are_400_and_never_logged(
-        self, http_graph, tmp_path, batched
+        self, http_graph, tmp_path, explicit_batcher
     ):
         service = InferenceService(queue_dir=tmp_path / "queues")
         service.load_graph("g", graph=http_graph.copy(), fraction=0.1, seed=3)
-        batcher = MicroBatcher(service) if batched else None
+        batcher = MicroBatcher(service) if explicit_batcher else None
         server = make_server(service, port=0, batcher=batcher)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -357,6 +437,13 @@ class TestErrorMapping:
                                {"nodes": [0], "surprise": 1})
         assert status == 400
         assert "surprise" in payload["error"]
+
+    def test_unknown_ack_mode_is_400_and_never_applied(self, server):
+        status, payload = call(server, "POST", "/graphs/g/delta",
+                               {"add_edges": [[0, 2]], "ack": "eventually"})
+        assert status == 400
+        assert "ack must be" in payload["error"]
+        assert server.service.info("g")["graph_version"] == 0
 
     def test_duplicate_load_is_409(self, server, http_graph, tmp_path):
         path = save_graph_npz(http_graph, tmp_path / "dup.npz")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -64,7 +65,6 @@ def fleet(tmp_path_factory):
     router = Router(
         N_WORKERS,
         queue_dir=queue_dir,
-        worker_args=["--no-batching"],
         spawn_timeout=120.0,
         supervise_interval=0.2,
     )
@@ -217,38 +217,87 @@ class TestResponsePath:
         finally:
             conn.close()
 
-    def test_proxied_reply_relays_the_workers_trace_id(
-        self, graph_path, tmp_path, monkeypatch
-    ):
-        trace_file = tmp_path / "trace.jsonl"
-        monkeypatch.setenv("REPRO_TRACE", str(trace_file))  # workers inherit it
-        router = Router(
-            1, queue_dir=tmp_path / "q", worker_args=["--no-batching"],
-            spawn_timeout=120.0, supervise_interval=3600.0,
-        )
-        router.start()
-        server = make_router_server(router, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            base = f"http://127.0.0.1:{server.server_address[1]}"
-            load_session(base, graph_path, "traced")
-            req = urllib.request.Request(
-                base + "/graphs/traced/query", method="POST",
-                data=json.dumps({"nodes": [0]}).encode("utf-8"),
-            )
-            with urllib.request.urlopen(req, timeout=30.0) as response:
-                trace = response.headers["X-Repro-Trace"]
-        finally:
-            server.close()
-            thread.join(timeout=10.0)
-        spans = [json.loads(line) for line in trace_file.read_text().splitlines()]
-        requests = [
-            span for span in spans
-            if span["name"] == "http.request" and span["trace"] == trace
-        ]
+    def test_proxied_reply_relays_the_workers_trace_id(self, traced_fleet):
+        base, trace_file = traced_fleet
+        trace = traced_query(base)
+        requests = worker_request_spans(trace_file, trace)
         assert trace and len(requests) == 1
         assert requests[0]["attrs"]["path"] == "/graphs/traced/query"
+
+    def test_wellformed_inbound_trace_id_reaches_the_worker(self, traced_fleet):
+        base, trace_file = traced_fleet
+        sent = "00112233aabbccdd"
+        assert traced_query(base, sent) == sent
+        requests = worker_request_spans(trace_file, sent)
+        assert len(requests) == 1
+        assert requests[0]["attrs"]["path"] == "/graphs/traced/query"
+
+    @pytest.mark.parametrize("sent", [
+        "abc", "00112233aabbccdd0", "00112233AABBCCDD", "../x",
+    ], ids=["short", "17-chars", "uppercase", "path"])
+    def test_malformed_inbound_trace_id_is_replaced(self, traced_fleet, sent):
+        base, trace_file = traced_fleet
+        trace = traced_query(base, sent)
+        assert trace != sent and re.fullmatch(r"[0-9a-f]{16}", trace)
+        # The minted id is the one forwarded: it names the worker's span.
+        assert len(worker_request_spans(trace_file, trace)) == 1
+        assert worker_request_spans(trace_file, sent) == []
+
+
+@pytest.fixture(scope="module")
+def traced_fleet(graph_path, tmp_path_factory):
+    """A one-worker router whose worker appends its spans to a JSONL file."""
+    tmp = tmp_path_factory.mktemp("traced")
+    trace_file = tmp / "trace.jsonl"
+    previous = os.environ.get("REPRO_TRACE")
+    os.environ["REPRO_TRACE"] = str(trace_file)  # the worker inherits it
+    try:
+        router = Router(1, queue_dir=tmp / "q", spawn_timeout=120.0,
+                        supervise_interval=3600.0)
+        router.start()
+    finally:
+        if previous is None:
+            del os.environ["REPRO_TRACE"]
+        else:
+            os.environ["REPRO_TRACE"] = previous
+    server = make_router_server(router, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        load_session(base, graph_path, "traced")
+        yield base, trace_file
+    finally:
+        server.close()
+        thread.join(timeout=10.0)
+
+
+def traced_query(base: str, trace: str | None = None) -> str:
+    """Query session ``traced``, optionally sending a trace id; returns the echo."""
+    headers = {} if trace is None else {"X-Repro-Trace": trace}
+    req = urllib.request.Request(
+        base + "/graphs/traced/query", method="POST", headers=headers,
+        data=json.dumps({"nodes": [0]}).encode("utf-8"),
+    )
+    with urllib.request.urlopen(req, timeout=30.0) as response:
+        return response.headers["X-Repro-Trace"]
+
+
+def worker_request_spans(trace_file, trace: str) -> list[dict]:
+    """The worker's ``http.request`` spans of trace ``trace``.
+
+    The worker closes a request span just after writing its response, so
+    poll briefly for the line to land.
+    """
+    deadline = time.monotonic() + 10.0
+    while True:
+        spans = [json.loads(line)
+                 for line in trace_file.read_text().splitlines()]
+        found = [span for span in spans
+                 if span["name"] == "http.request" and span["trace"] == trace]
+        if found or time.monotonic() > deadline:
+            return found
+        time.sleep(0.05)
 
 
 # ------------------------------------------------------------- recovery
@@ -310,7 +359,6 @@ class TestKillRecovery:
         corpse, recover() respawns exactly once per observed death."""
         router = Router(
             1, queue_dir=tmp_path / "q",
-            worker_args=["--no-batching"],
             spawn_timeout=120.0, supervise_interval=3600.0,
         )
         with router:
@@ -333,13 +381,12 @@ class TestKillRecovery:
         """proxied / recoveries / retries are router state, not metrics."""
         router = Router(
             1, queue_dir=tmp_path / "q",
-            worker_args=["--no-batching"],
             spawn_timeout=120.0, supervise_interval=3600.0,
         )
         previous = repro.obs.set_enabled(False)
         try:
             with router:
-                status, _, _ = router.handle_load(
+                status, _ = router.handle_load(
                     {"name": "t", "path": str(graph_path), "fraction": 0.1, "seed": 1}
                 )
                 assert status == 201
@@ -347,7 +394,7 @@ class TestKillRecovery:
                 os.kill(handle.pid, signal.SIGKILL)
                 handle.process.wait(timeout=10.0)
                 # Hits the corpse, recovers the worker, retries once.
-                status, _, _ = router.forward(
+                status, _ = router.forward(
                     "POST", "/graphs/t/query", "t", b'{"nodes": [1]}'
                 )
                 assert status == 200
