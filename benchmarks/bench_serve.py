@@ -40,9 +40,10 @@ pool size — the divisor-chain property keeps them balanced at every
 smaller size too), and drives a placement-aware HTTP load: each client
 computes ``place(session, n)`` itself and talks straight to the owning
 worker, so the sweep measures worker parallelism, not proxy overhead.
-Deltas use deferred acks (``ack="applied"``) and the next query carries
-the returned token as ``min_version`` — the read-your-writes path is what
-gets benchmarked.  The scale-free ``speedup_N_workers`` ratios (pool-of-N
+Deltas use applied acks (``ack="applied"``): the worker's batcher
+propagates right after the ack, and the next query carries the returned
+token as ``min_version``, waiting for the publish that covers it — the
+read-your-writes path is what gets benchmarked.  The scale-free ``speedup_N_workers`` ratios (pool-of-N
 qps over pool-of-1 qps) are what the CI gate checks; absolute qps and the
 recorded ``host_cpus`` say how much hardware the numbers had to work with
 (a 1-CPU container cannot show a 4x pool speedup; a 4-vCPU CI runner can).

@@ -23,7 +23,8 @@ the **scale-free** metrics, the ones that must hold at any graph size:
   at 1.1x) get a proportional floor.  A ``speedup_N_workers`` ratio is
   reported as *not measurable* and not gated when the fresh run's
   ``workers_sweep.host_cpus`` is below ``N``: a pool cannot outrun the
-  CPUs it shares.
+  CPUs it shares.  A speedup the baseline lacks is listed as *new* and
+  is not gated until a baseline records it.
 
 Raw timings (``*_seconds``, ``*_ms``, ``*_per_second``) are compared only
 with ``--check-timings``, which is only meaningful when the fresh run used
@@ -151,7 +152,10 @@ def check_scalar(full_path, key, value, base_value, args) -> list[Check]:
         )]
     if "speedup" in key and isinstance(value, (int, float)):
         if not isinstance(base_value, (int, float)):
-            return []
+            return [Check(
+                full_path, None,
+                f"new: {value:.2f}x ungated until a baseline records it",
+            )]
         workers = WORKER_SPEEDUP.fullmatch(key)
         if workers and args.host_cpus is not None \
                 and args.host_cpus < int(workers.group(1)):

@@ -319,11 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "sessions are placed by name hash and requests "
                             "proxied to the owning worker (0 = single "
                             "process, the default)")
-    serve.add_argument("--max-sessions", type=int, default=None,
-                       dest="max_sessions", metavar="N",
-                       help="LRU-evict least-recently-used sessions beyond "
-                            "this bound; evicted sessions reload "
-                            "transparently on next touch")
     serve.add_argument("--queue-dir", default=None, dest="queue_dir",
                        metavar="DIR",
                        help="durable per-session delta queue directory; "
@@ -817,8 +812,6 @@ def _serve_router(args: argparse.Namespace) -> int:
     ]
     if args.lenient:
         worker_args.append("--lenient")
-    if args.max_sessions is not None:
-        worker_args += ["--max-sessions", str(args.max_sessions)]
     if args.slo:
         # Each worker runs the spec against its own recorder; the router's
         # /healthz aggregation surfaces any worker's firing rules.
@@ -898,8 +891,6 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     if args.workers < 0:
         raise CLIError("--workers must be >= 0")
-    if args.max_sessions is not None and args.max_sessions < 1:
-        raise CLIError("--max-sessions must be >= 1")
     if args.workers:
         return _serve_router(args)
     _configure_trace(args.trace)
@@ -913,7 +904,6 @@ def _command_serve(args: argparse.Namespace) -> int:
               f"(slow spans always kept)")
     service = InferenceService(
         strict_deltas=not args.lenient,
-        max_sessions=args.max_sessions,
         queue_dir=args.queue_dir,
     )
     if args.graph is not None:

@@ -4,12 +4,13 @@ The fourth subsystem of the reproduction, closing the loop from batch
 experiments to *serving*:
 
 * :mod:`repro.serve.service` — :class:`InferenceService`, a registry of
-  named :class:`~repro.stream.session.StreamingSession` objects answering
-  belief queries with staleness metadata and absorbing
-  :class:`~repro.stream.delta.GraphDelta` batches with one propagation each;
+  named :class:`~repro.stream.session.StreamingSession` objects absorbing
+  :class:`~repro.stream.delta.GraphDelta` batches with one propagation
+  each; every propagation publishes an immutable belief snapshot, and
+  queries read it (with staleness metadata) without taking a lock;
 * :mod:`repro.serve.batcher` — :class:`MicroBatcher`, the bounded queue
   that coalesces concurrent deltas into one incremental propagation
-  (max-latency flush); queries skip it and run on the caller's thread;
+  (max-latency flush) run on its own thread; queries skip it;
 * :mod:`repro.serve.http` — the stdlib ``ThreadingHTTPServer`` JSON API
   behind ``repro serve``;
 * :mod:`repro.serve.loader` — graph loading from ``.npz`` bundles or

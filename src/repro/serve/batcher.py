@@ -1,12 +1,15 @@
 """Micro-batching front-end: coalesce concurrent deltas into one propagation.
 
-Queries do not pass through here: :meth:`InferenceService.query` answers
-on the caller's thread, because a belief gather (~0.2 ms) costs less than
-handing the request to another thread and back.  Deltas are where
-batching pays: :meth:`InferenceService.apply_deltas` absorbs N deltas
-with a single incremental propagation.  :class:`MicroBatcher` bridges the
-two — callers submit individual deltas and get futures; a single worker
-thread drains the queue and hands the service coalesced batches.
+Queries do not pass through here: :meth:`InferenceService.query` reads the
+published belief snapshot on the caller's thread, because a belief gather
+(~0.2 ms) costs less than handing the request to another thread and back.
+Deltas are where batching pays: the service absorbs N deltas with a single
+incremental propagation.  :class:`MicroBatcher` bridges the two — callers
+submit individual deltas and get futures; a single worker thread drains
+the queue and runs each coalesced batch through the service's two halves,
+:meth:`~InferenceService.apply_and_log` then
+:meth:`~InferenceService.propagate_and_publish`.  Every flush propagates,
+so the solve always runs on this thread, never inside a query.
 
 Flush policy (the classic request-batching trade-off):
 
@@ -17,19 +20,21 @@ Flush policy (the classic request-batching trade-off):
   heavy load degrades into back-to-back full batches, never unbounded
   queues.
 
-Freshness contract: a delta's future resolves only after a flush applied
-it (and, for ``ack="propagated"``, after the coalesced belief refresh).
-A query issued after that acknowledgement reflects the delta — it runs
-under the same session lock, and a deferred refresh is propagated lazily
-before the gather (read-your-writes).  A query that races a delta still
-waiting here answers from the beliefs before it: that delta has not been
-acknowledged yet.
+Freshness contract: an ``ack="applied"`` future resolves between the two
+halves, once its delta is applied and logged; an ``ack="propagated"``
+future resolves after the coalesced belief refresh is published.  A query
+issued after a propagated ack reflects the delta; a query carrying an
+applied ack's token as ``min_version`` waits for the publish that covers
+it (read-your-writes).  A query that races a delta still waiting here
+answers from the beliefs before it: that delta has not been acknowledged
+yet.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import traceback
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -163,12 +168,10 @@ class MicroBatcher:
         ``ServeError`` when the delta was rejected.
 
         ``ack="propagated"`` (the default) resolves after the coalesced
-        belief refresh; ``ack="applied"`` resolves as soon as the delta is
-        applied and durably logged — the refresh is deferred to the next
-        eager flush or to the next query (read-your-writes still holds).
-        A flush mixing both modes propagates eagerly: a deferred sibling
-        just gets its answer sooner than it asked for.  ``delta_id`` makes
-        retries idempotent through the service's durable queue.
+        belief refresh is published; ``ack="applied"`` resolves as soon as
+        the delta is applied and durably logged, and the same flush then
+        propagates it.  ``delta_id`` makes retries idempotent through the
+        service's durable queue.
         """
         if ack not in ("propagated", "applied"):
             raise ServeError(
@@ -246,61 +249,80 @@ class MicroBatcher:
         self._c_flushes.inc()
         self._g_queue_depth.set(len(self._queue))
 
-        # One apply_deltas call (one propagation) per graph.
+        # One apply and one propagation per graph.  Every graph's apply
+        # half runs first, so an applied ack never waits out another
+        # graph's solve.
         by_graph: dict[str, list[_Pending]] = {}
         for pending in batch:
             by_graph.setdefault(pending.graph, []).append(pending)
-
+        solves = []
         for graph, pendings in by_graph.items():
             self.n_deltas += len(pendings)
             self.n_delta_batches += 1
             call_start = time.perf_counter()
             try:
-                # One deferred-mode sibling cannot hold eager callers back:
-                # the flush propagates if ANY caller asked for a propagated
-                # ack, and defers only when every sibling opted out.
-                outcome = self.service.apply_deltas(
+                applied = self.service.apply_and_log(
                     graph,
                     [pending.delta for pending in pendings],
-                    propagate=any(p.ack == "propagated" for p in pendings),
                     delta_ids=[pending.delta_id for pending in pendings],
                 )
             except Exception as exc:
                 for pending in pendings:
                     pending.future.set_exception(exc)
                 continue
-            self._emit_flush_spans(graph, pendings, call_start)
+            # Rejected deltas and applied acks are answered before the solve.
+            now, waiting = [], []
             for position, pending in enumerate(pendings):
-                error = outcome.errors[position]
-                if error is None:
-                    # Each caller submitted ONE delta and gets a result
-                    # scoped to it (n_deltas=1, its own token), so a
-                    # single-delta POST reports the same shape whether or
-                    # not siblings were coalesced into the flush;
-                    # n_coalesced carries the shared-propagation count.
-                    pending.future.set_result(outcome.scoped_to_one(position))
+                if applied.errors[position] is None and pending.ack == "propagated":
+                    waiting.append(position)
                 else:
-                    pending.future.set_exception(
-                        ServeError(f"delta rejected: {error}")
-                    )
+                    now.append(position)
+            self._resolve(applied, pendings, now, call_start)
+            solves.append((applied, pendings, waiting, call_start))
+
+        for applied, pendings, waiting, call_start in solves:
+            try:
+                outcome = self.service.propagate_and_publish(applied)
+            except Exception as exc:
+                # Applied acks stand: their deltas are logged, and the next
+                # flush's propagation covers them.  Until then the graph
+                # reports them as pending_deltas.
+                for position in waiting:
+                    pendings[position].future.set_exception(exc)
+                if not waiting:
+                    traceback.print_exc()  # no caller to hand the error to
+                continue
+            self._resolve(outcome, pendings, waiting, call_start)
         return len(batch)
 
     @staticmethod
-    def _emit_flush_spans(graph: str, pendings, call_start: float) -> None:
-        """Attribute the coalesced service call to each submitter's trace.
+    def _resolve(outcome, pendings, positions, call_start: float) -> None:
+        """Answer the callers at ``positions`` from one service outcome.
 
-        Every caller whose delta shared this flush gets one span, parented
-        to the context captured at submit time — this is the hop that keeps
-        request trees intact across the queue -> worker-thread boundary.
+        Each caller whose delta shared this flush first gets one
+        ``batcher.flush_delta`` span, parented to the context captured at
+        submit time — the hop that keeps request trees intact across the
+        queue -> worker-thread boundary.  Each caller submitted ONE delta
+        and gets a result scoped to it (n_deltas=1, its own token), so a
+        single-delta POST reports the same shape whether or not siblings
+        were coalesced into the flush; n_coalesced carries the
+        shared-propagation count.
         """
-        if not obs.tracing_active():
-            return
-        seconds = time.perf_counter() - call_start
-        for pending in pendings:
-            obs.emit_span(
-                "batcher.flush_delta", seconds, parent=pending.ctx,
-                graph=graph, coalesced=len(pendings),
-            )
+        if obs.tracing_active():
+            seconds = time.perf_counter() - call_start
+            for position in positions:
+                obs.emit_span(
+                    "batcher.flush_delta", seconds, parent=pendings[position].ctx,
+                    graph=outcome.name, coalesced=len(pendings),
+                )
+        for position in positions:
+            error = outcome.errors[position]
+            if error is None:
+                pendings[position].future.set_result(outcome.scoped_to_one(position))
+            else:
+                pendings[position].future.set_exception(
+                    ServeError(f"delta rejected: {error}")
+                )
 
     # ----------------------------------------------------------------- stats
     def saturation(self) -> dict:

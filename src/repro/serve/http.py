@@ -34,11 +34,12 @@ dependencies) exposing:
 
 Every response carries an ``X-Repro-Trace`` header with the request's trace
 id; when tracing is configured (``repro serve --trace``), the request span
-and everything it caused — the query gather, batcher flushes, engine solves
-— share that id, so one header value greps the whole request tree out of
-the trace file.  A well-formed inbound ``X-Repro-Trace`` (16 lowercase hex
-digits, as a router forwards it) is adopted as the request's trace id;
-anything else is replaced by a fresh one.
+and the spans it caused on its way — the query gather and any fence wait,
+the batcher's flush span for a delta — share that id, so one header value
+greps the request tree out of the trace file.  A well-formed inbound
+``X-Repro-Trace`` (16 lowercase hex digits, as a router forwards it) is
+adopted as the request's trace id; anything else is replaced by a fresh
+one.
 With ``log_json`` enabled the handler emits one JSON object per request to
 stderr (method, path, status, duration_ms, trace).
 

@@ -12,9 +12,9 @@ never acknowledged).
 
 The queue is the session's **redo log**: it records every delta accepted
 since the session's load, in acceptance order.  Recovery (a router
-re-placing the session on a fresh worker, or a worker reloading an
-LRU-evicted session) replays the file on top of a reload-from-source and
-lands on the same graph version the last acknowledgement named.
+re-placing the session on a fresh worker) replays the file on top of a
+reload-from-source and lands on the same graph version the last
+acknowledgement named.
 
 Records are ``{"seq": n, "delta": {...}}`` with an optional client-supplied
 ``"id"``.  Ids make retries idempotent: a router that re-sends a delta
@@ -98,12 +98,12 @@ class DeltaQueue:
         self.max_seen_ids = max_seen_ids
         self._logs: dict[str, _SessionLog] = {}
         self._lock = threading.Lock()
-        self._c_evicted = obs.metrics().counter(
+        self._c_trimmed = obs.metrics().counter(
             "repro_queue_seen_ids_evicted_total",
             "Delta ids dropped from the LRU-bounded dedupe map.",
         )
 
-    def _evict_seen_ids(self, log: _SessionLog) -> None:
+    def _trim_seen_ids(self, log: _SessionLog) -> None:
         """Drop oldest ids past the cap (dicts iterate in insertion order)."""
         if self.max_seen_ids is None:
             return
@@ -112,7 +112,7 @@ class DeltaQueue:
             return
         for delta_id in list(log.seen_ids)[:excess]:
             del log.seen_ids[delta_id]
-        self._c_evicted.inc(excess)
+        self._c_trimmed.inc(excess)
 
     # ---------------------------------------------------------------- paths
     def path_for(self, session: str) -> Path:
@@ -177,7 +177,7 @@ class DeltaQueue:
             log.next_seq = seq + 1
             if delta_id is not None:
                 log.seen_ids[delta_id] = seq
-                self._evict_seen_ids(log)
+                self._trim_seen_ids(log)
             return seq
 
     @staticmethod
@@ -262,7 +262,7 @@ class DeltaQueue:
             log.seen_ids = seen
             # The file may hold more ids than the cap allows in memory;
             # keep the most recent ones (insertion order == log order).
-            self._evict_seen_ids(log)
+            self._trim_seen_ids(log)
             log.truncated_tail = truncated
         return entries
 

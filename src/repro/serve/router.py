@@ -123,7 +123,7 @@ class Router:
         router restarts; pass a real path for the latter).
     worker_args:
         Extra ``repro serve`` CLI arguments forwarded to every worker
-        (batching knobs, ``--lenient``, ``--max-sessions`` ...).
+        (batching knobs, ``--lenient``, ``--slo`` ...).
     spawn_timeout:
         Seconds to wait for a worker to write its port file and pass its
         first health check.

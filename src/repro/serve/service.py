@@ -9,42 +9,43 @@ graph — and exposes the three serving verbs:
   the compatibility matrix, run the anchoring LinBP solve, and keep the
   warm session around;
 * **delta** — push one or more :class:`~repro.stream.delta.GraphDelta`
-  through the session (one incremental propagation per *batch* of deltas,
-  not per delta — the coalescing the micro-batcher exploits);
-* **query** — read belief rows for arbitrary node sets straight off the
-  session's current :class:`~repro.propagation.engine.PropagationResult`,
-  with staleness metadata and an optional per-node top-k ranking.
+  through the session in two halves: apply and log every delta, then run
+  one incremental propagation for the whole *batch* and publish it (the
+  coalescing the micro-batcher exploits);
+* **query** — read belief rows for arbitrary node sets off the graph's
+  published :class:`BeliefSnapshot`, with staleness metadata and an
+  optional per-node top-k ranking.
 
-Consistency model: every operation on one served graph runs under that
-session's reentrant lock, so queries see either the belief matrix from
-before a concurrent delta or after it — never a half-applied state.  Reads
-are *fresh, monotonic* reads: a query submitted after a delta's
-acknowledgement always reflects that delta.
+Consistency model: every propagation ends by publishing one immutable
+snapshot — read-only belief and label arrays plus the ``graph_version``
+they cover.  Deltas run under the session's lock; queries read the
+current snapshot reference and never take that lock, so a belief gather
+never waits out a solve.  A query without a token reads the latest
+published snapshot: deltas acknowledged ``"propagated"`` are visible to
+it, deltas acknowledged ``"applied"`` only once the propagation that
+follows them has published.
 
-Read-your-writes tokens make that contract explicit and portable across
+Read-your-writes tokens make the contract explicit and portable across
 process boundaries: every acknowledged delta returns a **version token**
 (the session's ``graph_version`` after that delta's apply), and a query may
-carry ``min_version`` — the service propagates lazily if needed and answers
-from beliefs covering at least that token, or fails with status 412 when
-the token is *ahead* of the session (the fence that detects lost
-acknowledged writes after a crash recovery).  With ``queue_dir`` set, every
-acknowledged delta is durably appended to a per-session redo log
-(:class:`~repro.serve.queue.DeltaQueue`) *before* the acknowledgement, so
-acks survive a ``kill -9``: recovery (``load_graph(recover=True)``) or an
-LRU-evicted session's transparent reload replays the log and lands back on
-the exact version the last token named.  ``max_sessions`` bounds residency:
-the least-recently-used reloadable session is evicted to a stub and
-rebuilt from source + redo log on its next touch.
+carry ``min_version``.  A token the snapshot does not cover yet waits for
+the publish that covers it (at most ``FENCE_WAIT_SECONDS``, then status
+503); a token *ahead* of ``graph_version`` fails with status 412 — the
+fence that detects lost acknowledged writes after a crash recovery.  With
+``queue_dir`` set, every acknowledged delta is durably appended to a
+per-session redo log (:class:`~repro.serve.queue.DeltaQueue`) *before* the
+acknowledgement, so acks survive a ``kill -9``: recovery
+(``load_graph(recover=True)``) replays the log and lands back on the exact
+version the last token named.
 """
 
 from __future__ import annotations
 
 import inspect
-import itertools
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,7 +60,12 @@ from repro.stream.delta import GraphDelta
 from repro.stream.session import StreamingSession
 from repro.utils.validation import check_integer, check_integers
 
+# Longest a version-fenced query waits for the publish covering its token
+# before it fails with 503: far past any solve, short of a client timeout.
+FENCE_WAIT_SECONDS = 30.0
+
 __all__ = [
+    "BeliefSnapshot",
     "DeltaBatchResult",
     "InferenceService",
     "QueryResult",
@@ -108,11 +114,11 @@ class QueryResult:
 
     ``staleness`` describes how old the belief snapshot is:
     ``queries_since_refresh`` counts queries answered from it before this
-    one (reset to zero by every delta-triggered propagation — the counter
-    the benchmark watches), ``snapshot_age_seconds`` its wall-clock age,
-    and ``pending_deltas`` deltas applied to the graph but not yet
-    propagated (non-zero only between a deferred-ack delta and the
-    refresh that covers it).
+    one (zero for the first query after every publish — the counter the
+    benchmark watches), ``snapshot_age_seconds`` its wall-clock age, and
+    ``pending_deltas`` deltas applied to the graph but not yet covered by
+    a publish (non-zero only while the propagation that follows them
+    runs).  ``graph_version`` is the version the snapshot covers.
     """
 
     name: str
@@ -152,7 +158,7 @@ class DeltaBatchResult:
     n_deltas: int
     n_applied: int
     errors: list  # one entry per submitted delta: None or the error message
-    mode: str | None  # "incremental" / "full" / None when nothing applied
+    mode: str | None  # solve mode; None until propagated, or nothing applied
     reason: str | None
     propagate_seconds: float
     graph_version: int
@@ -163,7 +169,7 @@ class DeltaBatchResult:
     # query's min_version guarantees the answer reflects that delta.
     tokens: list = field(default_factory=list)
     # False when the acknowledgement was returned before the belief refresh
-    # (deferred-ack mode); the refresh happens on the next flush or query.
+    # (ack="applied"); the propagation that follows publishes it.
     propagated: bool = True
 
     @property
@@ -177,19 +183,8 @@ class DeltaBatchResult:
         token = (
             self.tokens[position] if 0 <= position < len(self.tokens) else None
         )
-        return DeltaBatchResult(
-            name=self.name,
-            n_deltas=1,
-            n_applied=1,
-            errors=[None],
-            mode=self.mode,
-            reason=self.reason,
-            propagate_seconds=self.propagate_seconds,
-            graph_version=self.graph_version,
-            belief_version=self.belief_version,
-            n_coalesced=self.n_coalesced,
-            tokens=[token],
-            propagated=self.propagated,
+        return replace(
+            self, n_deltas=1, n_applied=1, errors=[None], tokens=[token]
         )
 
     def to_dict(self) -> dict:
@@ -211,8 +206,28 @@ class DeltaBatchResult:
 
 
 # -------------------------------------------------------------- served graph
+@dataclass
+class BeliefSnapshot:
+    """One propagation's published beliefs: what every query reads.
+
+    ``beliefs`` and ``labels`` are the solve's own arrays, marked read-only
+    when published: later solves copy their warm start, never write into
+    it, and any write through a snapshot raises instead of corrupting a
+    concurrent read.  ``graph_version`` is the version the beliefs cover.
+    ``queries`` is the one mutable field: the queries answered from this
+    snapshot, counted under the served graph's tally lock.
+    """
+
+    beliefs: np.ndarray
+    labels: np.ndarray
+    graph_version: int
+    belief_version: int
+    solved_at: float  # time.monotonic() of the publish
+    queries: int = 0
+
+
 class _ServedGraph:
-    """One named session plus its version counters and tallies.
+    """One named session, its published snapshot, and its tallies.
 
     Every count here is a plain integer — the consistency tokens
     (``graph_version``, ``belief_version``), the staleness counters and
@@ -228,23 +243,12 @@ class _ServedGraph:
         self.session = session
         self.source = source
         self.registry = registry if registry is not None else obs.metrics()
-        self.created_at = time.time()
-        self.graph_version = 0  # deltas applied since load
-        self.belief_version = 0  # completed propagations (anchor included)
-        # graph_version the current belief matrix covers; < graph_version
-        # while deferred-ack deltas await their propagation.
-        self.propagated_version = 0
-        self.queries_since_refresh = 0  # reset by every belief refresh
-        self.last_solve_monotonic = time.monotonic()
-        # LRU bookkeeping (written by the service under its registry lock):
-        # last_used is a monotonic use counter, load_state everything needed
-        # to rebuild the session from source without re-estimation (None for
-        # graphs loaded from a ready instance — those cannot be evicted),
-        # evicted flips when the session leaves the registry so in-flight
-        # holders of this object retry instead of writing into a ghost.
-        self.last_used = 0
-        self.load_state: dict | None = None
-        self.evicted = False
+        self.graph_version = 0  # deltas applied since load (session lock)
+        # Replaced, never mutated, by publish(); notifies fenced queries.
+        self.snapshot: BeliefSnapshot | None = None
+        self.published = threading.Condition()
+        self._tally = threading.Lock()  # query counts, off the session lock
+        self.unloaded = False  # flipped under the session lock by unload
         self.n_queries = 0
         self.n_deltas = 0
         self._c_queries = self.registry.counter(
@@ -257,42 +261,75 @@ class _ServedGraph:
         )
 
     @property
-    def n_incremental(self) -> int:
-        return self.session.mode_counts["incremental"]
+    def belief_version(self) -> int:
+        """Completed propagations, the anchoring solve included."""
+        return 0 if self.snapshot is None else self.snapshot.belief_version
 
-    @property
-    def n_localized(self) -> int:
-        return self.session.mode_counts["localized"]
+    def solve_counts(self) -> dict:
+        counts = self.session.mode_counts
+        return {
+            "n_solves": sum(counts.values()),
+            "n_incremental": counts["incremental"],
+            "n_localized": counts["localized"],
+            "n_full": counts["full"],
+        }
 
-    @property
-    def n_full(self) -> int:
-        return self.session.mode_counts["full"]
+    def publish(self) -> BeliefSnapshot:
+        """Publish the session's latest solve; caller holds the session lock."""
+        result = self.session.last_result
+        result.beliefs.flags.writeable = False
+        result.labels.flags.writeable = False
+        snapshot = BeliefSnapshot(
+            beliefs=result.beliefs,
+            labels=result.labels,
+            graph_version=self.graph_version,
+            belief_version=self.belief_version + 1,
+            solved_at=time.monotonic(),
+        )
+        with self.published:
+            self.snapshot = snapshot
+            self.published.notify_all()
+        return snapshot
 
-    @property
-    def n_solves(self) -> int:
-        return sum(self.session.mode_counts.values())
+    def snapshot_covering(self, version: int | None) -> BeliefSnapshot:
+        """The current snapshot, first waiting for one covering ``version``.
 
-    # Callers hold session.lock for everything below.
-    def record_queries(self, n_answered: int) -> None:
-        self.n_queries += n_answered
+        Returns the newest snapshot after at most ``FENCE_WAIT_SECONDS``;
+        the caller checks whether it covers ``version``.
+        """
+        snapshot = self.snapshot
+        if version is None or snapshot.graph_version >= version:
+            return snapshot
+        with obs.span("serve.fence_wait", graph=self.name, min_version=version):
+            with self.published:
+                self.published.wait_for(
+                    lambda: self.snapshot.graph_version >= version,
+                    timeout=FENCE_WAIT_SECONDS,
+                )
+                return self.snapshot
+
+    def record_queries(self, snapshot: BeliefSnapshot, n_answered: int) -> int:
+        """Count answered queries; returns how many ``snapshot`` answered before."""
+        with self._tally:
+            before = snapshot.queries
+            snapshot.queries += n_answered
+            self.n_queries += n_answered
         self._c_queries.inc(n_answered)
-        self.queries_since_refresh += n_answered
+        return before
 
     def record_deltas(self, n_applied: int) -> None:
         self.n_deltas += n_applied
         self._c_deltas.inc(n_applied)
 
-    def record_solve(self) -> None:
-        self.belief_version += 1
-        self.propagated_version = self.graph_version
-        self.last_solve_monotonic = time.monotonic()
-        self.queries_since_refresh = 0
-
-    def staleness(self) -> dict:
+    def staleness(self, snapshot: BeliefSnapshot | None = None,
+                  queries_before: int | None = None) -> dict:
+        snapshot = self.snapshot if snapshot is None else snapshot
         return {
-            "queries_since_refresh": self.queries_since_refresh,
-            "snapshot_age_seconds": time.monotonic() - self.last_solve_monotonic,
-            "pending_deltas": self.graph_version - self.propagated_version,
+            "queries_since_refresh": (
+                snapshot.queries if queries_before is None else queries_before
+            ),
+            "snapshot_age_seconds": time.monotonic() - snapshot.solved_at,
+            "pending_deltas": self.graph_version - snapshot.graph_version,
         }
 
     def info(self) -> dict:
@@ -307,15 +344,9 @@ class _ServedGraph:
             "n_seeds": int(np.sum(self.session.seed_labels >= 0)),
             "graph_version": self.graph_version,
             "belief_version": self.belief_version,
-            "propagated_version": self.propagated_version,
-            "resident": True,
-            "reloadable": self.load_state is not None,
             "n_queries": self.n_queries,
             "n_deltas": self.n_deltas,
-            "n_solves": self.n_solves,
-            "n_incremental": self.n_incremental,
-            "n_localized": self.n_localized,
-            "n_full": self.n_full,
+            **self.solve_counts(),
             "decisions": self.session.decision_stats(),
             "staleness": self.staleness(),
         }
@@ -335,83 +366,55 @@ class InferenceService:
         per-graph telemetry; defaults to the process-global registry
         (``repro.obs.metrics()``).  Loading a graph resets that graph
         name's series, so per-graph counters always start at zero.
-    max_sessions:
-        Bound on *resident* sessions.  Loading past the bound evicts the
-        least-recently-used reloadable session down to a stub; its next
-        touch transparently rebuilds it from source (plus the redo-log
-        replay when ``queue_dir`` is set).  ``None`` (default) keeps
-        everything resident.  Sessions loaded from a ready graph instance,
-        or carrying unlogged deltas (no queue), are never evicted.
     queue_dir:
         Directory for the per-session durable delta queues
         (:class:`~repro.serve.queue.DeltaQueue`).  Every acknowledged
         delta hits disk before its ack, so ``load_graph(recover=True)``
         after a worker kill replays the log and loses nothing.  ``None``
-        disables durability (and with it deferred-ack crash safety).
+        disables durability.
     """
 
     def __init__(
         self,
         strict_deltas: bool = True,
         registry=None,
-        max_sessions: int | None = None,
         queue_dir=None,
     ) -> None:
         self.strict_deltas = bool(strict_deltas)
         self.registry = registry if registry is not None else obs.metrics()
         self.started_at = time.time()
-        self.max_sessions = None if max_sessions is None else int(max_sessions)
-        if self.max_sessions is not None and self.max_sessions < 1:
-            raise ValueError(f"max_sessions must be >= 1, got {max_sessions}")
         self.queue = DeltaQueue(queue_dir) if queue_dir is not None else None
         self._graphs: dict[str, _ServedGraph] = {}
-        self._evicted: dict[str, dict] = {}  # name -> reload stub
         self._registry_lock = threading.RLock()
-        self._use_counter = itertools.count(1)
-        self._reload_locks: dict[str, threading.Lock] = {}
-        self.evictions = 0  # sessions evicted to a reload stub
-        self.reloads = 0  # evicted sessions rebuilt on touch
 
     # ------------------------------------------------------------- registry
     def graph_names(self) -> list[str]:
-        """Every loaded session name, resident or evicted-to-stub."""
         with self._registry_lock:
-            return sorted(set(self._graphs) | set(self._evicted))
+            return sorted(self._graphs)
 
     def _served(self, name: str) -> _ServedGraph:
-        """The resident session for ``name``, reloading an evicted stub.
-
-        Touch accounting happens here: every access refreshes the LRU
-        position, so the eviction policy sees queries and deltas alike.
-        """
-        while True:
-            with self._registry_lock:
-                served = self._graphs.get(name)
-                if served is not None:
-                    served.last_used = next(self._use_counter)
-                    return served
-                if name not in self._evicted:
-                    raise UnknownGraphError(name, self.graph_names())
-            self._reload(name)
+        with self._registry_lock:
+            served = self._graphs.get(name)
+        if served is None:
+            raise UnknownGraphError(name, self.graph_names())
+        return served
 
     @contextmanager
     def _locked(self, name: str):
-        """A resident session with its lock held, retrying across evictions.
+        """A served graph with its session lock held.
 
         The gap between :meth:`_served` returning and the session lock
-        being acquired can race an eviction (or an unload): the object is
-        then a ghost no longer in the registry, and writes to it would be
-        silently lost.  The ``evicted`` flag — flipped under the session
-        lock — makes the race detectable; detection retries through
-        :meth:`_served`, which reloads or raises.
+        being acquired can race an unload: the object is then no longer in
+        the registry, and a delta written into it would be silently lost.
+        The ``unloaded`` flag — flipped under the session lock — turns
+        that race into a 404.
         """
-        while True:
-            served = self._served(name)
-            with served.session.lock:
-                if served.evicted:
-                    continue
+        served = self._served(name)
+        with served.session.lock:
+            if not served.unloaded:
                 yield served
                 return
+        raise UnknownGraphError(name, self.graph_names())
 
     def load_graph(
         self,
@@ -502,28 +505,6 @@ class InferenceService:
                 graph, seed_labels, method, method_kwargs, int(seed)
             )
 
-        # Everything a reload needs to rebuild this session *without*
-        # re-estimation or re-seeding: the frozen seed labels and
-        # compatibility make the rebuild bit-deterministic, the source
-        # fields make it possible at all.  Ready-graph loads get None — the
-        # instance is the only copy, so the session can never be evicted.
-        load_state = None
-        if source["path"] is not None or source["store"] is not None:
-            load_state = {
-                "path": source["path"],
-                "store": source["store"],
-                "run_hash": run_hash,
-                "propagator_kwargs": dict(propagator_kwargs or {}),
-                "iterations": int(iterations),
-                "tolerance": float(tolerance),
-                "localized": bool(localized),
-                "seed_labels": np.array(seed_labels, dtype=np.int64, copy=True),
-                "compatibility": (
-                    None if compatibility is None
-                    else np.array(compatibility, dtype=np.float64, copy=True)
-                ),
-            }
-
         # A (re)loaded graph starts its telemetry from zero: drop any series
         # a previous same-named load left on the registry *before* the new
         # session registers its own.
@@ -539,10 +520,9 @@ class InferenceService:
             metric_labels={"graph": name},
         )
         served = _ServedGraph(name, session, source, self.registry)
-        served.load_state = load_state
         with session.lock, obs.span("serve.load", graph=name, recover=recover):
             session.propagate()
-            served.record_solve()
+            served.publish()
             if self.queue is not None:
                 if recover:
                     self._replay_queue(served)
@@ -557,10 +537,7 @@ class InferenceService:
                     f"a graph named {name!r} is already loaded "
                     "(pass replace=true to swap it)", status=409,
                 )
-            self._evicted.pop(name, None)
             self._graphs[name] = served
-            served.last_used = next(self._use_counter)
-        self._maybe_evict(keep=name)
         return served.info()
 
     def _replay_queue(self, served: _ServedGraph) -> int:
@@ -574,15 +551,14 @@ class InferenceService:
         entries = self.queue.replay(served.name)
         if not entries:
             return 0
-        applied, errors, step = served.session.rehydrate(
+        applied, errors, _ = served.session.rehydrate(
             [delta for _, delta in entries]
         )
         served.graph_version = entries[-1][0]
         served.record_deltas(applied)
-        # rehydrate() already propagated; stamp the solve so the belief
-        # version advances and propagated_version covers the replay.
-        if step is not None:
-            served.record_solve()
+        # rehydrate() already propagated (unless nothing re-applied, when
+        # the anchor's beliefs are the answer); publish what covers the log.
+        served.publish()
         if errors:  # should be impossible: same base graph, same order
             self.registry.counter(
                 "repro_serve_replay_errors_total",
@@ -613,145 +589,13 @@ class InferenceService:
             ) from exc
         return estimation.compatibility
 
-    # ----------------------------------------------------- eviction / reload
-    def _evictable(self, served: _ServedGraph) -> bool:
-        """Can this session be dropped without losing acknowledged state?
-
-        Needs a reload recipe (``load_state``), and either a durable queue
-        covering its deltas or no deltas at all — evicting unlogged deltas
-        would silently violate every token already handed out.
-        """
-        return served.load_state is not None and (
-            self.queue is not None or served.graph_version == 0
-        )
-
-    def _maybe_evict(self, keep: str | None = None) -> None:
-        """Enforce ``max_sessions`` by evicting LRU reloadable sessions."""
-        if self.max_sessions is None:
-            return
-        while True:
-            with self._registry_lock:
-                if len(self._graphs) <= self.max_sessions:
-                    return
-                candidates = [
-                    served for served_name, served in self._graphs.items()
-                    if served_name != keep and self._evictable(served)
-                ]
-                if not candidates:
-                    return  # over budget but nothing is safely evictable
-                victim = min(candidates, key=lambda served: served.last_used)
-                victim_name = victim.name
-            if not self._evict(victim_name):
-                return
-
-    def _evict(self, name: str) -> bool:
-        """Demote one resident session to a reload stub.
-
-        Takes the session lock *inside* the registry lock (the same order
-        as :meth:`unload`), so in-flight operations on the victim finish
-        first and later ones — which re-check ``evicted`` under the session
-        lock — retry into a transparent reload.
-        """
-        with self._registry_lock:
-            served = self._graphs.get(name)
-            if served is None or not self._evictable(served):
-                return False
-            with served.session.lock:
-                served.evicted = True
-                del self._graphs[name]
-                self._evicted[name] = {
-                    "load_state": served.load_state,
-                    "source": dict(served.source),
-                    "graph_version": served.graph_version,
-                    "evicted_at": time.time(),
-                }
-            # The stub keeps no series alive; telemetry restarts from zero
-            # on reload, like any (re)load.  Counter consumers (the
-            # time-series recorder, federation) already clamp resets.
-            self.registry.reset_children(graph=name)
-            self.evictions += 1
-        return True
-
-    def _reload_lock(self, name: str) -> threading.Lock:
-        with self._registry_lock:
-            return self._reload_locks.setdefault(name, threading.Lock())
-
-    def _reload(self, name: str) -> None:
-        """Rebuild an evicted session from its stub (source + redo log).
-
-        Serialized per name so concurrent touches pay for one rebuild; the
-        rebuild itself runs outside the registry lock — other sessions keep
-        serving while this one warms back up.
-        """
-        with self._reload_lock(name):
-            with self._registry_lock:
-                if name in self._graphs:
-                    return  # another touch already reloaded it
-                stub = self._evicted.get(name)
-                if stub is None:
-                    raise UnknownGraphError(name, self.graph_names())
-            state = stub["load_state"]
-            with obs.span("serve.reload", graph=name):
-                try:
-                    graph = load_serving_graph(
-                        path=state["path"],
-                        store=state["store"],
-                        run_hash=state["run_hash"],
-                    )
-                except GraphSourceError as exc:
-                    raise ServeError(
-                        f"could not reload evicted session {name!r}: {exc}",
-                        status=503,
-                    ) from exc
-                propagator = _linbp(
-                    state["iterations"], state["tolerance"],
-                    state["propagator_kwargs"],
-                )
-                self.registry.reset_children(graph=name)
-                session = StreamingSession(
-                    graph,
-                    propagator,
-                    compatibility=state["compatibility"],
-                    seed_labels=state["seed_labels"],
-                    localized=state["localized"],
-                    strict=self.strict_deltas,
-                    registry=self.registry,
-                    metric_labels={"graph": name},
-                )
-                served = _ServedGraph(
-                    name, session, dict(stub["source"]), self.registry
-                )
-                served.load_state = state
-                with session.lock:
-                    session.propagate()
-                    served.record_solve()
-                    if self.queue is not None:
-                        self._replay_queue(served)
-            with self._registry_lock:
-                self._evicted.pop(name, None)
-                self._graphs[name] = served
-                served.last_used = next(self._use_counter)
-                self.reloads += 1
-        self._maybe_evict(keep=name)
-
     def unload(self, name: str) -> dict:
         """Drop a served graph; returns its final info dict."""
         with self._registry_lock:
-            stub = self._evicted.pop(name, None)
-            if stub is not None:
-                # An evicted session unloads without being reloaded first.
-                if self.queue is not None:
-                    self.queue.drop(name)
-                return {
-                    "name": name,
-                    "source": stub["source"],
-                    "graph_version": stub["graph_version"],
-                    "resident": False,
-                }
             served = self._served(name)
             with served.session.lock:  # a consistent final snapshot
                 info = served.info()
-                served.evicted = True  # in-flight holders retry -> 404
+                served.unloaded = True  # in-flight deltas -> 404
             del self._graphs[name]
             if self.queue is not None:
                 self.queue.drop(name)
@@ -775,10 +619,7 @@ class InferenceService:
         with served.session.lock:
             return {
                 "graph": name,
-                "n_solves": served.n_solves,
-                "n_incremental": served.n_incremental,
-                "n_localized": served.n_localized,
-                "n_full": served.n_full,
+                **served.solve_counts(),
                 **served.session.decision_stats(),
             }
 
@@ -826,46 +667,30 @@ class InferenceService:
     def query_many(
         self, name: str, requests: list
     ) -> list[QueryResult | Exception]:
-        """Answer many queries under one lock with one vectorized lookup.
+        """Answer many queries from one snapshot with one vectorized lookup.
 
         ``requests`` is a list of ``(nodes, top_k)`` pairs or
         ``(nodes, top_k, min_version)`` triples.  All valid requests are
-        gathered from the belief matrix in a single fancy-index and (when
-        any request wants a ranking) a single arg-sort, so a caller holding
-        many node sets pays one lock round-trip.  Returns one
-        :class:`QueryResult` **or** :class:`ServeError` per request, in
+        gathered from the published belief matrix in a single fancy-index
+        and (when any request wants a ranking) a single arg-sort.  Returns
+        one :class:`QueryResult` **or** :class:`ServeError` per request, in
         order; per-request failures never poison their batch siblings.
 
-        Read-your-writes: deltas acknowledged in deferred mode may leave
-        the belief snapshot behind the graph — queries trigger the lazy
-        propagation here, so every answer reflects every acknowledged
-        delta.  A ``min_version`` token *ahead* of the session's
-        ``graph_version`` fails that request with status 412: the fence
-        that turns a lost acknowledged write (impossible while the durable
-        queue is intact) into a loud error instead of a silently stale
-        read.
+        No session lock is taken: the answer comes off the current
+        :class:`BeliefSnapshot`, whatever propagation is running.  A
+        ``min_version`` the snapshot does not cover yet waits for the
+        publish that does (a ``serve.fence_wait`` span), and fails with
+        status 503 if none comes within ``FENCE_WAIT_SECONDS``.  A
+        ``min_version`` *ahead* of the graph's ``graph_version`` fails that
+        request with status 412: the fence that turns a lost acknowledged
+        write (impossible while the durable queue is intact) into a loud
+        error instead of a silently stale read.
         """
-        with self._locked(name) as served, obs.span(
-            "serve.query", graph=name, n_requests=len(requests)
-        ):
-            # Lazy refresh: deferred-ack deltas are propagated at the first
-            # read that could observe them (one solve covers all of them).
-            if served.propagated_version < served.graph_version:
-                served.session.propagate()
-                served.record_solve()
-            result = served.session.last_result
-            if result is None:  # pragma: no cover - load always anchors
-                raise ServeError(f"graph {name!r} has no beliefs yet", status=503)
-            beliefs = result.beliefs
-            labels = result.labels
-            n_nodes = served.session.graph.n_nodes
-            n_classes = beliefs.shape[1]
-            version = served.belief_version
-
+        served = self._served(name)
+        with obs.span("serve.query", graph=name, n_requests=len(requests)):
             outputs: list[QueryResult | Exception | None] = [None] * len(requests)
-            valid: list[tuple[int, np.ndarray, int | None]] = []
+            admitted: list[tuple[int, object, object, int | None]] = []
             for position, request in enumerate(requests):
-                nodes, top_k = request[0], request[1]
                 min_version = request[2] if len(request) > 2 else None
                 try:
                     if min_version is not None:
@@ -882,7 +707,29 @@ class InferenceService:
                                 "session lost acknowledged writes",
                                 status=412,
                             )
-                    node_array = self._check_nodes(nodes, n_nodes)
+                except ServeError as exc:
+                    outputs[position] = exc
+                    continue
+                admitted.append((position, request[0], request[1], min_version))
+
+            snapshot = served.snapshot_covering(max(
+                (version for *_, version in admitted if version is not None),
+                default=None,
+            ))
+            beliefs, labels = snapshot.beliefs, snapshot.labels
+            n_classes = beliefs.shape[1]
+            valid: list[tuple[int, np.ndarray, int | None]] = []
+            for position, nodes, top_k, min_version in admitted:
+                try:
+                    if min_version is not None and min_version > snapshot.graph_version:
+                        raise ServeError(
+                            f"no propagation of graph {name!r} covered "
+                            f"min_version {min_version} within "
+                            f"{FENCE_WAIT_SECONDS:g}s (published: "
+                            f"{snapshot.graph_version})",
+                            status=503,
+                        )
+                    node_array = self._check_nodes(nodes, beliefs.shape[0])
                     if top_k is not None:
                         top_k = self._validated(check_integer, top_k, "top_k")
                         if not 1 <= top_k <= n_classes:
@@ -894,84 +741,85 @@ class InferenceService:
                     continue
                 valid.append((position, node_array, top_k))
 
-            if valid:
-                gathered_nodes = np.concatenate([nodes for _, nodes, _ in valid])
-                gathered_beliefs = beliefs[gathered_nodes]
-                gathered_labels = labels[gathered_nodes]
-                wants_ranking = any(top_k is not None for _, _, top_k in valid)
-                order = (
-                    np.argsort(-gathered_beliefs, axis=1, kind="stable")
-                    if wants_ranking
-                    else None
-                )
-                offset = 0
-                for position, node_array, top_k in valid:
-                    span = slice(offset, offset + node_array.shape[0])
-                    offset += node_array.shape[0]
-                    top = None
-                    if top_k is not None:
-                        ranks = order[span, :top_k]
-                        scores = np.take_along_axis(
-                            gathered_beliefs[span], ranks, axis=1
-                        )
-                        top = [
-                            [[int(cls), float(score)]
-                             for cls, score in zip(row_ranks, row_scores)]
-                            for row_ranks, row_scores in zip(ranks, scores)
-                        ]
-                    outputs[position] = QueryResult(
-                        name=name,
-                        nodes=node_array,
-                        beliefs=gathered_beliefs[span].copy(),
-                        labels=gathered_labels[span].copy(),
-                        top=top,
-                        graph_version=served.graph_version,
-                        belief_version=version,
-                        staleness=served.staleness(),
-                    )
-
-            n_answered = sum(
-                1 for out in outputs if isinstance(out, QueryResult)
+            if not valid:
+                return outputs
+            queries_before = served.record_queries(snapshot, len(valid))
+            gathered_nodes = np.concatenate([nodes for _, nodes, _ in valid])
+            gathered_beliefs = beliefs[gathered_nodes]
+            gathered_labels = labels[gathered_nodes]
+            wants_ranking = any(top_k is not None for _, _, top_k in valid)
+            order = (
+                np.argsort(-gathered_beliefs, axis=1, kind="stable")
+                if wants_ranking
+                else None
             )
-            served.record_queries(n_answered)
+            offset = 0
+            for position, node_array, top_k in valid:
+                span = slice(offset, offset + node_array.shape[0])
+                offset += node_array.shape[0]
+                top = None
+                if top_k is not None:
+                    ranks = order[span, :top_k]
+                    scores = np.take_along_axis(
+                        gathered_beliefs[span], ranks, axis=1
+                    )
+                    top = [
+                        [[int(cls), float(score)]
+                         for cls, score in zip(row_ranks, row_scores)]
+                        for row_ranks, row_scores in zip(ranks, scores)
+                    ]
+                outputs[position] = QueryResult(
+                    name=name,
+                    nodes=node_array,
+                    beliefs=gathered_beliefs[span].copy(),
+                    labels=gathered_labels[span].copy(),
+                    top=top,
+                    graph_version=snapshot.graph_version,
+                    belief_version=snapshot.belief_version,
+                    staleness=served.staleness(snapshot, queries_before),
+                )
             return outputs
 
     # --------------------------------------------------------------- deltas
     def apply_delta(
-        self, name: str, delta: GraphDelta, propagate: bool = True,
-        delta_id: str | None = None,
+        self, name: str, delta: GraphDelta, delta_id: str | None = None,
     ) -> DeltaBatchResult:
         """Apply one delta (raising on rejection); one propagation follows."""
-        outcome = self.apply_deltas(
-            name, [delta], propagate=propagate, delta_ids=[delta_id]
-        )
+        outcome = self.apply_deltas(name, [delta], delta_ids=[delta_id])
         if outcome.errors[0] is not None:
             raise ServeError(f"delta rejected: {outcome.errors[0]}")
         return outcome
 
     def apply_deltas(
-        self, name: str, deltas: list, propagate: bool = True,
-        delta_ids: list | None = None,
+        self, name: str, deltas: list, delta_ids: list | None = None,
     ) -> DeltaBatchResult:
-        """Apply a batch of deltas with a *single* incremental propagation.
+        """Apply a batch of deltas with a *single* propagation, then publish.
+
+        Both halves in one call: :meth:`apply_and_log` then
+        :meth:`propagate_and_publish`.  The belief refresh happens once at
+        the end, which is exactly the coalescing win: N concurrent deltas
+        cost one propagation instead of N.
+        """
+        return self.propagate_and_publish(
+            self.apply_and_log(name, deltas, delta_ids)
+        )
+
+    def apply_and_log(
+        self, name: str, deltas: list, delta_ids: list | None = None,
+    ) -> DeltaBatchResult:
+        """The first half of a delta batch: apply every delta and log it.
 
         Each delta is validated and applied individually — a rejected one
         (strict-mode duplicate edge, out-of-range node ...) is reported in
-        ``errors`` without blocking the rest.  The belief refresh happens
-        once at the end, which is exactly the coalescing win: N concurrent
-        deltas cost one propagation instead of N.
-
-        Each accepted delta's apply order becomes its read-your-writes
-        token in ``tokens``; with a durable queue attached, the delta is
-        on disk *before* this method returns (the token is a durability
-        receipt, not just an ordering one).  ``propagate=False`` defers
-        the belief refresh — the acknowledgement returns as soon as the
-        deltas are applied and durable; the refresh runs at the next
-        eager-mode batch or lazily at the next query, so read-your-writes
-        still holds.  ``delta_ids`` makes retries idempotent: an id the
-        durable queue has already logged is acknowledged with its original
-        token instead of being applied twice (a router re-sending after a
-        worker death cannot double-apply).
+        ``errors`` without blocking the rest.  Each accepted delta's apply
+        order becomes its read-your-writes token in ``tokens``; with a
+        durable queue attached, the delta is on disk *before* this method
+        returns (the token is a durability receipt, not just an ordering
+        one).  ``delta_ids`` makes retries idempotent: an id the durable
+        queue has already logged is acknowledged with its original token
+        instead of being applied twice (a router re-sending after a worker
+        death cannot double-apply).  The result is not propagated yet:
+        pass it to :meth:`propagate_and_publish`.
         """
         if delta_ids is not None and len(delta_ids) != len(deltas):
             raise ServeError(
@@ -1018,17 +866,6 @@ class InferenceService:
                 tokens.append(served.graph_version)
                 n_applied += 1
                 served.record_deltas(1)
-            mode = reason = None
-            propagate_seconds = 0.0
-            propagated = False
-            if n_applied and propagate:
-                step = served.session.propagate()
-                mode, reason = step.mode, step.decision.reason
-                propagate_seconds = step.propagate_seconds
-                served.record_solve()
-                propagated = True
-            elif n_applied:
-                reason = "deferred"
             if obs.enabled():
                 # Quality attributes on the delta trace: the prequential
                 # score of this batch's reveals and the post-apply drift,
@@ -1046,21 +883,44 @@ class InferenceService:
                 n_deltas=len(deltas),
                 n_applied=n_applied,
                 errors=errors,
-                mode=mode,
-                reason=reason,
-                propagate_seconds=propagate_seconds,
+                mode=None,
+                reason=None,
+                propagate_seconds=0.0,
                 graph_version=served.graph_version,
                 belief_version=served.belief_version,
                 n_coalesced=len(deltas),
                 tokens=tokens,
-                propagated=propagated,
+                propagated=False,
             )
+
+    def propagate_and_publish(self, applied: DeltaBatchResult) -> DeltaBatchResult:
+        """The second half: one propagation over everything applied, published.
+
+        Returns ``applied`` marked propagated, with the solve's mode and
+        timing and the published belief version.  A batch that applied
+        nothing is returned as is.
+        """
+        if not applied.n_applied:
+            return applied
+        with self._locked(applied.name) as served, obs.span(
+            "serve.propagate", graph=applied.name, n_deltas=applied.n_applied
+        ):
+            step = served.session.propagate()
+            snapshot = served.publish()
+        return replace(
+            applied,
+            mode=step.mode,
+            reason=step.decision.reason,
+            propagate_seconds=step.propagate_seconds,
+            belief_version=snapshot.belief_version,
+            propagated=True,
+        )
 
     # --------------------------------------------------------------- health
     def health(self) -> dict:
         """Per-graph liveness for ``GET /healthz``.
 
-        A graph is *live* once its session holds a belief matrix (the
+        A graph is *live* once it has published a belief snapshot (the
         anchoring solve completed and queries can be answered).  The
         session lock is probed, never waited on: a session mid-propagation
         is busy, not dead, and the health probe must answer immediately
@@ -1068,15 +928,13 @@ class InferenceService:
         """
         with self._registry_lock:
             served_list = list(self._graphs.values())
-            stubs = {name: dict(stub) for name, stub in self._evicted.items()}
         graphs = {}
         for served in served_list:
             locked = served.session.lock.acquire(blocking=False)
             try:
                 graphs[served.name] = {
-                    "live": served.session.last_result is not None,
+                    "live": served.snapshot is not None,
                     "busy": not locked,
-                    "resident": True,
                     "graph_version": served.graph_version,
                     "belief_version": served.belief_version,
                     "staleness": served.staleness(),
@@ -1084,16 +942,6 @@ class InferenceService:
             finally:
                 if locked:
                     served.session.lock.release()
-        for name, stub in stubs.items():
-            # Evicted-to-stub sessions are healthy but cold: their state is
-            # fully recoverable (source + redo log), they just are not
-            # holding memory right now.
-            graphs[name] = {
-                "live": True,
-                "busy": False,
-                "resident": False,
-                "graph_version": stub["graph_version"],
-            }
         return graphs
 
     # ---------------------------------------------------------------- stats
@@ -1101,19 +949,13 @@ class InferenceService:
         """Service-wide stats: per-graph info plus global tallies."""
         with self._registry_lock:
             served_list = list(self._graphs.values())
-            stubs = {name: dict(stub) for name, stub in self._evicted.items()}
         graphs = {}
         for served in served_list:
             with served.session.lock:
                 graphs[served.name] = served.info()
-        stats = {
+        return {
             "uptime_seconds": time.time() - self.started_at,
-            "n_graphs": len(graphs) + len(stubs),
-            "n_resident": len(graphs),
-            "n_evicted": len(stubs),
-            "max_sessions": self.max_sessions,
-            "evictions": self.evictions,
-            "reloads": self.reloads,
+            "n_graphs": len(graphs),
             "durable_queue": (
                 None if self.queue is None else str(self.queue.directory)
             ),
@@ -1122,15 +964,6 @@ class InferenceService:
             "n_solves": sum(info["n_solves"] for info in graphs.values()),
             "graphs": graphs,
         }
-        for name, stub in stubs.items():
-            stats["graphs"][name] = {
-                "name": name,
-                "source": stub["source"],
-                "graph_version": stub["graph_version"],
-                "resident": False,
-                "n_queries": 0, "n_deltas": 0, "n_solves": 0,
-            }
-        return stats
 
     def quality(self) -> dict:
         """Quality telemetry for every resident graph plus a rollup.

@@ -162,6 +162,19 @@ class TestGate:
         assert run(tmp_path, fresh, baseline) == 1
         assert "speedup_4_workers: 0.90x >= 1.50x" in capsys.readouterr().err
 
+    def test_speedup_missing_from_baseline_is_listed_as_new(
+        self, tmp_path, capsys
+    ):
+        # A new or renamed speedup is reported, not silently skipped.
+        fresh = self.sweep_doc(host_cpus=4, speedup_2=1.8, speedup_4=3.0)
+        baseline = self.sweep_doc(host_cpus=4, speedup_2=1.9, speedup_4=3.0)
+        del baseline["speedup_4_workers"]
+        assert run(tmp_path, fresh, baseline) == 0
+        out = capsys.readouterr().out
+        assert "n/a  speedup_4_workers: new: 3.00x ungated until a " \
+            "baseline records it" in out
+        assert "2/2 checks passed" in out and "(1 not measurable)" in out
+
     def test_only_unmeasurable_metrics_means_nothing_checked(
         self, tmp_path, capsys
     ):

@@ -148,6 +148,36 @@ class TestBatcherSpanHop:
         assert flush["thread"] != client["thread"]
 
 
+class TestFenceWaitSpan:
+    def test_fence_wait_span_only_when_a_fenced_query_waits(
+        self, obs_graph, registry
+    ):
+        service = InferenceService(registry=registry)
+        service.load_graph("g", graph=obs_graph.copy(), fraction=0.1, seed=3)
+        records: list[dict] = []
+        previous = obs.configure_tracing(records.append)
+        try:
+            service.query("g", [1], min_version=0)  # covered: no wait
+            applied = service.apply_and_log("g", [{"reveal": [[1, 0]]}])
+            # The publish lands while the fenced query below is waiting.
+            publisher = threading.Timer(
+                0.2, service.propagate_and_publish, args=(applied,)
+            )
+            publisher.start()
+            result = service.query("g", [1], min_version=applied.token)
+            publisher.join()
+        finally:
+            obs.configure_tracing(previous)
+        assert result.graph_version == applied.token
+        queries = [r for r in records if r["name"] == "serve.query"]
+        waits = [r for r in records if r["name"] == "serve.fence_wait"]
+        assert len(queries) == 2 and len(waits) == 1
+        # The wait is named inside the slow request's own tree.
+        assert waits[0]["parent"] == queries[1]["span"]
+        assert waits[0]["trace"] == queries[1]["trace"]
+        assert waits[0]["duration_ms"] >= 100.0
+
+
 class TestMultiprocessMerge:
     def _grid(self):
         return GridSpec(

@@ -1,18 +1,17 @@
-"""Read-your-writes tokens, deferred acks, durability, and LRU reload.
+"""Read-your-writes tokens, applied acks, and durability.
 
 The serving tier's consistency contract, exercised directly against
-:class:`InferenceService` (the router-level version of the same contract
-lives in test_serve_router.py):
+:class:`InferenceService` and its :class:`MicroBatcher` (the router-level
+version of the same contract lives in test_serve_router.py):
 
 * every acknowledged delta returns a version token;
 * a query carrying that token as ``min_version`` always reflects the delta
-  — even when the ack was deferred (applied+durable, not yet propagated);
+  — even when the ack came before the propagation (``ack="applied"``:
+  applied+durable, the batcher's solve still to publish);
 * a token from a *lost* write (queue deleted behind the service's back)
   trips the 412 fence instead of answering stale;
 * with a durable queue, ``load_graph(recover=True)`` replays acknowledged
-  deltas and lands on the exact token the last ack named;
-* ``max_sessions`` evicts LRU sessions to stubs and reloads them
-  transparently (same versions, same beliefs) on the next touch.
+  deltas and lands on the exact token the last ack named.
 """
 
 from __future__ import annotations
@@ -84,24 +83,32 @@ class TestTokens:
         assert result.belief_version >= 2  # anchor + the delta's refresh
 
 
-# ----------------------------------------------------- deferred ack + lazy
+# ------------------------------------------------------------- applied ack
 class TestDeferredAck:
     def test_deferred_ack_skips_propagation(self, tmp_path, graph_path):
         service = durable_service(tmp_path, graph_path)
-        outcome = service.apply_delta("g", edge_delta(0, 1), propagate=False)
+        batcher = MicroBatcher(service, start=False)
+        future = batcher.submit_delta("g", edge_delta(0, 1), ack="applied")
+        batcher.flush_pending()
+        outcome = future.result(timeout=0)
+        # Answered between the halves: applied and logged, not propagated.
         assert outcome.propagated is False
-        assert outcome.reason == "deferred"
+        assert outcome.reason is None
         assert outcome.token == 1
         assert outcome.belief_version == 1  # still just the anchor
 
-    def test_query_triggers_the_lazy_refresh(self, tmp_path, graph_path):
+    def test_query_waits_for_the_batchers_refresh(self, tmp_path, graph_path):
         service = durable_service(tmp_path, graph_path)
-        token = service.apply_delta("g", edge_delta(0, 1), propagate=False).token
-        result = service.query("g", [0, 1], min_version=token)
-        # The query propagated before answering: fresh reads survive
-        # deferred acknowledgements.
+        with MicroBatcher(service, max_latency_seconds=0.001) as batcher:
+            token = batcher.apply_delta(
+                "g", edge_delta(0, 1), ack="applied"
+            ).token
+            result = service.query("g", [0, 1], min_version=token)
+        # The fenced query answered from the publish covering its token:
+        # fresh reads survive applied acknowledgements.
         assert result.belief_version == 2
-        assert service.info("g")["propagated_version"] == token
+        assert result.graph_version == token
+        assert service.info("g")["staleness"]["pending_deltas"] == 0
 
     def test_deferred_beliefs_match_eager_beliefs(self, tmp_path, graph_path):
         eager = durable_service(tmp_path / "a", graph_path)
@@ -109,10 +116,12 @@ class TestDeferredAck:
         deltas = [edge_delta(i, i + 7) for i in range(5)]
         for delta in deltas:
             eager.apply_delta("g", delta)
+        batcher = MicroBatcher(deferred, start=False)
         for delta in deltas:
-            deferred.apply_delta("g", delta, propagate=False)
+            batcher.submit_delta("g", delta, ack="applied")
+        batcher.flush_pending()  # one coalesced refresh
         nodes = list(range(30))
-        lazy = deferred.query("g", nodes)  # triggers one coalesced refresh
+        lazy = deferred.query("g", nodes)
         fresh = eager.query("g", nodes)
         # One coalesced warm solve vs five sequential ones: both converge to
         # the same fixed point within the engine tolerance, not bit-exactly.
@@ -164,12 +173,18 @@ class TestDurability:
         )
 
     def test_deferred_acks_survive_too(self, tmp_path, graph_path):
-        # The crash window deferred acks open: acked, durable, never
+        # The crash window applied acks open: acked, durable, never
         # propagated.  Recovery must still reach the acked version.
         service = durable_service(tmp_path, graph_path)
-        token = service.apply_delta(
-            "g", edge_delta(3, 9), propagate=False
-        ).token
+
+        def killed(applied):
+            raise RuntimeError("worker killed before the solve")
+
+        service.propagate_and_publish = killed
+        batcher = MicroBatcher(service, start=False)
+        future = batcher.submit_delta("g", edge_delta(3, 9), ack="applied")
+        batcher.flush_pending()
+        token = future.result(timeout=0).token
 
         revived = InferenceService(queue_dir=tmp_path / "queues")
         revived.load_graph(
@@ -221,83 +236,6 @@ class TestDurability:
         assert excinfo.value.status == 412
 
 
-# ------------------------------------------------------------ LRU eviction
-class TestLruEviction:
-    def test_over_budget_session_is_evicted_lru(self, tmp_path, graph_path):
-        service = InferenceService(
-            max_sessions=2, queue_dir=tmp_path / "queues"
-        )
-        for name in ("a", "b", "c"):
-            service.load_graph(name, path=graph_path, fraction=0.1, seed=1)
-        stats = service.stats()
-        assert stats["n_resident"] == 2
-        assert stats["n_evicted"] == 1
-        # "a" was least recently used; names survive in the full listing.
-        assert stats["graphs"]["a"]["resident"] is False
-        assert sorted(service.graph_names()) == ["a", "b", "c"]
-
-    def test_touch_reloads_transparently(self, tmp_path, graph_path):
-        service = InferenceService(
-            max_sessions=2, queue_dir=tmp_path / "queues"
-        )
-        service.load_graph("a", path=graph_path, fraction=0.1, seed=1)
-        token = service.apply_delta("a", edge_delta(0, 1)).token
-        reference = service.query("a", list(range(15)))
-        for name in ("b", "c"):
-            service.load_graph(name, path=graph_path, fraction=0.1, seed=1)
-        assert service.stats()["graphs"]["a"]["resident"] is False
-
-        # Touching "a" reloads it from source + redo log: same version,
-        # same beliefs, and the read-your-writes token still verifies.
-        result = service.query("a", list(range(15)), min_version=token)
-        assert result.graph_version == token
-        np.testing.assert_allclose(
-            np.asarray(result.beliefs), np.asarray(reference.beliefs),
-            rtol=1e-6, atol=1e-9,
-        )
-        stats = service.stats()
-        assert stats["graphs"]["a"]["resident"] is True
-        assert stats["reloads"] == 1
-        # Reloading "a" pushed the fleet over budget again: LRU of the
-        # others got evicted in its place.
-        assert stats["n_resident"] == 2
-
-    def test_ready_graph_sessions_are_never_evicted(self, tmp_path, graph_path):
-        graph = generate_graph(
-            200, 900, skew_compatibility(3, h=3.0), seed=9, name="pinned"
-        )
-        service = InferenceService(
-            max_sessions=1, queue_dir=tmp_path / "queues"
-        )
-        service.load_graph("pinned", graph=graph, fraction=0.1, seed=1)
-        service.load_graph("disk", path=graph_path, fraction=0.1, seed=1)
-        stats = service.stats()
-        # Over budget, but the instance-loaded session has no reload recipe
-        # — the service keeps it resident rather than losing it.
-        assert stats["graphs"]["pinned"]["resident"] is True
-
-    def test_unlogged_deltas_pin_the_session(self, graph_path):
-        service = InferenceService(max_sessions=1)  # no durable queue
-        service.load_graph("a", path=graph_path, fraction=0.1, seed=1)
-        service.apply_delta("a", edge_delta(0, 1))
-        service.load_graph("b", path=graph_path, fraction=0.1, seed=1)
-        stats = service.stats()
-        # Without a redo log, evicting "a" would lose its acked delta; it
-        # must stay resident even though the fleet is over budget.
-        assert stats["graphs"]["a"]["resident"] is True
-
-    def test_unload_of_evicted_stub(self, tmp_path, graph_path):
-        service = InferenceService(
-            max_sessions=1, queue_dir=tmp_path / "queues"
-        )
-        service.load_graph("a", path=graph_path, fraction=0.1, seed=1)
-        service.load_graph("b", path=graph_path, fraction=0.1, seed=1)
-        info = service.unload("a")
-        assert info["resident"] is False
-        assert service.graph_names() == ["b"]
-        assert not service.queue.has_log("a")
-
-
 # ------------------------------------------------- concurrent interleavings
 class TestConcurrentReadYourWrites:
     def test_writers_always_read_their_own_writes(self, tmp_path, graph_path):
@@ -305,6 +243,7 @@ class TestConcurrentReadYourWrites:
         service = durable_service(tmp_path, graph_path)
         failures: list[str] = []
         barrier = threading.Barrier(4)
+        batcher = MicroBatcher(service, max_latency_seconds=0.001)
 
         def writer(offset: int) -> None:
             barrier.wait()
@@ -314,8 +253,11 @@ class TestConcurrentReadYourWrites:
                 delta = GraphDelta.from_dict(
                     {"reveal": [[offset + i, i % 3]]}
                 )
-                token = service.apply_delta(
-                    "g", delta, propagate=(i % 2 == 0)
+                # Direct calls propagate in-line; applied acks through
+                # the batcher return before its solve publishes.
+                token = (
+                    service.apply_delta("g", delta) if i % 2 == 0
+                    else batcher.apply_delta("g", delta, ack="applied")
                 ).token
                 try:
                     result = service.query(
@@ -337,6 +279,7 @@ class TestConcurrentReadYourWrites:
             thread.start()
         for thread in threads:
             thread.join()
+        batcher.close()
         assert failures == []
         assert service.info("g")["graph_version"] == 24
 

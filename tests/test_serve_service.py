@@ -216,12 +216,13 @@ class TestCacheAndStaleness:
             assert second.staleness["queries_since_refresh"] == 1
             adjacency = service._served("g").session.graph.adjacency
             target = int(np.flatnonzero(adjacency[1].toarray()[0] == 0)[-1])
-            outcome = service.apply_delta(
-                "g", GraphDelta(add_edges=[[1, target]]), propagate=False
+            applied = service.apply_and_log(
+                "g", [GraphDelta(add_edges=[[1, target]])]
             )
-            assert not outcome.propagated
+            assert not applied.propagated
             assert service.info("g")["staleness"]["pending_deltas"] == 1
-            after = service.query("g", [1])  # lazy refresh covers the delta
+            service.propagate_and_publish(applied)
+            after = service.query("g", [1])  # the publish covers the delta
             assert after.staleness["queries_since_refresh"] == 0
             assert after.staleness["pending_deltas"] == 0
         finally:
@@ -333,20 +334,22 @@ class TestStats:
     def test_served_counts_do_not_depend_on_obs(self, serve_graph, tmp_path):
         # Graph info, decision stats and the service tallies are plain
         # state: a run with REPRO_OBS=off reports what the same run with
-        # obs on does, evictions and a redo-log replay included.
+        # obs on does, a redo-log replay included.
         path = save_graph_npz(serve_graph, tmp_path / "g.npz")
 
         def drive(run: str) -> dict:
-            service = InferenceService(max_sessions=1, queue_dir=tmp_path / run)
+            service = InferenceService(queue_dir=tmp_path / run)
             service.load_graph("a", path=path, fraction=0.1, seed=1)
             service.query("a", [1, 2])
             service.query("a", [3])
             service.apply_delta("a", GraphDelta(add_edges=[[1, 599]]))
-            service.load_graph("b", path=path, fraction=0.1, seed=1)  # evicts a
-            service.query("a", [1])  # reloads a, replaying its delta
+            # A new process over the same queue replays the delta.
+            service = InferenceService(queue_dir=tmp_path / run)
+            service.load_graph("a", path=path, fraction=0.1, seed=1, recover=True)
+            service.query("a", [1])
             stats = service.stats()
             counts = {key: stats[key] for key in (
-                "evictions", "reloads", "n_queries", "n_deltas", "n_solves",
+                "n_queries", "n_deltas", "n_solves",
             )}
             info = stats["graphs"]["a"]
             for key in ("n_queries", "n_deltas", "n_solves", "n_incremental",
@@ -357,7 +360,6 @@ class TestStats:
             return counts
 
         observed = drive("on")
-        assert observed["evictions"] == 2 and observed["reloads"] == 1
         assert observed["n_queries[a]"] == 1 and observed["n_deltas[a]"] == 1
         assert observed["touched_nnz_total"] > 0
         previous = obs.set_enabled(False)
