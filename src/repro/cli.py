@@ -13,7 +13,7 @@ Fourteen subcommands cover the end-to-end workflow without writing Python:
 * ``repro gc``         — compact a result store (drop superseded records)
 * ``repro stream``     — replay a JSONL delta stream with incremental propagation
 * ``repro serve``      — serve label-belief queries over HTTP (micro-batched)
-* ``repro top``        — live dashboard over one or more serve ``/metrics``
+* ``repro top``        — live dashboard over serve ``/metrics`` JSON snapshots
 * ``repro stats``      — summarize a trace file written by ``--trace``
 * ``repro list``       — print the registered propagators and estimators
 
@@ -334,9 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
         "top", help="live terminal dashboard over serve /metrics endpoints"
     )
     top.add_argument("endpoints", nargs="*",
-                     help="one or more /metrics endpoints: full URLs, "
-                          "host:port, or :port (localhost implied); several "
-                          "endpoints federate under an 'instance' label")
+                     help="one or more serve /metrics endpoints: full URLs, "
+                          "host:port, or :port (localhost implied); each is "
+                          "fetched as a JSON registry snapshot (Accept: "
+                          "application/json) and several federate under an "
+                          "'instance' label")
     top.add_argument("--router", default=None, metavar="URL",
                      help="discover worker /metrics endpoints from a "
                           "router's /fleet listing instead of naming them "

@@ -99,15 +99,6 @@ class GraphOperators:
             lambda: symmetric_normalized_adjacency(self.adjacency),
         )
 
-    def cast_adjacency(self, dtype) -> sp.csr_matrix:
-        """The adjacency in the requested dtype (cached per dtype)."""
-        dtype = np.dtype(dtype)
-        if dtype == self.adjacency.dtype:
-            return self.adjacency
-        return self._cached(
-            ("adjacency", dtype.str), lambda: self.adjacency.astype(dtype)
-        )
-
     # --------------------------------------------------------------- spectra
     def spectral_radius(self, seed=0) -> float:
         """Memoized ``rho(W)`` — computed once per graph, not per call."""

@@ -24,9 +24,10 @@ Fleet layer (PR 8), built on those primitives:
 * **History** — :class:`TimeSeriesRecorder` samples snapshots into a
   fixed-memory ring and answers windowed queries (rates, sliding
   p50/p95/p99); :func:`registry_source` feeds it locally.
-* **Federation** — :func:`parse_prometheus` reads exposition text back
-  into snapshot shape; :class:`MetricsScraper` / :func:`scrape_source`
-  poll N ``/metrics`` endpoints into one ``instance``-labeled view.
+* **Federation** — :func:`federate` fetches N ``/metrics`` endpoints as
+  registry snapshots (JSON, via ``Accept: application/json``) into one
+  ``instance``-labeled view; the router's ``/metrics`` and
+  :class:`MetricsScraper` (``repro top``) both call it.
 * **SLOs** — :class:`SloSpec` rules (JSON) evaluated by the recorder;
   firing rules degrade ``GET /healthz`` and surface on ``GET /alerts``.
 * **Sampling** — ``REPRO_TRACE_SAMPLE`` / :func:`configure_sampling`
@@ -69,11 +70,9 @@ from repro.obs.quality import (
 )
 from repro.obs.scrape import (
     MetricsScraper,
-    PrometheusParseError,
+    federate,
     federate_snapshots,
     label_snapshot,
-    parse_prometheus,
-    scrape_source,
 )
 from repro.obs.slo import RuleStatus, SloRule, SloSpec, SloSpecError
 from repro.obs.timeseries import TimeSeriesRecorder, registry_source
@@ -123,12 +122,10 @@ __all__ = [
     "summarize_spans",
     "TimeSeriesRecorder",
     "registry_source",
-    "parse_prometheus",
-    "PrometheusParseError",
     "label_snapshot",
     "federate_snapshots",
+    "federate",
     "MetricsScraper",
-    "scrape_source",
     "SloSpec",
     "SloRule",
     "RuleStatus",

@@ -1,22 +1,21 @@
-"""Prometheus text parsing and multi-endpoint federation.
+"""Multi-endpoint federation of registry snapshots.
 
-The write side of fleet observability is PR 7's ``GET /metrics``; this is
-the read side:
+The wire format is the registry's own *snapshot* dict
+(:meth:`~repro.obs.registry.MetricsRegistry.snapshot`): a serve worker
+returns it as JSON when a ``GET /metrics`` request sends ``Accept:
+application/json``, and Prometheus text stays the default for outside
+scrapers.  Everything downstream — merging, diffing, time-series
+recording — consumes that shape directly, so nothing here parses text.
 
-* :func:`parse_prometheus` — parse Prometheus text exposition (format
-  0.0.4, the dialect :func:`repro.obs.registry.render_prometheus` emits,
-  OpenMetrics exemplar suffixes tolerated) back into the registry's
-  *snapshot* dict shape, so everything downstream — merging, diffing,
-  time-series recording — reuses the machinery snapshots already have.
-  ``render -> parse -> re-render`` is the identity (property-tested).
-* :class:`MetricsScraper` — poll N ``/metrics`` URLs, parse each body,
-  and join the results into one *federated* snapshot where every series
-  carries an ``instance`` label.  Counters then sum across the fleet by
-  construction (``merge_snapshot`` adds disjointly-labeled children), so
-  N serve workers read as one system.
-* :func:`scrape_source` — adapts a scraper into a
-  :class:`~repro.obs.timeseries.TimeSeriesRecorder` source, giving the
-  recorder (and ``repro top`` on top of it) federated history.
+* :func:`federate` — fetch each endpoint's snapshot, join an
+  ``instance`` label onto every series (:func:`label_snapshot`) and merge
+  them into one registry (:func:`federate_snapshots`).  Counters then sum
+  across the fleet by construction (``merge_snapshot`` adds
+  disjointly-labeled children), so N serve workers read as one system.
+  The router's federated ``/metrics`` and :class:`MetricsScraper` both
+  call it.
+* :class:`MetricsScraper` — the polling client behind ``repro top``: N
+  endpoints, one :func:`federate` per round, per-instance up/down state.
 
 Everything is stdlib-only (``urllib``), matching the serve tier's
 dependency posture.
@@ -24,223 +23,20 @@ dependency posture.
 
 from __future__ import annotations
 
-import re
-import urllib.error
+import json
 import urllib.request
 
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
-    "PrometheusParseError",
-    "parse_prometheus",
     "label_snapshot",
     "federate_snapshots",
+    "federate",
     "MetricsScraper",
-    "scrape_source",
     "normalize_endpoint",
 ]
 
 
-class PrometheusParseError(ValueError):
-    """The exposition text is not parseable; names the offending line."""
-
-
-# The label body is matched pair-by-pair (quoted values may contain '}'),
-# never greedily — a greedy .* would swallow an exemplar's braces.
-_SERIES_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r'(?:\{(?P<labels>(?:\s*[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"\s*,?)*)\})?'
-    r"\s+(?P<value>[^\s#]+)"
-    r"(?:\s+#\s*\{.*\}.*)?"  # OpenMetrics exemplar suffix: tolerated, dropped
-    r"\s*$"
-)
-_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
-
-
-def _unescape_label_value(value: str) -> str:
-    return value.replace("\\\\", "\0").replace("\\n", "\n").replace('\\"', '"').replace("\0", "\\")
-
-
-def _parse_value(text: str, line_no: int) -> float:
-    try:
-        return float(text)  # handles +Inf/-Inf/NaN spellings too
-    except ValueError:
-        raise PrometheusParseError(
-            f"line {line_no}: unparseable sample value {text!r}"
-        ) from None
-
-
-def _parse_labels(body: str | None, line_no: int) -> dict[str, str]:
-    if not body:
-        return {}
-    labels: dict[str, str] = {}
-    consumed = 0
-    for match in _LABEL_RE.finditer(body):
-        labels[match.group(1)] = _unescape_label_value(match.group(2))
-        consumed = match.end()
-    # Everything between matches must be separators, otherwise the label
-    # block was malformed (an unterminated quote would silently drop pairs).
-    leftovers = (body[:consumed] if consumed else body)
-    stripped = _LABEL_RE.sub("", leftovers).replace(",", "").strip()
-    if stripped or (consumed and body[consumed:].strip(", ")):
-        raise PrometheusParseError(f"line {line_no}: malformed label block {{{body}}}")
-    return labels
-
-
-def _suffix(name: str, family: str) -> str | None:
-    """``_bucket``/``_sum``/``_count`` relative to a histogram family name."""
-    if name == family + "_bucket":
-        return "bucket"
-    if name == family + "_sum":
-        return "sum"
-    if name == family + "_count":
-        return "count"
-    return None
-
-
-class _HistogramAccumulator:
-    """Reassembles one histogram child from its cumulative exposition lines."""
-
-    __slots__ = ("cumulative", "sum", "count")
-
-    def __init__(self):
-        self.cumulative: list[tuple[float, float]] = []  # (le bound, cum count)
-        self.sum = 0.0
-        self.count = 0.0
-
-    def finish(self, line_no: int) -> tuple[list[float], dict]:
-        bounds = [bound for bound, _ in self.cumulative]
-        if bounds != sorted(set(bounds)):
-            raise PrometheusParseError(
-                f"line {line_no}: histogram le bounds not strictly increasing"
-            )
-        if not bounds or bounds[-1] != float("inf"):
-            raise PrometheusParseError(
-                f"line {line_no}: histogram is missing its +Inf bucket"
-            )
-        counts, previous = [], 0.0
-        for _, cumulative in self.cumulative:
-            if cumulative < previous:
-                raise PrometheusParseError(
-                    f"line {line_no}: histogram cumulative counts decrease"
-                )
-            counts.append(int(cumulative - previous))
-            previous = cumulative
-        return bounds[:-1], {
-            "counts": counts,
-            "sum": self.sum,
-            "count": int(self.count),
-        }
-
-
-def parse_prometheus(text: str) -> dict:
-    """Parse Prometheus 0.0.4 text into the registry snapshot dict shape.
-
-    The result is directly consumable by
-    :meth:`~repro.obs.registry.MetricsRegistry.merge_snapshot`,
-    :func:`~repro.obs.registry.diff_snapshots`, and the time-series
-    helpers.  Unknown ``TYPE`` kinds (summary, untyped) raise — the fleet
-    protocol is exactly what the registry emits.
-    """
-    families: dict = {}
-    helps: dict[str, str] = {}
-    kinds: dict[str, str] = {}
-    # family -> label-key -> payload (counters/gauges) or accumulator.
-    children: dict[str, dict] = {}
-    histogram_last_line: dict[str, int] = {}
-
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line:
-            continue
-        if line.startswith("# HELP "):
-            parts = line[len("# HELP "):].split(None, 1)
-            if parts:
-                helps[parts[0]] = parts[1] if len(parts) > 1 else ""
-            continue
-        if line.startswith("# TYPE "):
-            parts = line[len("# TYPE "):].split()
-            if len(parts) != 2:
-                raise PrometheusParseError(f"line {line_no}: malformed TYPE comment")
-            name, kind = parts
-            if kind not in ("counter", "gauge", "histogram"):
-                raise PrometheusParseError(
-                    f"line {line_no}: unsupported metric kind {kind!r}"
-                )
-            kinds[name] = kind
-            children.setdefault(name, {})
-            continue
-        if line.startswith("#"):
-            continue  # other comments are legal and ignored
-        match = _SERIES_RE.match(line)
-        if match is None:
-            raise PrometheusParseError(f"line {line_no}: unparseable sample {line!r}")
-        name = match.group("name")
-        labels = _parse_labels(match.group("labels"), line_no)
-        value = _parse_value(match.group("value"), line_no)
-
-        family = name if name in kinds else None
-        suffix = None
-        if family is None:
-            for candidate in kinds:
-                if kinds[candidate] == "histogram":
-                    suffix = _suffix(name, candidate)
-                    if suffix is not None:
-                        family = candidate
-                        break
-        if family is None:
-            raise PrometheusParseError(
-                f"line {line_no}: sample {name!r} has no preceding TYPE declaration"
-            )
-        if kinds[family] == "histogram":
-            if suffix is None:
-                raise PrometheusParseError(
-                    f"line {line_no}: histogram family {family!r} exposed a bare series"
-                )
-            histogram_last_line[family] = line_no
-            if suffix == "bucket":
-                if "le" not in labels:
-                    raise PrometheusParseError(
-                        f"line {line_no}: _bucket sample without an le label"
-                    )
-                bound = _parse_value(labels.pop("le"), line_no)
-            key = tuple(sorted(labels.items()))
-            accumulator = children[family].setdefault(key, _HistogramAccumulator())
-            if suffix == "bucket":
-                accumulator.cumulative.append((bound, value))
-            elif suffix == "sum":
-                accumulator.sum = value
-            else:
-                accumulator.count = value
-        else:
-            key = tuple(sorted(labels.items()))
-            children[family][key] = {"value": value}
-
-    for family, kind in kinds.items():
-        family_children = []
-        buckets = None
-        for key, payload in children.get(family, {}).items():
-            if isinstance(payload, _HistogramAccumulator):
-                child_buckets, payload = payload.finish(
-                    histogram_last_line.get(family, 0)
-                )
-                if buckets is None:
-                    buckets = child_buckets
-                elif buckets != child_buckets:
-                    raise PrometheusParseError(
-                        f"histogram {family!r} children disagree on bucket bounds"
-                    )
-            family_children.append([list(map(list, key)), payload])
-        families[family] = {
-            "kind": kind,
-            "help": helps.get(family, ""),
-            "buckets": buckets,
-            "children": family_children,
-        }
-    return {"families": families}
-
-
-# ------------------------------------------------------------------ federation
 def label_snapshot(snapshot: dict, **extra_labels) -> dict:
     """A copy of ``snapshot`` with ``extra_labels`` joined onto every child.
 
@@ -266,6 +62,41 @@ def federate_snapshots(labeled_snapshots) -> MetricsRegistry:
     for snapshot in labeled_snapshots:
         registry.merge_snapshot(snapshot)
     return registry
+
+
+def _fetch_snapshot(url: str, timeout: float) -> dict:
+    """GET one ``/metrics`` endpoint's registry snapshot as JSON."""
+    request = urllib.request.Request(url, headers={"Accept": "application/json"})
+    with urllib.request.urlopen(request, timeout=timeout) as response:
+        snapshot = json.loads(response.read().decode("utf-8"))
+    if not isinstance(snapshot, dict) or not isinstance(snapshot.get("families"), dict):
+        raise ValueError(f"{url} did not return a metrics snapshot")
+    return snapshot
+
+
+def federate(targets, timeout: float, local: dict | None = None):
+    """Fetch, label and merge the snapshots of ``(instance, url)`` targets.
+
+    ``local`` maps further instance names to snapshots already in hand
+    (the router's own registry).  Returns ``(instances, registry)``:
+    ``instances`` holds ``{"up", "error", "snapshot"}`` per target, and a
+    target that cannot be fetched is reported down and contributes nothing
+    — a scrape miss never fails the federation.
+    """
+    labeled = [
+        label_snapshot(snapshot, instance=instance)
+        for instance, snapshot in (local or {}).items()
+    ]
+    instances: dict[str, dict] = {}
+    for instance, url in targets:
+        try:
+            snapshot = _fetch_snapshot(url, timeout)
+        except (OSError, ValueError) as exc:  # URLError is an OSError
+            instances[instance] = {"up": False, "error": str(exc), "snapshot": None}
+            continue
+        instances[instance] = {"up": True, "error": None, "snapshot": snapshot}
+        labeled.append(label_snapshot(snapshot, instance=instance))
+    return instances, federate_snapshots(labeled)
 
 
 def normalize_endpoint(endpoint: str) -> tuple[str, str]:
@@ -309,10 +140,6 @@ class MetricsScraper:
             seen.add(instance)
         self.timeout = float(timeout)
 
-    def fetch(self, url: str) -> str:
-        with urllib.request.urlopen(url, timeout=self.timeout) as response:
-            return response.read().decode("utf-8")
-
     def scrape(self) -> dict:
         """One polling round.
 
@@ -320,24 +147,5 @@ class MetricsScraper:
         "snapshot": federated}`` where ``federated`` unions every live
         instance's series under its ``instance`` label.
         """
-        instances: dict[str, dict] = {}
-        labeled = []
-        for instance, url in self.targets:
-            try:
-                snapshot = parse_prometheus(self.fetch(url))
-            except (OSError, urllib.error.URLError, PrometheusParseError) as exc:
-                instances[instance] = {"up": False, "error": str(exc), "snapshot": None}
-                continue
-            instances[instance] = {"up": True, "error": None, "snapshot": snapshot}
-            labeled.append(label_snapshot(snapshot, instance=instance))
-        return {
-            "instances": instances,
-            "snapshot": federate_snapshots(labeled).snapshot(),
-        }
-
-
-def scrape_source(endpoints, timeout: float = 2.0):
-    """A :class:`~repro.obs.timeseries.TimeSeriesRecorder` source that
-    samples the federated view of ``endpoints`` on every tick."""
-    scraper = MetricsScraper(endpoints, timeout=timeout)
-    return lambda: scraper.scrape()["snapshot"]
+        instances, registry = federate(self.targets, self.timeout)
+        return {"instances": instances, "snapshot": registry.snapshot()}

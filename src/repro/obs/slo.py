@@ -8,7 +8,7 @@ metric, a window, and a bound, and evaluates against a
 ``GET /healthz`` degrades to 503 while any rule fires (naming it), and
 ``GET /alerts`` lists every status.
 
-Rule kinds (``kind`` field):
+Rule kinds (``kind`` field), each with a reader among the shipped specs:
 
 ``quantile_max``
     Sliding-window histogram quantile must stay <= ``max`` (latency SLOs:
@@ -18,18 +18,11 @@ Rule kinds (``kind`` field):
     quality-floor dual of ``quantile_max`` (accuracy SLOs:
     ``{"metric": "repro_quality_prequential_accuracy", "q": 0.5,
     "min": 0.6}``).
-``rate_max`` / ``rate_min``
-    Windowed counter rate ceiling / floor (error-rate ceilings, traffic
-    liveness floors).
-``gauge_max`` / ``gauge_min``
-    Latest gauge bound (queue-depth saturation).
+``gauge_max``
+    Latest gauge total must stay <= ``max`` (queue depth, quality drift).
 ``ratio_max``
-    Windowed rate of ``metric`` over rate of ``denominator`` must stay <=
-    ``max`` (classic error *ratio*).
-``burn_rate``
-    Multi-window error-budget burn: the error ratio must exceed
-    ``factor * budget`` in **both** the short and the long window to fire
-    — fast enough to page on a real burn, immune to one-sample blips.
+    Windowed increase of ``metric`` over that of ``denominator`` must stay
+    <= ``max`` (the classic 5xx error *ratio*).
 
 Label selectors (``labels`` / ``denominator_labels``) are regex-fullmatch
 maps, so ``{"status": "5.."}`` selects the whole 5xx class.  Rules with
@@ -45,16 +38,7 @@ from pathlib import Path
 
 __all__ = ["RuleStatus", "SloRule", "SloSpec", "SloSpecError"]
 
-_KINDS = (
-    "quantile_max",
-    "min_quantile",
-    "rate_max",
-    "rate_min",
-    "gauge_max",
-    "gauge_min",
-    "ratio_max",
-    "burn_rate",
-)
+_KINDS = ("quantile_max", "min_quantile", "gauge_max", "ratio_max")
 
 
 class SloSpecError(ValueError):
@@ -105,19 +89,14 @@ class SloRule:
     metric: str
     labels: dict = field(default_factory=dict)
     window_seconds: float = 60.0
-    # quantile_max
+    # quantile_max / min_quantile
     q: float = 0.99
-    # *_max / *_min bounds
+    # min_quantile's floor, every other kind's ceiling
     max: float | None = None
     min: float | None = None
-    # ratio_max / burn_rate
+    # ratio_max
     denominator: str | None = None
     denominator_labels: dict = field(default_factory=dict)
-    # burn_rate
-    budget: float | None = None
-    factor: float = 14.4
-    short_window_seconds: float = 60.0
-    long_window_seconds: float = 3600.0
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SloRule":
@@ -131,8 +110,7 @@ class SloRule:
         _require(isinstance(metric, str) and bool(metric), name, "needs a 'metric' name")
         known = {
             "name", "kind", "metric", "labels", "window_seconds", "q", "max",
-            "min", "denominator", "denominator_labels", "budget", "factor",
-            "short_window_seconds", "long_window_seconds",
+            "min", "denominator", "denominator_labels",
         }
         unknown = set(payload) - known
         _require(not unknown, name, f"unknown fields {sorted(unknown)}")
@@ -147,145 +125,51 @@ class SloRule:
             min=None if payload.get("min") is None else float(payload["min"]),
             denominator=payload.get("denominator"),
             denominator_labels=dict(payload.get("denominator_labels") or {}),
-            budget=None if payload.get("budget") is None else float(payload["budget"]),
-            factor=float(payload.get("factor", 14.4)),
-            short_window_seconds=float(payload.get("short_window_seconds", 60.0)),
-            long_window_seconds=float(payload.get("long_window_seconds", 3600.0)),
         )
-        if kind in ("quantile_max", "rate_max", "gauge_max", "ratio_max"):
-            _require(rule.max is not None, name, f"kind {kind} needs 'max'")
-        if kind in ("min_quantile", "rate_min", "gauge_min"):
-            _require(rule.min is not None, name, f"kind {kind} needs 'min'")
+        bound = "min" if kind == "min_quantile" else "max"
+        _require(getattr(rule, bound) is not None, name, f"kind {kind} needs '{bound}'")
         if kind in ("quantile_max", "min_quantile"):
             _require(0.0 < rule.q < 1.0, name, "'q' must be in (0, 1)")
-        if kind in ("ratio_max", "burn_rate"):
+        if kind == "ratio_max":
             _require(bool(rule.denominator), name, f"kind {kind} needs 'denominator'")
-        if kind == "burn_rate":
-            _require(rule.budget is not None and rule.budget > 0, name,
-                     "kind burn_rate needs a positive 'budget'")
         return rule
 
     # ------------------------------------------------------------ evaluation
     def evaluate(self, recorder) -> RuleStatus:
-        handler = getattr(self, f"_eval_{self.kind}")
-        return handler(recorder)
-
-    def _status(self, ok: bool, value, threshold, data: bool, detail: str) -> RuleStatus:
+        if self.kind == "gauge_max":
+            value, measured = recorder.gauge(self.metric, **self.labels), "gauge"
+        elif self.kind == "ratio_max":
+            value, measured = self._ratio(recorder), f"ratio over {self.window_seconds:g}s"
+        else:
+            value = recorder.quantile(
+                self.metric, self.q, self.window_seconds, **self.labels
+            )
+            measured = f"p{self.q * 100:g} over {self.window_seconds:g}s"
+        floor = self.kind == "min_quantile"
+        threshold = self.min if floor else self.max
+        if value is None:
+            return RuleStatus(
+                name=self.name, kind=self.kind, ok=True, value=None,
+                threshold=float(threshold), data=False, detail="insufficient history",
+            )
+        ok = value >= threshold if floor else value <= threshold
+        relation = (">=" if ok else "<") if floor else ("<=" if ok else ">")
         return RuleStatus(
-            name=self.name, kind=self.kind, ok=ok,
-            value=None if value is None else float(value),
-            threshold=float(threshold), data=data, detail=detail,
+            name=self.name, kind=self.kind, ok=ok, value=float(value),
+            threshold=float(threshold), data=True,
+            detail=f"{measured} = {value:.6g} ({relation} {threshold:g})",
         )
 
-    def _no_data(self, threshold) -> RuleStatus:
-        return self._status(True, None, threshold, False, "insufficient history")
-
-    def _eval_quantile_max(self, recorder) -> RuleStatus:
-        value = recorder.quantile(
-            self.metric, self.q, self.window_seconds, **self.labels
+    def _ratio(self, recorder) -> float | None:
+        numerator = recorder.counter_delta(
+            self.metric, self.window_seconds, **self.labels
         )
-        if value is None:
-            return self._no_data(self.max)
-        ok = value <= self.max
-        return self._status(
-            ok, value, self.max, True,
-            f"p{self.q * 100:g} over {self.window_seconds:g}s = {value:.6g} "
-            f"({'<=' if ok else '>'} {self.max:g})",
-        )
-
-    def _eval_min_quantile(self, recorder) -> RuleStatus:
-        value = recorder.quantile(
-            self.metric, self.q, self.window_seconds, **self.labels
-        )
-        if value is None:
-            return self._no_data(self.min)
-        ok = value >= self.min
-        return self._status(
-            ok, value, self.min, True,
-            f"p{self.q * 100:g} over {self.window_seconds:g}s = {value:.6g} "
-            f"({'>=' if ok else '<'} {self.min:g})",
-        )
-
-    def _rate(self, recorder):
-        return recorder.counter_rate(self.metric, self.window_seconds, **self.labels)
-
-    def _eval_rate_max(self, recorder) -> RuleStatus:
-        value = self._rate(recorder)
-        if value is None:
-            return self._no_data(self.max)
-        ok = value <= self.max
-        return self._status(
-            ok, value, self.max, True,
-            f"rate over {self.window_seconds:g}s = {value:.6g}/s "
-            f"({'<=' if ok else '>'} {self.max:g})",
-        )
-
-    def _eval_rate_min(self, recorder) -> RuleStatus:
-        value = self._rate(recorder)
-        if value is None:
-            return self._no_data(self.min)
-        ok = value >= self.min
-        return self._status(
-            ok, value, self.min, True,
-            f"rate over {self.window_seconds:g}s = {value:.6g}/s "
-            f"({'>=' if ok else '<'} {self.min:g})",
-        )
-
-    def _eval_gauge_max(self, recorder) -> RuleStatus:
-        value = recorder.gauge(self.metric, **self.labels)
-        if value is None:
-            return self._no_data(self.max)
-        ok = value <= self.max
-        return self._status(
-            ok, value, self.max, True,
-            f"gauge = {value:.6g} ({'<=' if ok else '>'} {self.max:g})",
-        )
-
-    def _eval_gauge_min(self, recorder) -> RuleStatus:
-        value = recorder.gauge(self.metric, **self.labels)
-        if value is None:
-            return self._no_data(self.min)
-        ok = value >= self.min
-        return self._status(
-            ok, value, self.min, True,
-            f"gauge = {value:.6g} ({'>=' if ok else '<'} {self.min:g})",
-        )
-
-    def _ratio(self, recorder, window_seconds: float) -> float | None:
-        numerator = recorder.counter_delta(self.metric, window_seconds, **self.labels)
         denominator = recorder.counter_delta(
-            self.denominator, window_seconds, **self.denominator_labels
+            self.denominator, self.window_seconds, **self.denominator_labels
         )
         if denominator is None or denominator <= 0:
             return None  # no traffic: a ratio over zero events is undefined
         return (numerator or 0.0) / denominator
-
-    def _eval_ratio_max(self, recorder) -> RuleStatus:
-        value = self._ratio(recorder, self.window_seconds)
-        if value is None:
-            return self._no_data(self.max)
-        ok = value <= self.max
-        return self._status(
-            ok, value, self.max, True,
-            f"ratio over {self.window_seconds:g}s = {value:.6g} "
-            f"({'<=' if ok else '>'} {self.max:g})",
-        )
-
-    def _eval_burn_rate(self, recorder) -> RuleStatus:
-        threshold = self.factor * self.budget
-        short = self._ratio(recorder, self.short_window_seconds)
-        long = self._ratio(recorder, self.long_window_seconds)
-        if short is None or long is None:
-            return self._no_data(threshold)
-        # Both windows must burn: the short one gives detection speed, the
-        # long one rejects single-sample blips.
-        ok = not (short > threshold and long > threshold)
-        return self._status(
-            ok, short, threshold, True,
-            f"error ratio short/{self.short_window_seconds:g}s = {short:.6g}, "
-            f"long/{self.long_window_seconds:g}s = {long:.6g} "
-            f"(budget x factor = {threshold:.6g})",
-        )
 
 
 @dataclass

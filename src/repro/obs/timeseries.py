@@ -18,9 +18,10 @@ answer:
 
 The snapshot *source* is any zero-argument callable returning the
 ``registry.snapshot()`` dict shape; :func:`registry_source` adapts one or
-more local registries, and :func:`repro.obs.scrape.scrape_source` adapts a
-fleet of remote ``/metrics`` endpoints — the recorder itself does not care
-whether history is single-process or federated.
+more local registries (a worker's SLO recorder), and ``repro top`` samples
+the federated snapshot of remote ``/metrics`` endpoints
+(:class:`repro.obs.scrape.MetricsScraper`) — the recorder itself does not
+care whether history is single-process or federated.
 
 An :class:`~repro.obs.slo.SloSpec` attached via :meth:`attach_slo` is
 re-evaluated after every sample; rule transitions invoke ``on_alert`` (the
@@ -166,7 +167,7 @@ class TimeSeriesRecorder:
     ----------
     source:
         Zero-argument callable returning a snapshot dict (see
-        :func:`registry_source` / :func:`repro.obs.scrape.scrape_source`).
+        :func:`registry_source`).
     interval_seconds:
         Background sampling period (and the resolution of
         :meth:`series`).

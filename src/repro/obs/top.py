@@ -1,8 +1,8 @@
 """`repro top` — a live terminal dashboard over one or more serve workers.
 
 :class:`TopClient` composes the fleet-observability pieces end to end:
-a :class:`~repro.obs.scrape.MetricsScraper` polls every ``/metrics``
-endpoint, the federated snapshots feed a
+a :class:`~repro.obs.scrape.MetricsScraper` fetches every ``/metrics``
+endpoint's registry snapshot as JSON, the federated snapshots feed a
 :class:`~repro.obs.timeseries.TimeSeriesRecorder` ring, and
 :meth:`TopClient.summary` reduces that history to the numbers an
 operator watches — fleet qps, windowed p50/p99, error ratio, queue

@@ -8,8 +8,7 @@ harmonic functions) implement one interface,
 
 * the **engine** (:mod:`repro.propagation.engine`) owns the shared,
   buffer-reusing fixed-point loop (:func:`~repro.propagation.engine.fixed_point_iterate`
-  — configurable tolerance and iteration cap, residual history, optional
-  float32 iterates), the uniform
+  — configurable tolerance and iteration cap, residual history), the uniform
   :class:`~repro.propagation.engine.PropagationResult` (beliefs, labels,
   iterations, convergence flag, residuals, wall time) and the string-keyed
   ``PROPAGATORS`` / ``ESTIMATORS`` registries;

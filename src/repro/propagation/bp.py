@@ -93,11 +93,10 @@ class LoopyBPPropagator(Propagator):
         self,
         max_iterations: int = 50,
         tolerance: float = 1e-6,
-        dtype=np.float64,
         damping: float = 0.0,
         clip_potential: bool = True,
     ) -> None:
-        super().__init__(max_iterations=max_iterations, tolerance=tolerance, dtype=dtype)
+        super().__init__(max_iterations=max_iterations, tolerance=tolerance)
         if not 0.0 <= damping < 1.0:
             raise ValueError(f"damping must be in [0, 1), got {damping}")
         self.damping = float(damping)

@@ -9,8 +9,8 @@ is everyone's label?").  This module provides the shared substrate:
   :meth:`Propagator._run`; the base class handles validation, one-hot
   priors, timing, arg-max labeling and seed clamping.
 * :func:`fixed_point_iterate` — the one buffer-reusing fixed-point loop
-  (configurable tolerance and iteration cap, residual history, optional
-  float32 iterates) that every iterative propagator runs on.
+  (configurable tolerance and iteration cap, residual history) that every
+  iterative propagator runs on.
 * :class:`PropagationResult` — the uniform return type: beliefs, labels,
   iteration count, convergence flag, residual history and wall time.
 * ``PROPAGATORS`` / ``ESTIMATORS`` — string-keyed registries with
@@ -162,9 +162,6 @@ class Propagator(abc.ABC):
         Cap on fixed-point sweeps.
     tolerance:
         Max-norm convergence threshold of the shared loop.
-    dtype:
-        Dtype of the iterates; ``numpy.float32`` halves memory traffic on
-        large graphs at a small accuracy cost.
     """
 
     name = "propagator"
@@ -174,12 +171,10 @@ class Propagator(abc.ABC):
         self,
         max_iterations: int = 100,
         tolerance: float = 1e-8,
-        dtype=np.float64,
     ) -> None:
         check_positive(max_iterations, "max_iterations")
         self.max_iterations = int(max_iterations)
         self.tolerance = float(tolerance)
-        self.dtype = np.dtype(dtype)
 
     # ------------------------------------------------------------ public API
     def propagate(
@@ -344,11 +339,11 @@ class Propagator(abc.ABC):
         return int(n_classes)
 
     @staticmethod
-    def _dense(matrix, dtype=np.float64) -> np.ndarray:
+    def _dense(matrix) -> np.ndarray:
         """Prior beliefs as a dense float array (sparse inputs are expanded)."""
         if sp.issparse(matrix):
-            return np.asarray(matrix.todense(), dtype=dtype)
-        return np.asarray(matrix, dtype=dtype)
+            return np.asarray(matrix.todense(), dtype=np.float64)
+        return np.asarray(matrix, dtype=np.float64)
 
     @abc.abstractmethod
     def _run(

@@ -36,14 +36,6 @@ class HarmonicPropagator(Propagator):
     name = "harmonic"
     needs_compatibility = False
 
-    def __init__(
-        self,
-        max_iterations: int = 100,
-        tolerance: float = 1e-8,
-        dtype=np.float64,
-    ) -> None:
-        super().__init__(max_iterations=max_iterations, tolerance=tolerance, dtype=dtype)
-
     def _run(
         self,
         operators: GraphOperators,
@@ -54,7 +46,7 @@ class HarmonicPropagator(Propagator):
     ) -> tuple[np.ndarray, int, bool, list[float], dict]:
         if seed_labels is None:
             raise ValueError("harmonic functions need seed_labels to clamp seeds")
-        clamped = self._dense(one_hot_labels(seed_labels, n_classes), dtype=self.dtype)
+        clamped = self._dense(one_hot_labels(seed_labels, n_classes))
         seeded = seed_labels >= 0
         averaging = operators.row_normalized
 

@@ -90,8 +90,6 @@ class LinBPPropagator(Propagator):
         Number of synchronous update sweeps (paper uses 10).
     tolerance:
         Early-exit threshold on the max-norm belief change.
-    dtype:
-        Iterate dtype; ``numpy.float32`` halves memory traffic.
     safety:
         Convergence safety factor ``s`` used to derive ``epsilon`` (Eq. 2).
     center:
@@ -111,13 +109,12 @@ class LinBPPropagator(Propagator):
         self,
         max_iterations: int = 10,
         tolerance: float = 1e-6,
-        dtype=np.float64,
         safety: float = 0.5,
         center: bool = True,
         echo_cancellation: bool = False,
         scaling: float | None = None,
     ) -> None:
-        super().__init__(max_iterations=max_iterations, tolerance=tolerance, dtype=dtype)
+        super().__init__(max_iterations=max_iterations, tolerance=tolerance)
         check_positive(safety, "safety")
         self.safety = float(safety)
         self.center = bool(center)
@@ -222,7 +219,7 @@ class LinBPPropagator(Propagator):
         """The (echo-free) fixed point as ``F = B + W F C`` for the push solver."""
         modulation, scaling = self._system_terms(operators, compatibility)
         return LinearFixedPoint(
-            adjacency=operators.cast_adjacency(np.float64),
+            adjacency=operators.adjacency,
             coupling=np.asarray(scaling * modulation, dtype=np.float64),
             offset=np.asarray(priors, dtype=np.float64),
             details={"scaling": scaling},
@@ -312,11 +309,11 @@ class LinBPPropagator(Propagator):
         warm_beliefs: np.ndarray | None = None,
     ) -> tuple[np.ndarray, int, bool, list[float], dict]:
         modulation, scaling = self._system_terms(operators, compatibility)
-        modulation = np.asarray(scaling * modulation, dtype=self.dtype)
-        priors = np.asarray(prior_beliefs, dtype=self.dtype)
-        adjacency = operators.cast_adjacency(self.dtype)
+        modulation = np.asarray(scaling * modulation, dtype=np.float64)
+        priors = np.asarray(prior_beliefs, dtype=np.float64)
+        adjacency = operators.adjacency
         echo = self.echo_cancellation
-        degrees = operators.degrees.astype(self.dtype) if echo else None
+        degrees = operators.degrees if echo else None
         echo_modulation = modulation @ modulation if echo else None
 
         # Sweep l of a cold run is zero off the seeds' l-hop ball.
@@ -346,7 +343,7 @@ class LinBPPropagator(Propagator):
         # previous scaling was.
         initial = (
             priors if warm_beliefs is None
-            else np.asarray(warm_beliefs, dtype=self.dtype)
+            else np.asarray(warm_beliefs, dtype=np.float64)
         )
         beliefs, n_iterations, converged, residuals = fixed_point_iterate(
             step, initial, self.max_iterations, self.tolerance
@@ -367,7 +364,6 @@ class EchoLinBPPropagator(LinBPPropagator):
         self,
         max_iterations: int = 10,
         tolerance: float = 1e-6,
-        dtype=np.float64,
         safety: float = 0.5,
         center: bool = True,
         scaling: float | None = None,
@@ -375,7 +371,6 @@ class EchoLinBPPropagator(LinBPPropagator):
         super().__init__(
             max_iterations=max_iterations,
             tolerance=tolerance,
-            dtype=dtype,
             safety=safety,
             center=center,
             echo_cancellation=True,

@@ -251,7 +251,10 @@ class MicroBatcher:
 
         # One apply and one propagation per graph.  Every graph's apply
         # half runs first, so an applied ack never waits out another
-        # graph's solve.
+        # graph's solve.  Both halves run under a span parented to the
+        # first submitter's context, so the service's spans (serve.delta,
+        # serve.propagate, stream.propagate, engine.solve) join that
+        # request's trace.
         by_graph: dict[str, list[_Pending]] = {}
         for pending in batch:
             by_graph.setdefault(pending.graph, []).append(pending)
@@ -261,11 +264,13 @@ class MicroBatcher:
             self.n_delta_batches += 1
             call_start = time.perf_counter()
             try:
-                applied = self.service.apply_and_log(
-                    graph,
-                    [pending.delta for pending in pendings],
-                    delta_ids=[pending.delta_id for pending in pendings],
-                )
+                with obs.span("batcher.apply", parent=pendings[0].ctx, graph=graph,
+                              coalesced=len(pendings)):
+                    applied = self.service.apply_and_log(
+                        graph,
+                        [pending.delta for pending in pendings],
+                        delta_ids=[pending.delta_id for pending in pendings],
+                    )
             except Exception as exc:
                 for pending in pendings:
                     pending.future.set_exception(exc)
@@ -282,7 +287,9 @@ class MicroBatcher:
 
         for applied, pendings, waiting, call_start in solves:
             try:
-                outcome = self.service.propagate_and_publish(applied)
+                with obs.span("batcher.propagate", parent=pendings[0].ctx,
+                              graph=applied.name, coalesced=len(pendings)):
+                    outcome = self.service.propagate_and_publish(applied)
             except Exception as exc:
                 # Applied acks stand: their deltas are logged, and the next
                 # flush's propagation covers them.  Until then the graph

@@ -21,8 +21,10 @@ dependencies) exposing:
 * ``POST /graphs/<name>/query`` — ``{"nodes": [...], "top_k": 2}`` →
   beliefs/labels/top-k plus staleness metadata;
 * ``GET /stats`` — service-wide counters plus the batcher's delta tallies;
-* ``GET /metrics`` — the :mod:`repro.obs` registries in Prometheus text
-  exposition format (the service registry plus the process-global one);
+* ``GET /metrics`` — the :mod:`repro.obs` registries (the service
+  registry plus the process-global one) in Prometheus text exposition
+  format, or as the registry snapshot JSON that federation reads when the
+  request sends ``Accept: application/json``;
 * ``GET /healthz`` — *real* health, not a constant: per-graph session
   liveness (anchoring solve completed), batcher delta-queue saturation, and the
   attached SLO rules — 200 while everything holds, 503 naming the
@@ -68,6 +70,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro import obs
+from repro.obs.timeseries import merge_family_maps
 from repro.serve.batcher import MicroBatcher
 from repro.serve.service import InferenceService, ServeError
 
@@ -319,10 +322,14 @@ class ServeHandler(JsonHandler):
                 registries = [service.registry]
                 if obs.metrics() is not service.registry:
                     registries.append(obs.metrics())
-                self._send_body(
-                    obs.render_prometheus(registries).encode("utf-8"),
-                    "text/plain; version=0.0.4; charset=utf-8", 200,
-                )
+                if "application/json" in self.headers.get("Accept", ""):
+                    # The snapshot federation reads (repro top, the router).
+                    self._send_json(merge_family_maps(r.snapshot() for r in registries))
+                else:
+                    self._send_body(
+                        obs.render_prometheus(registries).encode("utf-8"),
+                        "text/plain; version=0.0.4; charset=utf-8", 200,
+                    )
                 return True
             if len(parts) == 2 and parts[0] == "graphs":
                 self._send_json(service.info(parts[1]))

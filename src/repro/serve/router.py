@@ -25,10 +25,11 @@ horizontally —
   deltas are never lost; proxied delta retries carry idempotency ids so
   at-least-once delivery cannot double-apply;
 * **fleet observability**: ``GET /metrics`` federates every worker's
-  registry under an ``instance`` label (PR 8's scrape machinery, reused
-  verbatim), ``GET /healthz`` aggregates worker health and names exactly
-  which workers/graphs are in trouble, ``GET /fleet`` lists the workers
-  for ``repro top --router``.
+  registry snapshot (fetched as JSON) under an ``instance`` label through
+  the same :func:`~repro.obs.scrape.federate` ``repro top`` polls with,
+  ``GET /healthz`` aggregates worker health and names exactly which
+  workers/graphs are in trouble, ``GET /fleet`` lists the workers for
+  ``repro top --router``.
 
 Everything is stdlib-only (``subprocess`` + ``http.client`` +
 ``http.server``), matching the serve tier's dependency posture.
@@ -49,11 +50,7 @@ from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 from repro import obs
-from repro.obs.scrape import (
-    federate_snapshots,
-    label_snapshot,
-    parse_prometheus,
-)
+from repro.obs.scrape import federate
 from repro.serve.http import JsonHandler, inbound_trace_id
 from repro.serve.service import ServeError
 from repro.utils.placement import place
@@ -544,30 +541,23 @@ class Router:
         return payload, not problems
 
     def metrics_text(self) -> str:
-        """Federated ``/metrics``: every worker's registry + the router's.
+        """Federated ``/metrics``: every live worker's registry + the router's.
 
-        Each worker's series gain an ``instance`` label (its authority),
-        the router's own gain ``instance="router"`` — counters sum across
-        the fleet by construction, exactly like PR 8's multi-endpoint
-        ``repro top``.
+        Each worker's snapshot is fetched as JSON and its series gain an
+        ``instance`` label (its authority), the router's own gain
+        ``instance="router"`` — counters sum across the fleet by
+        construction, through the same :func:`~repro.obs.scrape.federate`
+        that ``repro top`` polls with.
         """
-        labeled = [
-            label_snapshot(self.registry.snapshot(), instance="router")
+        targets = [
+            (f"{handle.host}:{handle.port}", f"{handle.url}/metrics")
+            for handle in self.workers
+            if handle.alive
         ]
-        for handle in self.workers:
-            if not handle.alive:
-                continue
-            try:
-                _, body = self._raw_request(
-                    handle, "GET", "/metrics", None, timeout=2.0
-                )
-                snapshot = parse_prometheus(body.decode("utf-8"))
-            except (OSError, http.client.HTTPException, ValueError):
-                continue  # a scrape miss must not fail the endpoint
-            labeled.append(
-                label_snapshot(snapshot, instance=f"{handle.host}:{handle.port}")
-            )
-        return obs.render_prometheus([federate_snapshots(labeled)])
+        _, federated = federate(
+            targets, timeout=2.0, local={"router": self.registry.snapshot()}
+        )
+        return obs.render_prometheus([federated])
 
     def quality(self) -> dict:
         """Fleet-aggregated model quality across every worker.

@@ -96,7 +96,7 @@ class IncrementalPropagator:
     ----------
     propagator:
         The wrapped LinBP (a ready instance; its configuration — cap,
-        tolerance, dtype, echo — applies to warm and full solves alike).
+        tolerance, echo — applies to warm and full solves alike).
     full_solve_edge_fraction:
         Re-solve from scratch once the edges changed since the last full
         solve exceed this fraction of the current edge count.

@@ -42,7 +42,6 @@ from repro.propagation.convergence import (
     COLD_LANCZOS_STEPS,
     COLD_LANCZOS_TOLERANCE,
     SpectralState,
-    cold_radius,
     lanczos_spectral_state,
     ladder_rung,
 )
@@ -384,31 +383,23 @@ class StreamingSession:
         """Settle ``rho(W)``'s ladder rung and prime it; returns (drift, products).
 
         An ``anchor`` reruns the cold seeded Lanczos, so a full solve's
-        epsilon is the batch epsilon bit for bit, and takes its second Ritz
-        value as ``theta_2``.  Otherwise the carried Ritz pair (already
-        moved over the pending ``dW``) is read: when Temple's interval
+        epsilon is the batch epsilon bit for bit, keeps its basis to rebuild
+        the carried Ritz pair and takes its second Ritz value as
+        ``theta_2``.  Otherwise the carried Ritz pair (already moved over
+        the pending ``dW``) is read: when Temple's interval
         ``[theta', theta' + ||r'||^2 / g]``, ``g = TEMPLE_GAP_SHARE *
         (theta' - theta_2)``, fits one rung, ``theta'`` is primed with no
         product, else a warm Lanczos from ``v`` runs until its own interval
-        (same ``g``) fits one with ``REFRESH_HEADROOM`` to spare.
+        (same ``g``) fits one with ``REFRESH_HEADROOM`` to spare.  Should
+        the warm pair's interval still straddle a rung boundary (``rho``
+        within rounding of one, as for any integer ``rho``), only the cold
+        run gives the batch's rung, so it runs as on an anchor.
         """
         adjacency = self.graph.adjacency
         state = self._spectral
-        if state is None:
-            # The first anchor keeps the cold run's basis for a Ritz vector.
-            state = lanczos_spectral_state(
-                adjacency,
-                max_steps=COLD_LANCZOS_STEPS,
-                tolerance=COLD_LANCZOS_TOLERANCE,
-                seed=self.spectral_seed,
-            )
-            radius, self._second, products = state.radius, state.second, state.n_steps
-        elif anchor:
-            # Later anchors run the cold recurrence on two vectors and keep
-            # carrying the pair.
-            radius, self._second, products = cold_radius(adjacency, self.spectral_seed)
-        else:
-            radius, products = state.rayleigh, 0
+        products = 0
+        if not anchor and state is not None:
+            radius = state.rayleigh
             gap = TEMPLE_GAP_SHARE * (radius - self._second)
             if ladder_rung(radius, state.residual_sq, gap) is None:
                 state = lanczos_spectral_state(
@@ -421,6 +412,17 @@ class StreamingSession:
                     ) is not None,
                 )
                 radius, products = state.radius, state.n_steps
+                if ladder_rung(state.rayleigh, state.residual_sq, gap) is None:
+                    state = None
+        if anchor or state is None:
+            state = lanczos_spectral_state(
+                adjacency,
+                max_steps=COLD_LANCZOS_STEPS,
+                tolerance=COLD_LANCZOS_TOLERANCE,
+                seed=self.spectral_seed,
+            )
+            radius, self._second = state.radius, state.second
+            products += state.n_steps
         self._spectral = state
         self.graph.operators.prime_spectral_radius(radius)
         drift = None
@@ -430,6 +432,20 @@ class StreamingSession:
             # Re-anchor: the drift budget restarts from the cold radius.
             self._anchor_radius = radius
         return drift, products
+
+    def _blind_change(self) -> bool:
+        """True when a pending ``dW`` entry joins two nodes where ``v`` is 0.
+
+        Those are nodes added since the last refresh: ``v'dWv`` and
+        ``dWv`` are zero there, so the carried pair cannot see what the
+        entry does to ``rho(W)`` (a clique grown among new nodes), and only
+        a cold anchor can.
+        """
+        state = self._spectral
+        return state is not None and any(
+            np.any((state.vector[change.row] == 0.0) & (state.vector[change.col] == 0.0))
+            for change in self._pending.changes
+        )
 
     def propagate(self, force_full: bool = False) -> StreamStep:
         """Advance the beliefs over everything applied since the last solve.
@@ -462,7 +478,7 @@ class StreamingSession:
             start = time.perf_counter()
             if self._spectral is not None:
                 self._spectral.advance(self._pending.changes, self.graph.n_nodes)
-            anchor = decide(None).mode == "full"
+            anchor = decide(None).mode == "full" or self._blind_change()
             drift, spectral_products = self._refresh_spectral(anchor)
             if not anchor and decide(drift).mode == "full":
                 spectral_products += self._refresh_spectral(anchor=True)[1]

@@ -732,11 +732,25 @@ class TestServeCommand:
         assert exit_code == 2
         assert "unknown kind" in capsys.readouterr().err
 
+    def test_slo_spec_with_a_removed_kind(self, graph_file, tmp_path, capsys):
+        spec = tmp_path / "slo.json"
+        spec.write_text(json.dumps({"rules": [
+            {"name": "error-burn", "kind": "burn_rate", "metric": "m",
+             "denominator": "m", "budget": 0.01},
+        ]}))
+        exit_code = main([
+            "serve", str(graph_file), "--port", "0", "--slo", str(spec),
+        ])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert "unknown kind 'burn_rate'" in err
+        assert "quantile_max, min_quantile, gauge_max, ratio_max" in err
+
 
 class TestTopCommand:
     @pytest.fixture()
     def metrics_servers(self):
-        """Two /metrics endpoints backed by mutable registries."""
+        """Two /metrics endpoints serving mutable registries' snapshots."""
         import http.server
         import threading
 
@@ -749,7 +763,7 @@ class TestTopCommand:
             def make_handler(reg):
                 class Handler(http.server.BaseHTTPRequestHandler):
                     def do_GET(self):
-                        body = reg.render_prometheus().encode()
+                        body = json.dumps(reg.snapshot()).encode()
                         self.send_response(200)
                         self.send_header("Content-Length", str(len(body)))
                         self.end_headers()

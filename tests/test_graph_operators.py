@@ -85,12 +85,6 @@ class TestCaching:
     def test_operators_for_graph_reuses_cache(self, heterophily_graph):
         assert operators_for(heterophily_graph) is heterophily_graph.operators
 
-    def test_cast_adjacency_cached_per_dtype(self, operators):
-        single = operators.cast_adjacency(np.float32)
-        assert single.dtype == np.float32
-        assert operators.cast_adjacency(np.float32) is single
-        assert operators.cast_adjacency(np.float64) is operators.adjacency
-
 
 class TestSpectralRadiusMemoization:
     """Satellite regression: the second LinBP call on the same graph must not

@@ -84,6 +84,24 @@ class TestMetricsEndpoint:
             assert name in families, f"missing metric family {name}"
         assert 'repro_serve_queries_total{graph="g"}' in text
 
+    def test_accept_json_serves_the_snapshot_the_text_renders(self, server):
+        fetch(server, "/graphs/g/query", {"nodes": [1, 2, 3], "top_k": 2})
+        port = server.server_address[1]
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/metrics",
+            headers={"Accept": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=10) as response:
+            assert response.headers["Content-Type"] == "application/json"
+            snapshot = json.loads(response.read())
+        queries = snapshot["families"]["repro_serve_queries_total"]
+        assert queries["kind"] == "counter"
+        assert queries["children"] == [[[["graph", "g"]], {"value": 1.0}]]
+        # The snapshot carries every family the text exposition does.
+        _, _, body = fetch(server, "/metrics")
+        text_families = set(re.findall(r"^# TYPE (\S+)", body.decode(), re.M))
+        assert text_families <= set(snapshot["families"])
+
     def test_every_response_carries_trace_header(self, server):
         _, headers, _ = fetch(server, "/healthz")
         assert re.fullmatch(r"[0-9a-f]{16}", headers["X-Repro-Trace"])
@@ -146,6 +164,18 @@ class TestBatcherSpanHop:
         assert flush["trace"] == client["trace"]
         assert flush["parent"] == client["span"]
         assert flush["thread"] != client["thread"]
+        # The delta's apply and solve run under the submitter's trace too,
+        # down to the engine's solve.
+        spans = {record["span"]: record for record in records}
+        for name in ("serve.delta", "serve.propagate", "stream.propagate", "engine.solve"):
+            assert by_name[name]["trace"] == client["trace"], name
+        solve = by_name["engine.solve"]
+        chain = []
+        while solve["parent"] in spans:
+            solve = spans[solve["parent"]]
+            chain.append(solve["name"])
+        assert chain[-2:] == ["batcher.propagate", "client.request"], chain
+        assert by_name["batcher.apply"]["parent"] == client["span"]
 
 
 class TestFenceWaitSpan:

@@ -1,7 +1,9 @@
-"""Prometheus text parsing, round-trip identity, and federation tests."""
+"""Federation of registry snapshots fetched as JSON."""
 
 from __future__ import annotations
 
+import http.server
+import json
 import math
 import threading
 
@@ -10,12 +12,10 @@ import pytest
 from repro import obs
 from repro.obs.scrape import (
     MetricsScraper,
-    PrometheusParseError,
+    federate,
     federate_snapshots,
     label_snapshot,
     normalize_endpoint,
-    parse_prometheus,
-    scrape_source,
 )
 from repro.obs.timeseries import counter_total
 
@@ -36,93 +36,46 @@ def build_registry() -> obs.MetricsRegistry:
     return registry
 
 
-class TestRoundTrip:
-    def test_render_parse_rerender_identity(self):
+class SnapshotServer:
+    """A ``/metrics`` endpoint answering with ``body()`` and recording the
+    ``Accept`` header of every request."""
+
+    def __init__(self, body):
+        self.accepts: list[str | None] = []
+        accepts = self.accepts
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_GET(self):
+                accepts.append(self.headers.get("Accept"))
+                payload = body().encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def log_message(self, *args):
+                pass
+
+        self.server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread.start()
+        self.instance = f"127.0.0.1:{self.server.server_address[1]}"
+
+    def close(self):
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=5)
+
+
+class TestWireFormat:
+    def test_snapshot_json_round_trip_is_lossless(self):
         registry = build_registry()
-        text = registry.render_prometheus()
-        rebuilt = obs.MetricsRegistry()
-        rebuilt.merge_snapshot(parse_prometheus(text))
-        assert rebuilt.render_prometheus() == text
-
-    def test_label_escaping_survives(self):
-        registry = obs.MetricsRegistry()
-        ugly = 'quote " backslash \\ newline \n done'
-        registry.counter("c_total", "", label=ugly).inc()
-        snapshot = parse_prometheus(registry.render_prometheus())
-        children = snapshot["families"]["c_total"]["children"]
-        assert children[0][0] == [["label", ugly]]
-
-    def test_histogram_buckets_decumulate(self):
-        registry = obs.MetricsRegistry()
-        histogram = registry.histogram("h_seconds", "", buckets=[0.1, 1.0])
-        for value in (0.05, 0.05, 0.5, 5.0):
-            histogram.observe(value)
-        snapshot = parse_prometheus(registry.render_prometheus())
-        family = snapshot["families"]["h_seconds"]
-        assert family["buckets"] == [0.1, 1.0]
-        _, payload = family["children"][0]
-        assert payload["counts"] == [2, 1, 1]
-        assert payload["count"] == 4
-        assert payload["sum"] == pytest.approx(5.6)
-
-    def test_special_values_round_trip(self):
-        registry = obs.MetricsRegistry()
         registry.gauge("inf_gauge", "").set(float("inf"))
         registry.gauge("nan_gauge", "").set(float("nan"))
-        snapshot = parse_prometheus(registry.render_prometheus())
-        assert snapshot["families"]["inf_gauge"]["children"][0][1]["value"] == float("inf")
-        assert math.isnan(snapshot["families"]["nan_gauge"]["children"][0][1]["value"])
-
-    def test_exemplar_suffix_tolerated_and_dropped(self):
-        text = (
-            "# TYPE h_seconds histogram\n"
-            'h_seconds_bucket{le="0.1"} 1 # {trace_id="abc"} 0.05\n'
-            'h_seconds_bucket{le="+Inf"} 1\n'
-            "h_seconds_sum 0.05\n"
-            "h_seconds_count 1\n"
-        )
-        family = parse_prometheus(text)["families"]["h_seconds"]
-        assert family["children"][0][1]["counts"] == [1, 0]
-
-
-class TestParserErrors:
-    def test_sample_without_type_raises(self):
-        with pytest.raises(PrometheusParseError, match="line 1"):
-            parse_prometheus("mystery_total 3\n")
-
-    def test_malformed_label_block_raises(self):
-        with pytest.raises(PrometheusParseError, match="line 2"):
-            parse_prometheus(
-                "# TYPE c_total counter\n"
-                'c_total{bad="unterminated} 3\n'
-            )
-
-    def test_unsupported_kind_raises(self):
-        with pytest.raises(PrometheusParseError, match="unsupported"):
-            parse_prometheus("# TYPE s summary\n")
-
-    def test_histogram_missing_inf_bucket_raises(self):
-        with pytest.raises(PrometheusParseError, match=r"\+Inf"):
-            parse_prometheus(
-                "# TYPE h histogram\n"
-                'h_bucket{le="0.1"} 1\n'
-                "h_sum 0.05\n"
-                "h_count 1\n"
-            )
-
-    def test_decreasing_cumulative_raises(self):
-        with pytest.raises(PrometheusParseError, match="decrease"):
-            parse_prometheus(
-                "# TYPE h histogram\n"
-                'h_bucket{le="0.1"} 5\n'
-                'h_bucket{le="+Inf"} 3\n'
-                "h_sum 1\n"
-                "h_count 3\n"
-            )
-
-    def test_unparseable_value_raises(self):
-        with pytest.raises(PrometheusParseError, match="unparseable"):
-            parse_prometheus("# TYPE c_total counter\nc_total wat\n")
+        rebuilt = obs.MetricsRegistry()
+        rebuilt.merge_snapshot(json.loads(json.dumps(registry.snapshot())))
+        assert rebuilt.render_prometheus() == registry.render_prometheus()
+        assert math.isnan(rebuilt.get("nan_gauge").value)
 
 
 class TestFederation:
@@ -151,23 +104,37 @@ class TestFederation:
         family = federated["families"]["lat_seconds"]
         assert sum(child[1]["count"] for child in family["children"]) == 3
 
-    def test_federation_matches_sum_of_parts_through_text(self):
-        # The full fleet path: render each worker as text, parse, label,
-        # merge — the federated total equals the arithmetic sum.
-        texts = []
-        totals = 0
-        for index, n in enumerate((7, 13)):
+    def test_federation_matches_sum_of_parts_over_http(self):
+        # The full fleet path: each worker serves its snapshot as JSON,
+        # federate fetches, labels and merges — the federated total equals
+        # the arithmetic sum, next to a local snapshot already in hand.
+        registries, servers = [], []
+        for n in (7, 13):
             registry = obs.MetricsRegistry()
             registry.counter("q_total", "Queries.").inc(n)
-            totals += n
-            texts.append(registry.render_prometheus())
-        labeled = [
-            label_snapshot(parse_prometheus(text), instance=f"w{i}")
-            for i, text in enumerate(texts)
-        ]
-        assert counter_total(
-            federate_snapshots(labeled).snapshot(), "q_total"
-        ) == totals
+            registries.append(registry)
+            servers.append(SnapshotServer(
+                lambda r=registry: json.dumps(r.snapshot())
+            ))
+        local = obs.MetricsRegistry()
+        local.counter("q_total", "Queries.").inc(1)
+        try:
+            targets = [(s.instance, f"http://{s.instance}/metrics") for s in servers]
+            instances, registry = federate(
+                targets, timeout=5.0, local={"router": local.snapshot()}
+            )
+        finally:
+            for server in servers:
+                server.close()
+        federated = registry.snapshot()
+        assert counter_total(federated, "q_total") == 7 + 13 + 1
+        assert counter_total(federated, "q_total", {"instance": "router"}) == 1
+        for server, n in zip(servers, (7, 13)):
+            assert instances[server.instance]["up"] is True
+            assert counter_total(
+                federated, "q_total", {"instance": server.instance}
+            ) == n
+            assert server.accepts == ["application/json"]
 
 
 class TestEndpoints:
@@ -194,35 +161,28 @@ class TestEndpoints:
         assert state["error"]
         assert result["snapshot"] == {"families": {}}
 
-    def test_scrape_against_live_server(self):
-        import http.server
+    def test_text_exposition_counts_as_down(self):
+        # An endpoint that ignores Accept and answers Prometheus text is
+        # not a snapshot source; it is reported down, never half-read.
+        server = SnapshotServer(build_registry().render_prometheus)
+        try:
+            result = MetricsScraper([f":{server.instance.split(':')[1]}"]).scrape()
+        finally:
+            server.close()
+        state = result["instances"][server.instance]
+        assert state["up"] is False and state["snapshot"] is None
+        assert result["snapshot"] == {"families": {}}
 
+    def test_scrape_against_live_server(self):
         registry = obs.MetricsRegistry()
         registry.counter("q_total", "Queries.").inc(21)
-        body = registry.render_prometheus().encode()
-
-        class Handler(http.server.BaseHTTPRequestHandler):
-            def do_GET(self):
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        port = server.server_address[1]
+        server = SnapshotServer(lambda: json.dumps(registry.snapshot()))
         try:
-            source = scrape_source([f":{port}"])
-            snapshot = source()
+            port = server.instance.split(":")[1]
+            snapshot = MetricsScraper([f":{port}"]).scrape()["snapshot"]
             assert counter_total(snapshot, "q_total") == 21
             assert counter_total(
-                snapshot, "q_total", {"instance": f"127.0.0.1:{port}"}
+                snapshot, "q_total", {"instance": server.instance}
             ) == 21
         finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            server.close()

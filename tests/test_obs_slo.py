@@ -58,11 +58,12 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("payload, message", [
         ({"kind": "quantile_max", "metric": "m"}, "needs 'max'"),
-        ({"kind": "rate_min", "metric": "m"}, "needs 'min'"),
+        ({"kind": "gauge_max", "metric": "m"}, "needs 'max'"),
         ({"kind": "nope", "metric": "m"}, "unknown kind"),
-        ({"kind": "rate_max", "metric": "m", "max": 1, "wat": 2}, "unknown fields"),
+        ({"kind": "gauge_max", "metric": "m", "max": 1, "wat": 2}, "unknown fields"),
         ({"kind": "ratio_max", "metric": "m", "max": 1}, "needs 'denominator'"),
-        ({"kind": "burn_rate", "metric": "m", "denominator": "d"}, "budget"),
+        ({"kind": "ratio_max", "metric": "m", "max": 1, "denominator": "d",
+          "budget": 0.01}, "unknown fields"),
         ({"kind": "quantile_max", "metric": "m", "max": 1, "q": 2}, "'q'"),
         ({"kind": "min_quantile", "metric": "m", "q": 0.5}, "needs 'min'"),
         ({"kind": "min_quantile", "metric": "m", "min": 0.6, "q": 0}, "'q'"),
@@ -72,6 +73,15 @@ class TestSpecValidation:
         with pytest.raises(SloSpecError, match="bad-rule") as excinfo:
             SloRule.from_dict(payload)
         assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize("kind", ["rate_max", "rate_min", "gauge_min", "burn_rate"])
+    def test_removed_kinds_list_the_valid_ones(self, kind):
+        with pytest.raises(SloSpecError, match="unknown kind") as excinfo:
+            SloRule.from_dict({"name": "old", "kind": kind, "metric": "m",
+                               "min": 1, "max": 1})
+        assert "valid: quantile_max, min_quantile, gauge_max, ratio_max" in str(
+            excinfo.value
+        )
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(SloSpecError, match="duplicate"):
@@ -87,21 +97,10 @@ class TestSpecValidation:
 
 class TestEvaluation:
     def test_no_data_is_ok_not_firing(self, recorder):
-        status = rule(kind="rate_max", metric="err_total", max=1.0).evaluate(recorder)
-        assert status.ok and not status.firing and not status.data
-
-    def test_rate_max_fires_on_breach(self, registry, recorder):
-        counter = registry.counter("err_total", "")
-        recorder.sample()
-        counter.inc(100)
-        recorder.clock.advance(10.0)
-        recorder.sample()
         status = rule(
-            kind="rate_max", metric="err_total", max=1.0, window_seconds=60,
+            kind="ratio_max", metric="err_total", denominator="all_total", max=1.0,
         ).evaluate(recorder)
-        assert status.firing
-        assert status.value == pytest.approx(10.0)
-        assert ">" in status.detail
+        assert status.ok and not status.firing and not status.data
 
     def test_quantile_max_with_label_selector(self, registry, recorder):
         histogram = registry.histogram(
@@ -160,8 +159,9 @@ class TestEvaluation:
         registry.gauge("depth", "").set(90)
         recorder.sample()
         assert rule(kind="gauge_max", metric="depth", max=100).evaluate(recorder).ok
-        assert rule(kind="gauge_max", metric="depth", max=50).evaluate(recorder).firing
-        assert rule(kind="gauge_min", metric="depth", min=95).evaluate(recorder).firing
+        status = rule(kind="gauge_max", metric="depth", max=50).evaluate(recorder)
+        assert status.firing
+        assert status.detail == "gauge = 90 (> 50)"
 
     def test_ratio_max_regex_selector(self, registry, recorder):
         errors = registry.counter("http_total", "", status="503")
@@ -177,45 +177,7 @@ class TestEvaluation:
         ).evaluate(recorder)
         assert status.firing
         assert status.value == pytest.approx(0.05)
-
-    def test_burn_rate_needs_both_windows(self, registry, recorder):
-        errors = registry.counter("http_total", "", status="500")
-        total = registry.counter("http_total", "", status="200")
-        burn = rule(
-            kind="burn_rate", metric="http_total", denominator="http_total",
-            labels={"status": "5.."}, budget=0.01, factor=10,
-            short_window_seconds=10, long_window_seconds=40,
-        )
-        recorder.sample()
-        # Sustained 50% error ratio across both windows.
-        for _ in range(5):
-            errors.inc(50)
-            total.inc(50)
-            recorder.clock.advance(10.0)
-            recorder.sample()
-        assert burn.evaluate(recorder).firing
-
-    def test_burn_rate_ok_when_only_short_window_burns(self, registry, recorder):
-        errors = registry.counter("http_total", "", status="500")
-        total = registry.counter("http_total", "", status="200")
-        burn = rule(
-            kind="burn_rate", metric="http_total", denominator="http_total",
-            labels={"status": "5.."}, budget=0.01, factor=10,
-            short_window_seconds=10, long_window_seconds=1000,
-        )
-        recorder.sample()
-        # Long clean history...
-        for _ in range(20):
-            total.inc(1000)
-            recorder.clock.advance(10.0)
-            recorder.sample()
-        # ...then one short blip: short window burns, long does not.
-        errors.inc(8)
-        total.inc(8)
-        recorder.clock.advance(10.0)
-        recorder.sample()
-        status = burn.evaluate(recorder)
-        assert status.data and status.ok
+        assert status.detail == "ratio over 60s = 0.05 (> 0.01)"
 
 
 class TestRecorderIntegration:

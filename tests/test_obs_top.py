@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import http.server
+import json
 import threading
 
 import pytest
@@ -23,7 +24,7 @@ class FakeClock:
 
 
 class MetricsStub:
-    """A minimal /metrics HTTP server over a mutable registry."""
+    """A minimal /metrics HTTP server returning a mutable registry's snapshot."""
 
     def __init__(self):
         self.registry = obs.MetricsRegistry()
@@ -31,7 +32,7 @@ class MetricsStub:
 
         class Handler(http.server.BaseHTTPRequestHandler):
             def do_GET(self):
-                body = registry.render_prometheus().encode()
+                body = json.dumps(registry.snapshot()).encode()
                 self.send_response(200)
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()

@@ -280,19 +280,6 @@ class TestPropagationResult:
                 heterophily_graph, compatibility=skew_compatibility(3)
             )
 
-    def test_float32_iterates(self, heterophily_graph, seeded):
-        seeds, partial = seeded
-        compatibility = skew_compatibility(3, h=3.0)
-        single = LinBPPropagator(dtype=np.float32).propagate(
-            heterophily_graph, partial, compatibility=compatibility
-        )
-        double = LinBPPropagator().propagate(
-            heterophily_graph, partial, compatibility=compatibility
-        )
-        assert single.beliefs.dtype == np.float32
-        agreement = np.mean(single.labels == double.labels)
-        assert agreement > 0.99
-
 
 class TestFixedPointIterate:
     def test_converges_on_linear_contraction(self):

@@ -509,18 +509,19 @@ class TestFleetReads:
         req = urllib.request.Request(base + "/metrics")
         with urllib.request.urlopen(req, timeout=30.0) as response:
             text = response.read().decode("utf-8")
-        from repro.obs.scrape import parse_prometheus
-
-        families = parse_prometheus(text)["families"]
+        families = set(re.findall(r"^# TYPE (\S+)", text, re.M))
         assert "repro_router_proxied_total" in families
         assert "repro_serve_queries_total" in families
-        instances = {
-            dict(tuple(pair) for pair in key).get("instance")
-            for family in families.values()
-            for key, _payload in family["children"]
-        }
+        instances = set(re.findall(r'instance="([^"]+)"', text))
         assert "router" in instances
         assert len(instances) >= 2  # router + at least one worker
+        # The worker owning the session reports its query under its
+        # authority, fetched as a JSON snapshot.
+        owner = router.worker_for("metered")
+        assert re.search(
+            r'^repro_serve_queries_total\{[^}]*instance="%s:%d"' % (owner.host, owner.port),
+            text, re.M,
+        )
 
     def test_stats_aggregates_worker_stats(self, fleet):
         _, base = fleet

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.compatibility import skew_compatibility
+from repro.graph.generator import generate_graph
 from repro.graph.graph import Graph, labels_from_one_hot, one_hot_labels
 from repro.propagation.convergence import (
     linbp_scaling,
@@ -227,6 +228,41 @@ class TestRungBoundary:
         assert quantize_radius(session.graph.operators.spectral_radius()) == cold
         compatibility = center_matrix(session.compatibility)
         assert step.result.details["scaling"] == linbp_scaling(adjacency, compatibility)
+
+
+class TestBlindRitzVector:
+    def test_a_clique_of_new_nodes_re_anchors_the_ritz_vector(self):
+        # The carried v is zero on nodes added since the last refresh, so
+        # its Rayleigh quotient cannot see a clique grown among them (rho
+        # jumps from ~7 to 15) and Temple's interval would settle the old
+        # rung.  The clique's dW forces a cold anchor, and the anchor
+        # rebuilds v, so the steps after it settle against the new rho.
+        rng = np.random.default_rng(4)
+        graph = generate_graph(3_000, 9_000, skew_compatibility(3, h=3.0), seed=4)
+        session = make_session(graph, 3, 0.1, rng, localized=True)
+        session.propagate()
+        n = graph.n_nodes
+        clique = [[u, v] for u in range(n, n + 16) for v in range(u + 1, n + 16)]
+        steps = [GraphDelta(add_edges=clique, add_nodes=16)]
+        while len(steps) < 4:
+            u, v = sorted(int(x) for x in rng.integers(0, n, 2))
+            if u != v and graph.adjacency[u, v] == 0:
+                steps.append(GraphDelta(add_edges=[[u, v]]))
+        compatibility = center_matrix(session.compatibility)
+        cold = LinBPPropagator(max_iterations=300, tolerance=1e-9)
+        modes = []
+        for delta in steps:
+            step = session.step(delta)
+            modes.append(step.mode)
+            adjacency = session.graph.adjacency
+            assert step.result.details["scaling"] == linbp_scaling(adjacency, compatibility)
+            batch = cold.propagate(
+                session.graph.copy(), session.seed_labels,
+                compatibility=session.compatibility, n_classes=3,
+            )
+            assert np.abs(step.result.beliefs - batch.beliefs).max() <= 1e-6
+        # One anchor for the clique; the one-edge steps after it settle.
+        assert modes == ["full", "localized", "localized", "localized"]
 
 
 class TestPriorsFastPath:
