@@ -104,6 +104,51 @@ class TestFederation:
         family = federated["families"]["lat_seconds"]
         assert sum(child[1]["count"] for child in family["children"]) == 3
 
+    def test_label_snapshot_replaces_an_existing_instance(self):
+        # Re-federating an already federated snapshot relabels, never
+        # duplicates, the join key.
+        once = label_snapshot(self._worker_snapshot(3), instance="w1")
+        twice = label_snapshot(once, instance="router")
+        key, child = twice["families"]["q_total"]["children"][0]
+        assert key == [["graph", "g"], ["instance", "router"]]
+        assert child["value"] == 3
+
+    def test_federated_histograms_sum_bucket_by_bucket(self):
+        snapshots = []
+        for observations in ((0.05, 0.5), (0.5, 9.0, 9.0)):
+            registry = obs.MetricsRegistry()
+            histogram = registry.histogram("lat_seconds", "", buckets=[0.1, 1.0])
+            for value in observations:
+                histogram.observe(value)
+            snapshots.append(json.loads(json.dumps(registry.snapshot())))
+        federated = federate_snapshots(
+            label_snapshot(s, instance=f"w{i}") for i, s in enumerate(snapshots)
+        ).snapshot()
+        children = dict(
+            (dict(map(tuple, key))["instance"], child)
+            for key, child in federated["families"]["lat_seconds"]["children"]
+        )
+        assert children["w0"]["counts"] == [1, 1, 0]
+        assert children["w1"]["counts"] == [0, 1, 2]
+        assert sum(c["count"] for c in children.values()) == 5
+        assert sum(c["sum"] for c in children.values()) == pytest.approx(19.05)
+
+    def test_label_escaping_survives_federation(self):
+        # Label values that need escaping in the text exposition reach the
+        # federated registry verbatim and render escaped exactly once.
+        registry = build_registry()
+        server = SnapshotServer(lambda: json.dumps(registry.snapshot()))
+        try:
+            _, federated = federate(
+                [("w", f"http://{server.instance}/metrics")], timeout=5.0
+            )
+        finally:
+            server.close()
+        text = federated.render_prometheus()
+        assert 'depth{instance="w",queue="q\\\\1"} 42.5' in text
+        assert 'path="/a\\"b"' in text
+        assert federated.get("depth", instance="w", queue="q\\1").value == 42.5
+
     def test_federation_matches_sum_of_parts_over_http(self):
         # The full fleet path: each worker serves its snapshot as JSON,
         # federate fetches, labels and merges — the federated total equals
@@ -172,6 +217,32 @@ class TestEndpoints:
         state = result["instances"][server.instance]
         assert state["up"] is False and state["snapshot"] is None
         assert result["snapshot"] == {"families": {}}
+
+    @pytest.mark.parametrize("body", ["[]", '{"families": []}', '{"rules": {}}'])
+    def test_json_that_is_not_a_snapshot_counts_as_down(self, body):
+        server = SnapshotServer(lambda: body)
+        try:
+            result = MetricsScraper([server.instance]).scrape()
+        finally:
+            server.close()
+        state = result["instances"][server.instance]
+        assert state["up"] is False
+        assert "did not return a metrics snapshot" in state["error"]
+        assert result["snapshot"] == {"families": {}}
+
+    def test_mixed_fleet_federates_only_the_live_instances(self):
+        registry = obs.MetricsRegistry()
+        registry.counter("q_total", "Queries.").inc(4)
+        server = SnapshotServer(lambda: json.dumps(registry.snapshot()))
+        try:
+            result = MetricsScraper([server.instance, ":1"], timeout=0.5).scrape()
+        finally:
+            server.close()
+        assert result["instances"][server.instance]["up"] is True
+        assert result["instances"]["127.0.0.1:1"]["up"] is False
+        snapshot = result["snapshot"]
+        assert counter_total(snapshot, "q_total") == 4
+        assert counter_total(snapshot, "q_total", {"instance": "127.0.0.1:1"}) is None
 
     def test_scrape_against_live_server(self):
         registry = obs.MetricsRegistry()

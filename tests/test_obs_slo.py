@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,9 @@ def recorder(registry):
     )
     rec.clock = clock  # test handle
     return rec
+
+
+SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
 
 
 def rule(**payload) -> SloRule:
@@ -82,6 +86,17 @@ class TestSpecValidation:
         assert "valid: quantile_max, min_quantile, gauge_max, ratio_max" in str(
             excinfo.value
         )
+
+    @pytest.mark.parametrize("name, kinds", [
+        ("serve_slo.json", {"p99-latency": "quantile_max",
+                            "error-ratio": "ratio_max",
+                            "queue-depth": "gauge_max"}),
+        ("quality_slo.json", {"prequential-accuracy-floor": "min_quantile",
+                              "compatibility-drift-ceiling": "gauge_max"}),
+    ])
+    def test_shipped_specs_load(self, name, kinds):
+        spec = SloSpec.from_json(SPECS / name)
+        assert {r.name: r.kind for r in spec.rules} == kinds
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(SloSpecError, match="duplicate"):
@@ -178,6 +193,40 @@ class TestEvaluation:
         assert status.firing
         assert status.value == pytest.approx(0.05)
         assert status.detail == "ratio over 60s = 0.05 (> 0.01)"
+
+    def test_ratio_max_without_traffic_in_the_window_is_ok(self, registry, recorder):
+        # The counters exist but did not move: a ratio over zero events is
+        # undefined, so the rule reports no data rather than 0 or a breach.
+        registry.counter("http_total", "", status="503").inc(3)
+        registry.counter("http_total", "", status="200").inc(7)
+        recorder.sample()
+        recorder.clock.advance(10.0)
+        recorder.sample()
+        status = rule(
+            kind="ratio_max", metric="http_total", denominator="http_total",
+            max=0.01, labels={"status": "5.."},
+        ).evaluate(recorder)
+        assert status.ok and not status.data
+        assert status.detail == "insufficient history"
+
+    def test_ratio_max_denominator_labels_select_the_base(self, registry, recorder):
+        errors = registry.counter("http_total", "", status="500", path="/q")
+        queries = registry.counter("http_total", "", status="200", path="/q")
+        other = registry.counter("http_total", "", status="200", path="/healthz")
+        recorder.sample()
+        errors.inc(2)
+        queries.inc(8)
+        other.inc(990)
+        recorder.clock.advance(10.0)
+        recorder.sample()
+        status = rule(
+            kind="ratio_max", metric="http_total", denominator="http_total",
+            max=0.1, labels={"status": "5.."},
+            denominator_labels={"path": "/q"},
+        ).evaluate(recorder)
+        # 2 errors over the 10 /q requests, not over all 1000 requests.
+        assert status.value == pytest.approx(0.2)
+        assert status.firing
 
 
 class TestRecorderIntegration:

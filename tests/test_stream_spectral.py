@@ -265,6 +265,42 @@ class TestBlindRitzVector:
         assert modes == ["full", "localized", "localized", "localized"]
 
 
+    def test_every_anchor_rebuilds_the_ritz_vector(self):
+        # A second, larger clique of new nodes after the first: the later
+        # anchor rebuilds v from its own cold run (rho moves from 15 to
+        # 19), and the one-edge steps after each anchor settle the rung
+        # the batch computes.
+        rng = np.random.default_rng(5)
+        graph = generate_graph(2_000, 6_000, skew_compatibility(3, h=3.0), seed=5)
+        session = make_session(graph, 3, 0.1, rng, localized=True)
+        session.propagate()
+        n = graph.n_nodes
+
+        def clique(start, size):
+            nodes = range(start, start + size)
+            return GraphDelta(
+                add_edges=[[u, v] for u in nodes for v in nodes if u < v],
+                add_nodes=size,
+            )
+
+        def one_edge():
+            while True:
+                u, v = sorted(int(x) for x in rng.integers(0, n, 2))
+                if u != v and session.graph.adjacency[u, v] == 0:
+                    return GraphDelta(add_edges=[[u, v]])
+
+        compatibility = center_matrix(session.compatibility)
+        modes = []
+        for delta in (clique(n, 16), one_edge(), clique(n + 16, 20), one_edge()):
+            step = session.step(delta)
+            modes.append(step.mode)
+            scaling = linbp_scaling(session.graph.adjacency, compatibility)
+            assert step.result.details["scaling"] == scaling
+        assert modes == ["full", "localized", "full", "localized"]
+        top = session._spectral.vector
+        # The carried v lives on the 20-clique that now sets rho.
+        assert np.abs(top[n + 16:]).min() > 10 * np.abs(top[:n]).max()
+
 class TestPriorsFastPath:
     @pytest.mark.parametrize("k", [1, 3, 8])
     @pytest.mark.parametrize("fraction", [0.0, 0.3])
